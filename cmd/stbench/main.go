@@ -280,9 +280,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	switch *transportMode {
 	case "proc":
-		cfg.Proc = &transport.Proc{Stderr: stderr}
+		cfg.Transport = &transport.Proc{Stderr: stderr}
 	case "tcp":
-		cfg.TCP = &transport.TCP{Workers: workerAddrs, DialTimeout: 5 * time.Second}
+		cfg.Transport = &transport.TCP{Workers: workerAddrs, DialTimeout: 5 * time.Second}
 	}
 
 	runners := experiments.Runners()

@@ -13,10 +13,11 @@ import (
 // order (adjacent duplicates dropped when s.Dedup is set) with the head
 // back at the start — but it may execute the sort anywhere: the
 // single-machine k-way engine, shard-local machines plus a combining
-// merge (internal/shard.LaunchSort), or any future multi-process
-// backend. Callers that take a SortLauncher treat nil as the
-// single-machine engine, so the zero execution shape is always the
-// bitwise-accounted local Sorter.
+// merge (the sharded operator sorts of internal/relalg.Evaluator, built
+// on shard.Sort.SortTape), or any future multi-process backend.
+// Callers that take a SortLauncher treat nil as the single-machine
+// engine, so the zero execution shape is always the bitwise-accounted
+// local Sorter.
 //
 // The context bounds the invocation: a distributed launcher stops its
 // shard machines when ctx is cancelled and returns the context error

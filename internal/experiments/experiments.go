@@ -59,20 +59,15 @@ type Config struct {
 	// -storage.
 	Storage tape.Options
 
-	// Proc, when non-nil, is the process-boundary transport
+	// Transport, when non-nil, is the shard transport
 	// (internal/transport): trial fleets whose workloads carry a wire
 	// form and every sharded operator sort and scan run their shard
-	// attempts in worker processes. Fleets with no wire form — closures
-	// over live state, chaos-wrapped fleets — keep running in-process.
-	// Like Shards and Parallel, it never affects output bytes.
-	Proc *transport.Proc
-
-	// TCP, when non-nil, is the multi-host transport: the same seams as
-	// Proc, but shard attempts dial the configured workers over TCP
-	// (`-transport tcp -workers host:port,...`). At most one of Proc
-	// and TCP is set; TCP wins if both are. Like every other execution
-	// shape, it never affects output bytes.
-	TCP *transport.TCP
+	// attempts in worker processes (`-transport proc`) or on TCP workers
+	// (`-transport tcp -workers host:port,...`). Fleets with no wire
+	// form — closures over live state, chaos-wrapped fleets — keep
+	// running in-process. Like every other execution shape, it never
+	// affects output bytes.
+	Transport transport.Transport
 }
 
 // machine builds an experiment machine on the configured tape storage.
@@ -111,29 +106,18 @@ func (c Config) ShardCount() int {
 // byte.
 func (c Config) launch() trials.Launcher {
 	inner := shard.LaunchRetry(c.ShardCount(), c.Parallel, c.Retry)
-	if tr := c.transport(); tr != nil {
-		inner = tr.Launch(c.ShardCount(), c.Parallel, c.Retry)
+	if c.Transport != nil {
+		inner = c.Transport.Launch(c.ShardCount(), c.Parallel, c.Retry)
 	}
 	return c.Faults.Trials(inner)
-}
-
-// transport resolves the configured shard transport, nil for in-process.
-func (c Config) transport() transport.Transport {
-	if c.TCP != nil {
-		return c.TCP
-	}
-	if c.Proc != nil {
-		return c.Proc
-	}
-	return nil
 }
 
 // exec resolves how sharded operator sorts execute their shard-local
 // attempts: through the configured transport's workers, in-process
 // otherwise (nil selects shard.SortJob.Execute on the coordinator).
 func (c Config) exec() shard.ExecFunc {
-	if tr := c.transport(); tr != nil {
-		return tr.Exec()
+	if c.Transport != nil {
+		return c.Transport.Exec()
 	}
 	return nil
 }
@@ -141,19 +125,20 @@ func (c Config) exec() shard.ExecFunc {
 // execScan is exec's twin for sharded operator scans (anti-merge,
 // product): nil keeps them on the coordinator's shard machines.
 func (c Config) execScan() relalg.ScanExecFunc {
-	if tr := c.transport(); tr != nil {
-		return tr.ExecScan()
+	if c.Transport != nil {
+		return c.Transport.ExecScan()
 	}
 	return nil
 }
 
 // proc is the transport the E18/E19/E20 internal sweeps run their
-// process-boundary rows on: the configured one when set, a default
-// self-exec transport otherwise — the rows exist in every run, so the
-// tables stay byte-identical whether or not -transport proc is on.
+// process-boundary rows on: the configured one when it is a pipe
+// transport, a default self-exec transport otherwise — the rows exist
+// in every run, so the tables stay byte-identical whether or not
+// -transport proc is on.
 func (c Config) proc() *transport.Proc {
-	if c.Proc != nil {
-		return c.Proc
+	if p, ok := c.Transport.(*transport.Proc); ok {
+		return p
 	}
 	return &transport.Proc{}
 }

@@ -154,7 +154,7 @@ func (p Plan) fire(site, attempt int) error {
 
 // Injected is the fault an enabled plan delivers: for Mode Error it is
 // the returned error, for Mode Panic it is the panic value (which the
-// recovery layer wraps in trials.TrialPanicError / shard.SortPanicError,
+// recovery layer wraps in trials.TrialPanicError / shard.PanicError,
 // whose Unwrap reaches back here).
 type Injected struct {
 	Site    int  // the struck site

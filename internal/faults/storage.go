@@ -7,8 +7,8 @@ package faults
 // operation happens to be the AfterOps'th — a model of a disk or
 // mapping going bad under an out-of-core run. The failure is a panic
 // carrying a *tape.IOError (errors.Is ErrStorage) wrapping an
-// *Injected, which shard.Sort's recovery layer converts to a
-// *SortPanicError and retries; the coordinator fallback never sees
+// *Injected, which shard.RunStage's recovery converts to a
+// *shard.PanicError and retries; the coordinator fallback never sees
 // the wrapper, so the output bytes are identical regardless.
 
 import (

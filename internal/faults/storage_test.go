@@ -97,7 +97,7 @@ func TestStorageFaultFallsBackChaosFree(t *testing.T) {
 // TestStorageFaultTypedChain pins the error type a planted fault
 // delivers: the panic value is a *tape.IOError that errors.Is
 // ErrStorage and unwraps to the plan's *Injected, and a recovered
-// shard attempt (*shard.SortPanicError) keeps that whole chain
+// shard attempt (*shard.PanicError) keeps that whole chain
 // reachable for triage.
 func TestStorageFaultTypedChain(t *testing.T) {
 	wrap := Plan{Mode: Panic, Sites: []int{0}}.TapeWrap(0)(0, 1)
@@ -119,9 +119,9 @@ func TestStorageFaultTypedChain(t *testing.T) {
 		if !errors.As(err, &inj) || inj.Site != 0 {
 			t.Fatalf("panic error %v does not unwrap to the Injected fault", err)
 		}
-		spe := &shard.SortPanicError{Shard: 0, Value: r}
+		spe := &shard.PanicError{Shard: 0, Value: r}
 		if !errors.Is(spe, tape.ErrStorage) {
-			t.Fatal("SortPanicError hides the storage error from errors.Is")
+			t.Fatal("PanicError hides the storage error from errors.Is")
 		}
 	}()
 	_ = tp.WriteBlock([]byte("boom"))

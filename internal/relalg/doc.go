@@ -42,13 +42,16 @@
 // and therefore the query answer — is byte-identical at every shard
 // count; the per-shard (r, s, t) census of every operator sort is
 // collected in QueryReport with max/sum rollups and a critical-path
-// view. The execution shape is injected in the trials.Launcher style
-// (algorithms.SortLauncher; the Launch field accepts any
-// implementation, nil plus Shards == 0 is the historical
-// single-machine engine, bit for bit), and Evaluator.Sorted and
-// Evaluator.EqualSet expose the machine-backed counterparts of
-// Relation.Sorted and Relation.EqualSet on the same path. Experiment
-// E19 tables the resulting shards × fan-in frontier; native fuzz
-// targets (fuzz_test.go) drive arbitrary tuple sets and execution
-// shapes against a stdlib-sort reference.
+// view. The execution shape resolves in the trials.Launcher style to
+// an algorithms.SortLauncher (Shards == 0 with no planner is the
+// historical single-machine engine, bit for bit). With Shards >= 1 the
+// difference's anti-merge and the product's paired scan distribute
+// too, and every shard stage — sort, merge or scan — runs its attempts
+// through shard.RunStage, the one retry → coordinator-fallback loop,
+// recording its census in a shard.SortReport (ScanReport embeds one).
+// Evaluator.Sorted and Evaluator.EqualSet expose the machine-backed
+// counterparts of Relation.Sorted and Relation.EqualSet on the same
+// path. Experiment E19 tables the resulting shards × fan-in frontier;
+// native fuzz targets (fuzz_test.go) drive arbitrary tuple sets and
+// execution shapes against a stdlib-sort reference.
 package relalg

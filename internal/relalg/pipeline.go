@@ -29,8 +29,7 @@ import (
 
 // pipelined reports whether the merge-free handoff is active: it is
 // opt-in (Pipeline, or always under a planner) and needs the sharded
-// path (KeepRuns hands over per-shard tapes; a custom Launch owns its
-// sorts and cannot be bypassed).
+// path (KeepRuns hands over per-shard tapes).
 func (c *evalCtx) pipelined() bool {
 	return (c.ev.Pipeline || c.ev.Plan != nil) && c.ev.scanShards() >= 1
 }
@@ -191,37 +190,20 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 	}
 }
 
-// stageSort builds the shard.Sort configuration of a pipelined stage
-// over a known input census: the planner's per-stage choice in plan
-// mode, otherwise the evaluator's fixed shape resolved exactly like
-// engineSort does for the launcher path.
-func (c *evalCtx) stageSort(items int, bytes int64, dedup bool) sortConfig {
+// stageSort builds the shard.Sort of a pipelined stage over a known
+// input census: the planner's per-stage choice in plan mode, otherwise
+// the evaluator's fixed shape resolved exactly like engineSort does for
+// the launcher path.
+func (c *evalCtx) stageSort(items int, bytes int64, dedup bool) shard.Sort {
+	s := c.ev.shardSort(dedup)
 	if c.ev.Plan != nil {
 		sh := c.ev.Plan.Choose(items, bytes)
-		return sortConfig{
-			Shards: sh.Shards, FanIn: sh.FanIn, RunMemoryBits: sh.RunMemoryBits,
-			Dedup: dedup,
-		}
+		s.Shards, s.FanIn, s.RunMemoryBits = sh.Shards, sh.FanIn, sh.RunMemoryBits
+		return s
 	}
-	fanIn := c.ev.fanInTarget()
-	if limit := 2 + len(c.free); fanIn > limit {
-		fanIn = limit
-	}
-	return sortConfig{
-		Shards:        c.ev.scanShards(),
-		FanIn:         fanIn,
-		RunMemoryBits: c.ev.runMemoryBits(),
-		Dedup:         dedup,
-	}
-}
-
-// sortConfig mirrors the shard.Sort fields a pipelined stage chooses;
-// kept as a separate type so the planner can override it per stage.
-type sortConfig struct {
-	Shards        int
-	FanIn         int
-	RunMemoryBits int64
-	Dedup         bool
+	s.FanIn = min(c.ev.fanInTarget(), 2+len(c.free))
+	s.RunMemoryBits = c.ev.runMemoryBits()
+	return s
 }
 
 // sortKeepRuns runs the merge-free half of an operator sort: the
@@ -230,8 +212,7 @@ type sortConfig struct {
 // zero: none ran) is recorded like any operator sort's.
 func (c *evalCtx) sortKeepRuns(idx int) ([][]byte, error) {
 	data := c.m.Tape(idx).Contents()
-	cfg := c.stageSort(countItems(data), int64(len(data)), false)
-	s := c.ev.shardSort(cfg)
+	s := c.stageSort(countItems(data), int64(len(data)), false)
 	runs, rep, err := s.RunKeepRuns(c.ctx, data, c.ev.Seed)
 	if err != nil {
 		return nil, err
@@ -252,8 +233,7 @@ func (c *evalCtx) mergeRuns(runs [][]byte, dst int) error {
 		items += countItems(r)
 		total += int64(len(r))
 	}
-	cfg := c.stageSort(items, total, true)
-	s := c.ev.shardSort(cfg)
+	s := c.stageSort(items, total, true)
 	out, rep, err := s.MergeRuns(c.ctx, runs, c.ev.Seed)
 	if err != nil {
 		return err
@@ -263,20 +243,4 @@ func (c *evalCtx) mergeRuns(runs [][]byte, dst int) error {
 		c.ev.Report.record(rep)
 	}
 	return nil
-}
-
-// shardSort builds the shard.Sort for a pipelined stage from the
-// evaluator's execution shape (retry policy, chaos hook, transport
-// seam) plus the stage's engine configuration.
-func (ev Evaluator) shardSort(cfg sortConfig) shard.Sort {
-	return shard.Sort{
-		Shards:        cfg.Shards,
-		FanIn:         cfg.FanIn,
-		RunMemoryBits: cfg.RunMemoryBits,
-		Dedup:         cfg.Dedup,
-		Retry:         ev.Retry,
-		Inject:        ev.Inject,
-		Exec:          ev.Exec,
-		TapeOpts:      ev.TapeOpts,
-	}
 }

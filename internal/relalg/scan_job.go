@@ -4,12 +4,12 @@ package relalg
 // scan-side twin of shard.SortJob. A ScanJob is self-contained and
 // gob-encodable: the shard's contiguous left run-range payload, the
 // broadcast right side, the shard machine's seed and tape options.
-// Execute runs exactly the body scanShard's in-process attempt runs,
-// so a worker process (internal/transport) executing the job produces
-// the same bytes and the same (r, s, t) census the coordinator's own
-// shard machine would — which is what lets planned queries honor
-// `-transport` end to end instead of silently dropping their
-// anti-merge and product scans back in-process.
+// Execute is the body every in-process scan attempt and the
+// coordinator's fallback run, so a worker process (internal/transport)
+// executing the job produces the same bytes and the same (r, s, t)
+// census the coordinator's own shard machine would — which is what lets
+// planned queries honor `-transport` end to end instead of silently
+// dropping their anti-merge and product scans back in-process.
 
 import (
 	"context"
@@ -68,6 +68,6 @@ func (j ScanJob) Execute() ([]byte, core.Resources, error) {
 // to run scan shards in worker processes or on remote machines. shard
 // and attempt identify the attempt for deterministic fault injection;
 // implementations must return either job.Execute()'s exact results or
-// an error (a *transport.WorkerError carrying the shard.Fault marker
-// puts the failure on the retry → fallback path).
+// an error, which burns one attempt of shard.RunStage's retry budget
+// unless the run's context was cancelled.
 type ScanExecFunc func(ctx context.Context, shard, attempt int, job ScanJob) ([]byte, core.Resources, error)

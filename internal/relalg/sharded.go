@@ -5,15 +5,16 @@ package relalg
 // Product — and through them EvalST's whole set-semantics discipline)
 // can run its sort on the run-partitioned sharded path of
 // internal/shard instead of the single-machine k-way engine. The
-// execution shape is injected exactly like trials.Launcher on the
-// fleet side: an Evaluator with a nil launcher and zero Shards is the
-// historical single-machine EvalST, bit for bit, while Shards >= 1
-// ships each sort's initial runs to shard-local machines and k-way
-// merges the results back. A sorted, deduplicated item sequence is
-// canonical, so the relation an operator leaves on its tape — and
-// therefore the query result — is byte-identical at every shard
-// count; only the resource census moves, and it is preserved
-// per-shard in QueryReport rather than blurred into the coordinator.
+// execution shape is resolved into an algorithms.SortLauncher, the
+// sort-side twin of trials.Launcher: an Evaluator with zero Shards and
+// no planner is the historical single-machine EvalST, bit for bit,
+// while Shards >= 1 ships each sort's initial runs to shard-local
+// machines and k-way merges the results back. A sorted, deduplicated
+// item sequence is canonical, so the relation an operator leaves on
+// its tape — and therefore the query result — is byte-identical at
+// every shard count; only the resource census moves, and it is
+// preserved per-shard in QueryReport rather than blurred into the
+// coordinator.
 
 import (
 	"bytes"
@@ -78,17 +79,17 @@ type Evaluator struct {
 	// and the merge-free pipelined handoff is always active. Plan
 	// implies the sharded path; Shards, FanIn and RunMemoryBits are
 	// ignored (each stage gets its own shape), while Retry, Inject and
-	// Exec still govern how shard attempts execute. An explicit Launch
-	// wins over Plan. The query result is byte-identical to every other
-	// execution shape: the planner may move the shape, never a byte.
+	// Exec still govern how shard attempts execute. The query result is
+	// byte-identical to every other execution shape: the planner may
+	// move the shape, never a byte.
 	Plan *plan.Planner
 
 	// Pipeline enables the merge-free stage handoff (see pipeline.go):
 	// producers feeding a Union hand their per-shard sorted runs
 	// directly to the union's merge instead of combining, concatenating
-	// and re-distributing. Only active on the built-in sharded path
-	// (Shards >= 1, no custom Launch); the query result is
-	// byte-identical, only the census moves.
+	// and re-distributing. Only active on the sharded path (Shards >= 1
+	// or Plan); the query result is byte-identical, only the census
+	// moves.
 	Pipeline bool
 
 	// TapeOpts selects the tape storage backend of every machine the
@@ -103,8 +104,8 @@ type Evaluator struct {
 	// the sharded path execute (see shard.Sort.Exec) — the seam
 	// internal/transport uses to run every operator sort's shard
 	// machines in worker processes. It only applies on the sharded path
-	// (Shards >= 1, no custom Launch); the query result is
-	// byte-identical with or without it.
+	// (Shards >= 1 or Plan); the query result is byte-identical with or
+	// without it.
 	Exec shard.ExecFunc
 
 	// ExecScan, when non-nil, overrides how shard-local operator-scan
@@ -116,15 +117,9 @@ type Evaluator struct {
 	// byte-identical with or without it.
 	ExecScan ScanExecFunc
 
-	// Launch, when non-nil, overrides the sort execution entirely —
-	// the trials.Launcher pattern on the sort side. Shards is then
-	// ignored; nil together with Shards == 0 selects the
-	// single-machine engine.
-	Launch algorithms.SortLauncher
-
 	// Report, when non-nil, collects one shard.SortReport per operator
-	// sort executed on the built-in sharded path, in operator order.
-	// (A custom Launch reports through its own closure instead.)
+	// sort and one ScanReport per operator scan executed on the sharded
+	// path, in operator order.
 	Report *QueryReport
 }
 
@@ -255,51 +250,46 @@ func (ev Evaluator) newCtx(ctx context.Context, m *core.Machine) (*evalCtx, erro
 	return ec, nil
 }
 
-// launcher resolves the evaluator's sort execution shape: an explicit
-// Launch wins, Shards >= 1 selects the sharded path (with the
-// evaluator's retry policy and chaos hook), and the zero shape is nil
-// — the single-machine engine.
+// launcher resolves the evaluator's sort execution shape: nil — the
+// single-machine engine — for the zero shape, otherwise the sharded
+// path with the sorter's engine configuration (so the run partitioning
+// is the one the single machine would form), or the planner's choice
+// for the tape's census in plan mode.
 func (ev Evaluator) launcher() algorithms.SortLauncher {
-	if ev.Launch != nil {
-		return ev.Launch
+	if ev.Plan == nil && ev.Shards < 1 {
+		return nil
 	}
-	if ev.Plan != nil {
-		var onReport func(shard.SortReport)
-		if ev.Report != nil {
-			onReport = ev.Report.record
-		}
-		return func(ctx context.Context, sorter algorithms.Sorter, m *core.Machine, src int, _ []int) error {
+	return func(ctx context.Context, sorter algorithms.Sorter, m *core.Machine, src int, _ []int) error {
+		s := ev.shardSort(sorter.Dedup)
+		s.FanIn, s.RunMemoryBits = sorter.FanIn, sorter.RunMemoryBits
+		if ev.Plan != nil {
 			data := m.Tape(src).Contents()
 			sh := ev.Plan.Choose(countItems(data), int64(len(data)))
-			rep, err := shard.Sort{
-				Shards: sh.Shards, FanIn: sh.FanIn, RunMemoryBits: sh.RunMemoryBits,
-				Dedup: sorter.Dedup,
-				Retry: ev.Retry, Inject: ev.Inject, Exec: ev.Exec,
-				TapeOpts: ev.TapeOpts,
-			}.SortTape(ctx, m, src, ev.Seed)
-			if err != nil {
-				return err
-			}
-			if onReport != nil {
-				onReport(rep)
-			}
-			return nil
+			s.Shards, s.FanIn, s.RunMemoryBits = sh.Shards, sh.FanIn, sh.RunMemoryBits
 		}
-	}
-	if ev.Shards >= 1 {
-		var onReport func(shard.SortReport)
+		rep, err := s.SortTape(ctx, m, src, ev.Seed)
+		if err != nil {
+			return err
+		}
 		if ev.Report != nil {
-			onReport = ev.Report.record
+			ev.Report.record(rep)
 		}
-		return shard.Sort{
-			Shards:   ev.Shards,
-			Retry:    ev.Retry,
-			Inject:   ev.Inject,
-			Exec:     ev.Exec,
-			TapeOpts: ev.TapeOpts,
-		}.Launcher(ev.Seed, onReport)
+		return nil
 	}
-	return nil
+}
+
+// shardSort is the shard.Sort of one operator stage before its shape is
+// chosen: the evaluator's fixed shard count, retry policy, chaos hook,
+// transport seam and storage, plus the stage's dedup.
+func (ev Evaluator) shardSort(dedup bool) shard.Sort {
+	return shard.Sort{
+		Shards:   ev.Shards,
+		Dedup:    dedup,
+		Retry:    ev.Retry,
+		Inject:   ev.Inject,
+		Exec:     ev.Exec,
+		TapeOpts: ev.TapeOpts,
+	}
 }
 
 // fanInTarget resolves the operator-sort fan-in target.

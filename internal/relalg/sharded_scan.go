@@ -13,17 +13,12 @@ package relalg
 // order, so the per-shard outputs are disjoint and concatenate to the
 // unsharded bytes: the anti-merge combine is a degenerate k-way merge
 // over already-disjoint ordered tapes, the product combine a plain
-// concatenation sweep. Shard attempts sit on the same retry →
-// coordinator-fallback path as sort attempts: recovery may move the
-// attempt census, never a byte.
+// concatenation sweep. Shard attempts run through shard.RunStage, the
+// same retry → coordinator-fallback loop as sort attempts: recovery may
+// move the attempt census, never a byte.
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"extmem/internal/algorithms"
 	"extmem/internal/core"
@@ -31,107 +26,28 @@ import (
 	"extmem/internal/trials"
 )
 
-// sleepCtx waits for d or until ctx is cancelled, whichever comes
-// first (shard's backoff sleep, for scan attempt retries).
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // Scan op identifiers as recorded in ScanReport.Op.
 const (
 	ScanOpDiff    = "diff"
 	ScanOpProduct = "product"
 )
 
-// ScanReport is the resource census of one sharded operator scan, the
-// scan-side twin of shard.SortReport: the coordinator's partition scan
-// (left input plus the broadcast read of the right side), one report
-// per shard-local machine, and the combining machine.
+// ScanReport is the resource census of one sharded operator scan, in
+// the shape of a sort stage's shard.SortReport: Distribute is the
+// coordinator's partition scan plus the broadcast read of the right
+// side, Shards one report per shard-local scan, Merge the combining
+// machine, and Items, Bytes, Runs and RunLen describe the partitioned
+// left side.
 type ScanReport struct {
-	Op    string // ScanOpDiff or ScanOpProduct
-	Items int    // left-side items partitioned across the shards
-	Bytes int64  // left payload bytes ('#' separators included)
-	Runs  int    // left-side runs under the partition rule
-
-	Distribute core.Resources   // the coordinator's partition + broadcast scan
-	Shards     []core.Resources // one report per shard-local scan, in shard order
-	Merge      core.Resources   // the combining machine (merge or concat sweep)
-
-	// The recovery census, exactly as in shard.SortReport.
-	Attempts  int
-	Fallbacks int
-	Recovered int
+	Op string // ScanOpDiff or ScanOpProduct
+	shard.SortReport
 }
-
-// Rollup aggregates the per-shard reports, shard.SortReport style.
-func (r ScanReport) Rollup() shard.Agg {
-	a := shard.Agg{Shards: len(r.Shards)}
-	for _, res := range r.Shards {
-		a.SumScans += res.Scans()
-		a.SumMemoryBits += res.PeakMemoryBits
-		a.SumSteps += res.Steps
-		if res.Scans() > a.MaxScans {
-			a.MaxScans = res.Scans()
-		}
-		if res.PeakMemoryBits > a.MaxMemoryBits {
-			a.MaxMemoryBits = res.PeakMemoryBits
-		}
-		if res.Steps > a.MaxSteps {
-			a.MaxSteps = res.Steps
-		}
-	}
-	return a
-}
-
-// CriticalPathSteps is distribute → slowest shard → combine, the same
-// wall-clock stand-in as shard.SortReport.CriticalPathSteps.
-func (r ScanReport) CriticalPathSteps() int64 {
-	return r.Distribute.Steps + r.Rollup().MaxSteps + r.Merge.Steps
-}
-
-// ScanPanicError is a panic recovered from a shard-local scan attempt,
-// the scan-side twin of shard.SortPanicError: the attempt counts as
-// failed and the retry/fallback machinery takes over.
-type ScanPanicError struct {
-	Shard int
-	Value any
-	Stack []byte
-}
-
-func (e *ScanPanicError) Error() string {
-	return fmt.Sprintf("relalg: shard %d scan panicked: %v", e.Shard, e.Value)
-}
-
-// Unwrap exposes a panic value that was itself an error.
-func (e *ScanPanicError) Unwrap() error {
-	if err, ok := e.Value.(error); ok {
-		return err
-	}
-	return nil
-}
-
-// ShardFault marks the recovered scan panic as a failed shard attempt.
-func (e *ScanPanicError) ShardFault() {}
 
 // scanShards resolves how many shard machines operator scans use: the
 // built-in sharded path's count, or the planner's fleet ceiling in
-// plan mode. A custom Launch only overrides sorts, so scans stay on
-// the coordinator there, and the zero evaluator keeps the historical
-// single-machine scans bit for bit.
+// plan mode. The zero evaluator keeps the historical single-machine
+// scans bit for bit.
 func (ev Evaluator) scanShards() int {
-	if ev.Launch != nil {
-		return 0
-	}
 	if ev.Plan != nil {
 		if n := ev.Plan.Budget.MaxShards; n >= 1 {
 			return n
@@ -242,7 +158,7 @@ func (c *evalCtx) shardedScanRuns(op string, l, r, shards int) ([][]byte, error)
 func (c *evalCtx) scanShardsRun(op string, l, r, shards int) ([][]byte, ScanReport, error) {
 	left := c.m.Tape(l).Contents()
 	right := c.m.Tape(r).Contents()
-	rep := ScanReport{Op: op, Bytes: int64(len(left))}
+	rep := ScanReport{Op: op, SortReport: shard.SortReport{Bytes: int64(len(left))}}
 
 	// Phase 1 — partition: the coordinator scans the left input once,
 	// cutting it at the run boundaries the sort engine would form, and
@@ -278,11 +194,14 @@ func (c *evalCtx) scanShardsRun(op string, l, r, shards int) ([][]byte, ScanRepo
 		return nil, rep, err
 	}
 	rep.Runs = len(runStarts)
+	rep.RunLen = planner.RunLen
 	rep.Distribute = dist.Resources()
 
 	// Phase 2 — shard-local scans: contiguous run ranges of the left
 	// input, each streamed against the broadcast right side on its own
-	// machine, concurrently, with retry and coordinator fallback.
+	// machine, concurrently, with retry and coordinator fallback. Chaos
+	// (Inject) and the transport seam (ExecScan) apply to budgeted
+	// attempts only; the coordinator's fallback runs the job itself.
 	ranges := shard.Split(rep.Runs, shards)
 	bound := func(runIdx int) int {
 		if runIdx >= rep.Runs {
@@ -290,99 +209,22 @@ func (c *evalCtx) scanShardsRun(op string, l, r, shards int) ([][]byte, ScanRepo
 		}
 		return runStarts[runIdx]
 	}
-	outs := make([][]byte, shards)
-	reps := make([]core.Resources, shards)
-	errs := make([]error, shards)
-	var (
-		attempts  atomic.Int64
-		fallbacks atomic.Int64
-		recovered atomic.Int64
-	)
-	runCtx, cancel := context.WithCancel(c.ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, rg := range ranges {
-		wg.Add(1)
-		go func(rg shard.Range) {
-			defer wg.Done()
-			out, res, err := c.scanShard(runCtx, op, rg, left[bound(rg.Lo):bound(rg.Hi)], right,
-				&attempts, &fallbacks, &recovered)
-			outs[rg.Shard], reps[rg.Shard], errs[rg.Shard] = out, res, err
-			if err != nil {
-				cancel()
+	outs, reps, census, err := shard.RunStage(c.ctx, shards, c.ev.Retry, c.ev.Inject,
+		func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
+			rg := ranges[sh]
+			job := ScanJob{
+				Op:    op,
+				Left:  left[bound(rg.Lo):bound(rg.Hi)],
+				Right: right,
+				Seed:  trials.Seed(c.ev.Seed, sh+1),
+				Tape:  c.ev.TapeOpts,
 			}
-		}(rg)
-	}
-	wg.Wait()
+			if chaos && c.ev.ExecScan != nil {
+				return c.ev.ExecScan(ctx, sh, attempt, job)
+			}
+			return job.Execute()
+		})
 	rep.Shards = reps
-	rep.Attempts = int(attempts.Load())
-	rep.Fallbacks = int(fallbacks.Load())
-	rep.Recovered = int(recovered.Load())
-	for _, err := range errs {
-		if err != nil {
-			return nil, rep, err
-		}
-	}
-	return outs, rep, nil
-}
-
-// scanShard runs one shard's scan attempt loop: inject → recover →
-// retry → coordinator fallback, mirroring shard.Sort's sortShard. The
-// shard output is a pure function of (op, left range, right side), so
-// recovery cannot move a byte.
-func (c *evalCtx) scanShard(ctx context.Context, op string, rg shard.Range, left, right []byte,
-	attempts, fallbacks, recovered *atomic.Int64) ([]byte, core.Resources, error) {
-	job := ScanJob{
-		Op:    op,
-		Left:  left,
-		Right: right,
-		Seed:  trials.Seed(c.ev.Seed, rg.Shard+1),
-		Tape:  c.ev.TapeOpts,
-	}
-	// attemptOnce mirrors shard.Sort's sortShard: chaos (Inject) and
-	// the transport seam (ExecScan) are consulted on budgeted attempts
-	// only — the coordinator's fallback always runs the job itself,
-	// chaos-free and in-process.
-	attemptOnce := func(attempt int, inject bool) (out []byte, res core.Resources, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				recovered.Add(1)
-				err = &ScanPanicError{Shard: rg.Shard, Value: p, Stack: debug.Stack()}
-			}
-		}()
-		if inject && c.ev.Inject != nil {
-			if ierr := c.ev.Inject(rg.Shard, attempt); ierr != nil {
-				return nil, core.Resources{}, ierr
-			}
-		}
-		if inject && c.ev.ExecScan != nil {
-			return c.ev.ExecScan(ctx, rg.Shard, attempt, job)
-		}
-		return job.Execute()
-	}
-	budget := c.ev.Retry.MaxAttempts
-	if budget < 1 {
-		budget = 1
-	}
-	for attempt := 1; attempt <= budget; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, core.Resources{}, err
-		}
-		attempts.Add(1)
-		out, res, err := attemptOnce(attempt, true)
-		if err == nil {
-			return out, res, nil
-		}
-		if attempt < budget {
-			if serr := sleepCtx(ctx, c.ev.Retry.Backoff(attempt)); serr != nil {
-				return nil, core.Resources{}, serr
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, core.Resources{}, err
-	}
-	fallbacks.Add(1)
-	attempts.Add(1)
-	return attemptOnce(budget+1, false)
+	rep.Attempts, rep.Fallbacks, rep.Recovered = census.Attempts, census.Fallbacks, census.Recovered
+	return outs, rep, err
 }

@@ -1,12 +1,10 @@
 package relalg
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
-	"extmem/internal/algorithms"
 	"extmem/internal/core"
 	"extmem/internal/problems"
 	"extmem/internal/shard"
@@ -214,53 +212,64 @@ func TestEvaluatorEqualSetMatchesInMemory(t *testing.T) {
 	}
 }
 
-// An injected Launch overrides the execution entirely (the
-// trials.Launcher pattern): it must see every operator sort and its
-// resolved engine configuration, and a launcher that delegates to the
-// sharded path must reproduce the engine's bytes.
-func TestSortLauncherInjection(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	in := problems.GenSetNo(24, 8, rng)
-	db := InstanceDB(in)
-	q := SymmetricDifference("R1", "R2")
-
-	ref, err := EvalST(q, db, core.NewMachine(NumQueryTapes, 1))
-	if err != nil {
-		t.Fatal(err)
+// Sharded operator scans keep the sort stages' recovery census: a panic
+// on one shard's first attempt heals by retry, a panic on every budgeted
+// attempt of one shard falls back to the coordinator, and in both cases
+// every ScanReport records the same exact census while the result
+// tuples stay those of the clean run.
+func TestShardedScanRecoveryCensus(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	db := InstanceDB(problems.GenSetNo(24, 8, rng))
+	cases := []struct {
+		name                           string
+		budget                         int
+		inject                         shard.InjectFunc
+		attempts, recovered, fallbacks int
+	}{
+		{"flaky@s0a1", 3, func(sh, attempt int) error {
+			if sh == 0 && attempt == 1 {
+				panic("injected scan fault")
+			}
+			return nil
+		}, 4, 1, 0},
+		{"perm@s1", 2, func(sh, _ int) error {
+			if sh == 1 {
+				panic("injected scan fault")
+			}
+			return nil
+		}, 5, 2, 1},
 	}
-
-	calls := 0
-	var reps []shard.SortReport
-	launch := func(_ context.Context, s algorithms.Sorter, m *core.Machine, src int, work []int) error {
-		calls++
-		if !s.Dedup {
-			t.Errorf("operator sort %d arrived without the dedup hook", calls)
+	queries := []Expr{
+		SymmetricDifference("R1", "R2"),
+		Product{L: Scan{Rel: "R1"}, R: Scan{Rel: "R2"}},
+	}
+	for _, q := range queries {
+		clean, err := Evaluator{Shards: 3}.EvalST(nil, q, db, core.NewMachine(NumQueryTapes, 1))
+		if err != nil {
+			t.Fatalf("%v: %v", q, err)
 		}
-		if s.FanIn != len(work) {
-			t.Errorf("operator sort %d: fan-in %d but %d work tapes", calls, s.FanIn, len(work))
-		}
-		rep, err := shard.Sort{
-			Shards: 3, FanIn: s.FanIn, RunMemoryBits: s.RunMemoryBits, Dedup: s.Dedup,
-		}.SortTape(nil, m, src, 1)
-		if err == nil {
-			reps = append(reps, rep)
-		}
-		return err
-	}
-	// Shards is ignored when Launch is set: the injected shape wins.
-	got, err := Evaluator{Shards: 99, Launch: launch}.EvalST(nil, q, db, core.NewMachine(NumQueryTapes, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("injected launcher never invoked")
-	}
-	if !reflect.DeepEqual(got.Tuples, ref.Tuples) {
-		t.Fatal("launcher-backed result differs from the engine")
-	}
-	for i, rep := range reps {
-		if len(rep.Shards) != 3 {
-			t.Errorf("sort %d ran on %d shards, want 3", i, len(rep.Shards))
+		for _, c := range cases {
+			rep := &QueryReport{}
+			got, err := Evaluator{
+				Shards: 3, Retry: shard.RetryPolicy{MaxAttempts: c.budget},
+				Inject: c.inject, Report: rep,
+			}.EvalST(nil, q, db, core.NewMachine(NumQueryTapes, 1))
+			if err != nil {
+				t.Fatalf("%v %s: %v", q, c.name, err)
+			}
+			if !reflect.DeepEqual(got.Tuples, clean.Tuples) {
+				t.Fatalf("%v %s: result moved under recovery", q, c.name)
+			}
+			if len(rep.Scans) == 0 {
+				t.Fatalf("%v %s: no operator scan reported", q, c.name)
+			}
+			for i, sr := range rep.Scans {
+				if sr.Attempts != c.attempts || sr.Recovered != c.recovered || sr.Fallbacks != c.fallbacks {
+					t.Errorf("%v %s: scan %d census (a=%d r=%d f=%d), want (a=%d r=%d f=%d)",
+						q, c.name, i, sr.Attempts, sr.Recovered, sr.Fallbacks,
+						c.attempts, c.recovered, c.fallbacks)
+				}
+			}
 		}
 	}
 }

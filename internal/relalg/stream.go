@@ -65,8 +65,8 @@ func (c *evalCtx) release(idx int) { c.free = append(c.free, idx) }
 // machine (which must have NumQueryTapes tapes), returning the result
 // relation; all tape traffic is charged to the machine's counters. It
 // is the zero Evaluator: the single-machine engine. Use an Evaluator
-// with Shards >= 1 (or an injected Launch) to run the operator sorts
-// on the sharded execution layer instead.
+// with Shards >= 1 (or a Plan) to run the operator sorts on the
+// sharded execution layer instead.
 func EvalST(e Expr, db DB, m *core.Machine) (*Relation, error) {
 	return Evaluator{}.EvalST(context.Background(), e, db, m)
 }
@@ -267,11 +267,10 @@ func (c *evalCtx) sortDedup(idx int) error { return c.engineSort(idx, true) }
 // scan + copy-back of the legacy evaluator is gone. The fan-in is the
 // two dedicated scratch tapes plus pool tapes up to the evaluator's
 // target when available (the pool state is a deterministic function
-// of the query, so resource reports stay reproducible). An injected
+// of the query, so resource reports stay reproducible). The sharded
 // launcher receives the same resolved Sorter — fan-in fixes the run
-// partitioning — and must leave identical bytes on the tape; the
-// sharded path does its sorting on shard-local machines and hands the
-// merged tape back.
+// partitioning — does its sorting on shard-local machines and hands the
+// identical merged bytes back on the tape.
 func (c *evalCtx) engineSort(idx int, dedup bool) error {
 	work := []int{sortScratchA, sortScratchB}
 	var extras []int

@@ -42,6 +42,20 @@
 // single machine while max(scans) shrinks — the communication-for-
 // locality trade of partitioned computation.
 //
+// # Recovery
+//
+// Every shard stage — a fleet's trial ranges, a sort's shard-local
+// sorts, MergeRuns' shard-local merges and internal/relalg's operator
+// scans — runs its attempts through RunStage, the one retry loop. A
+// cancelled run context ends the stage at once with the context's
+// error; any other attempt error (an InjectFunc strike, a panic
+// recovered as a *PanicError, a dead worker) uses up one attempt of the
+// RetryPolicy budget after its backoff, and once the budget is spent
+// the coordinator runs the shard's work itself, chaos-free. Shard work
+// is input-pure, so recovery moves only the Census — SortReport's
+// Attempts, Fallbacks and Recovered, trials.Summary's Retries,
+// Fallbacks and Recovered — never a byte.
+//
 // Launch adapts a (shards, parallel) pair to the trials.Launcher hook
 // that the fleet entry points in internal/algorithms and
 // internal/lowerbound accept, which is how experiments (E2, E5, E8,

@@ -2,12 +2,12 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 
+	"extmem/internal/core"
 	"extmem/internal/trials"
 )
 
@@ -106,11 +106,11 @@ type Fleet struct {
 	// back. An attempt must either complete the range (returning the
 	// non-nil result slice, soft per-trial errors included, having fed
 	// every row to eng.OnResult in order when it is set) or return an
-	// error; errors carrying the Fault marker burn one attempt of the
-	// retry budget, anything else fails the fleet. The degraded
-	// fallback after retry exhaustion never consults Attempt — the
-	// coordinator absorbs the range itself, exactly as it absorbs a
-	// dead shard machine's sort range.
+	// error; an error burns one attempt of the retry budget unless the
+	// run's context was cancelled (see RunStage). The degraded fallback
+	// after retry exhaustion never consults Attempt — the coordinator
+	// absorbs the range itself, exactly as it absorbs a dead shard
+	// machine's sort range.
 	Attempt AttemptFunc
 }
 
@@ -121,16 +121,6 @@ type Fleet struct {
 // and fn is the in-process trial function — the fallback a transport
 // uses when the fleet's context carries no trials.Workload annotation.
 type AttemptFunc func(ctx context.Context, shard, attempt int, eng trials.Engine, fn trials.Func) ([]trials.Result, error)
-
-// Fault marks an error as a failed shard attempt — recoverable by the
-// retry → degraded-fallback path because shard work is input-pure. Two
-// families carry it: recovered panics (*trials.TrialPanicError,
-// *SortPanicError) and dead worker processes on the transport layer
-// (transport.WorkerError) — process death and an injected panic are
-// deliberately indistinguishable to the retry machinery.
-type Fault interface {
-	ShardFault()
-}
 
 var _ trials.Runner = Fleet{}
 
@@ -145,9 +135,6 @@ var _ trials.Runner = Fleet{}
 // recovery census records retries, fallbacks and recovered panics.
 // Cancelling ctx stops every shard and returns the context error.
 func (f Fleet) Run(ctx context.Context, fn trials.Func) ([]trials.Result, trials.Summary, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	n := f.Plan.Trials
 	if n <= 0 {
 		return nil, trials.Summary{}, nil
@@ -178,117 +165,62 @@ func (f Fleet) Run(ctx context.Context, fn trials.Func) ([]trials.Result, trials
 		mu.Unlock()
 	}
 
-	// The recovery census plus the fleet's hard-failure latch: the
-	// first unrecoverable error (in practice: cancellation) cancels
-	// the sibling shards so their workers drain promptly.
-	var (
-		retries   atomic.Int64
-		fallbacks atomic.Int64
-		recovered atomic.Int64
-		failMu    sync.Mutex
-		failErr   error
-	)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-		}
-		failMu.Unlock()
-		cancel()
-	}
-
-	var wg sync.WaitGroup
-	for _, rg := range ranges {
+	// Every shard range runs through RunStage's retry loop: a
+	// hard-failed attempt (a recovered trial panic, a dead worker) is
+	// re-executed, and an exhausted budget degrades to runDegraded. A
+	// surplus shard with an empty range completes without an attempt.
+	var degraded atomic.Int64 // trial panics the degraded fallbacks recovered
+	_, _, c, err := RunStage(ctx, len(ranges), f.Retry, nil, func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
+		rg := ranges[sh]
 		if rg.Len() == 0 {
-			continue
+			return nil, core.Resources{}, nil
 		}
-		wg.Add(1)
-		go func(rg Range) {
-			defer wg.Done()
-			f.runShard(runCtx, rg, fn, record, results, fail,
-				&retries, &fallbacks, &recovered)
-		}(rg)
-	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, trials.Summary{}, failErr
-	}
-	sum := trials.Summarize(results)
-	sum.Retries = int(retries.Load())
-	sum.Fallbacks = int(fallbacks.Load())
-	sum.Recovered = int(recovered.Load())
-	return results, sum, trials.FirstErr(results)
-}
-
-// runShard executes one shard's contiguous range under the retry
-// policy. A completed engine run (soft per-trial errors included)
-// ends the shard; a recovered panic burns one attempt and the range
-// re-executes after a capped exponential backoff; an exhausted budget
-// degrades to runDegraded. Anything else — cancellation, engine
-// misuse — is not a shard fault and fails the fleet.
-func (f Fleet) runShard(ctx context.Context, rg Range, fn trials.Func,
-	record func(trials.Result), results []trials.Result, fail func(error),
-	retries, fallbacks, recovered *atomic.Int64) {
-	for attempt := 1; ; attempt++ {
-		eng := trials.Engine{
-			Trials:   rg.Len(),
-			Offset:   rg.Lo,
-			Parallel: f.Parallel,
-			Seed:     f.Seed,
-		}
+		eng := trials.Engine{Trials: rg.Len(), Offset: rg.Lo, Parallel: f.Parallel, Seed: f.Seed}
 		if f.OnResult != nil {
 			eng.OnResult = record
 		}
 		var rs []trials.Result
 		var err error
-		if f.Attempt != nil {
-			rs, err = f.Attempt(ctx, rg.Shard, attempt, eng, fn)
-		} else {
+		switch {
+		case !chaos:
+			rs, err = runDegraded(ctx, eng, fn, &degraded)
+		case f.Attempt != nil:
+			rs, err = f.Attempt(ctx, sh, attempt, eng, fn)
+		default:
 			rs, _, err = eng.Run(ctx, fn)
 		}
-		if rs != nil {
-			// The range completed; err, if any, is the first soft
-			// trial error, which FirstErr reconstructs after the merge.
-			if f.OnResult == nil {
-				copy(results[rg.Lo:rg.Hi], rs)
+		if rs == nil {
+			if err == nil {
+				err = fmt.Errorf("shard: shard %d attempt %d returned neither results nor an error", sh, attempt)
 			}
-			return
+			return nil, core.Resources{}, err
 		}
-		if err == nil {
-			fail(fmt.Errorf("shard: shard %d attempt %d returned neither results nor an error", rg.Shard, attempt))
-			return
+		// The range completed; err, if any, is the first soft trial
+		// error, which FirstErr reconstructs after the merge.
+		if f.OnResult == nil {
+			copy(results[rg.Lo:rg.Hi], rs)
 		}
-		var fault Fault
-		if !errors.As(err, &fault) {
-			fail(err)
-			return
-		}
-		recovered.Add(1)
-		if attempt < f.Retry.maxAttempts() {
-			retries.Add(1)
-			if serr := sleep(ctx, f.Retry.Backoff(attempt)); serr != nil {
-				fail(serr)
-				return
-			}
-			continue
-		}
-		fallbacks.Add(1)
-		f.runDegraded(ctx, rg, fn, record, results, fail, recovered)
-		return
+		return nil, core.Resources{}, nil
+	})
+	if err != nil {
+		return nil, trials.Summary{}, err
 	}
+	sum := trials.Summarize(results)
+	sum.Retries = c.Retries
+	sum.Fallbacks = c.Fallbacks
+	// Every failed budgeted attempt counts as a recovered fault, as does
+	// every trial panic the degraded fallbacks absorbed.
+	sum.Recovered = c.Retries + c.Fallbacks + int(degraded.Load())
+	return results, sum, trials.FirstErr(results)
 }
 
 // runDegraded is the single-machine fallback of a shard that
-// exhausted its retry budget: the range runs sequentially with
+// exhausted its retry budget: the range of eng runs sequentially with
 // per-trial recovery, so a trial that still panics yields a
 // deterministic error row (the panic decision of an injected fault
 // plan is a pure function of the trial index) and the fleet completes
 // instead of crashing.
-func (f Fleet) runDegraded(ctx context.Context, rg Range, fn trials.Func,
-	record func(trials.Result), results []trials.Result, fail func(error),
-	recovered *atomic.Int64) {
+func runDegraded(ctx context.Context, eng trials.Engine, fn trials.Func, recovered *atomic.Int64) ([]trials.Result, error) {
 	safe := func(i int, rng *rand.Rand) (r trials.Result) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -298,18 +230,9 @@ func (f Fleet) runDegraded(ctx context.Context, rg Range, fn trials.Func,
 		}()
 		return fn(i, rng)
 	}
-	eng := trials.Engine{Trials: rg.Len(), Offset: rg.Lo, Parallel: 1, Seed: f.Seed}
-	if f.OnResult != nil {
-		eng.OnResult = record
-	}
+	eng.Parallel = 1
 	rs, _, err := eng.Run(ctx, safe)
-	if rs == nil {
-		fail(err)
-		return
-	}
-	if f.OnResult == nil {
-		copy(results[rg.Lo:rg.Hi], rs)
-	}
+	return rs, err
 }
 
 // Launch returns the trials.Launcher that runs every fleet as a

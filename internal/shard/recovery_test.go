@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"extmem/internal/core"
 	"extmem/internal/faults"
 	"extmem/internal/problems"
 	"extmem/internal/shard"
@@ -244,9 +245,105 @@ func TestSortContextCancellation(t *testing.T) {
 	}
 }
 
-// The typed sort panic error carries the shard index and unwraps to
-// the panic value.
-func TestSortPanicErrorSurface(t *testing.T) {
+// The one retry rule: any attempt error other than the run's
+// cancellation burns one attempt, whatever its type. A plain error from
+// a fleet's Attempt or a sort's Exec heals by retry exactly like a
+// recovered panic or a dead worker.
+func TestPlainAttemptErrorHeals(t *testing.T) {
+	plain := errors.New("plain attempt failure")
+	retry := shard.RetryPolicy{MaxAttempts: 2}
+
+	const n = 24
+	fleet := shard.Fleet{Plan: shard.Plan{Shards: 2, Trials: n}, Parallel: 1, Seed: 7}
+	want, _, err := fleet.Run(nil, fingerless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet.Retry = retry
+	fleet.Attempt = func(ctx context.Context, sh, attempt int, eng trials.Engine, fn trials.Func) ([]trials.Result, error) {
+		if sh == 0 && attempt == 1 {
+			return nil, plain
+		}
+		rs, _, err := eng.Run(ctx, fn)
+		return rs, err
+	}
+	got, sum, err := fleet.Run(nil, fingerless)
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("fleet rows moved under a healed plain error")
+	}
+	if sum.Retries != 1 || sum.Fallbacks != 0 {
+		t.Fatalf("fleet census %+v: want 1 retry, 0 fallbacks", sum)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	input := problems.GenMultisetYes(64, 16, rng).Encode()
+	sorter := shard.Sort{Shards: 2, FanIn: 2, RunMemoryBits: 512}
+	clean, cleanRep, err := sorter.Run(nil, input, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorter.Retry = retry
+	sorter.Exec = func(ctx context.Context, sh, attempt int, job shard.SortJob) ([]byte, core.Resources, error) {
+		if sh == 0 && attempt == 1 {
+			return nil, core.Resources{}, plain
+		}
+		return job.Execute()
+	}
+	out, rep, err := sorter.Run(nil, input, 1)
+	if err != nil {
+		t.Fatalf("sort: %v", err)
+	}
+	if !bytes.Equal(out, clean) || !reflect.DeepEqual(rep.Shards, cleanRep.Shards) {
+		t.Fatal("sort output or successful-attempt census moved under a healed plain error")
+	}
+	if rep.Attempts != 3 || rep.Fallbacks != 0 || rep.Recovered != 0 {
+		t.Fatalf("sort census (a=%d r=%d f=%d), want (a=3 r=0 f=0)", rep.Attempts, rep.Recovered, rep.Fallbacks)
+	}
+}
+
+// The rule's one exception: an attempt that fails because the run's
+// context was cancelled ends the stage at once with the context's
+// error — no retry, no fallback — for fleets and sorts alike.
+func TestCancelledAttemptEndsStage(t *testing.T) {
+	retry := shard.RetryPolicy{MaxAttempts: 3}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var calls atomic.Int64
+	_, _, err := shard.Fleet{
+		Plan: shard.Plan{Shards: 1, Trials: 8}, Parallel: 1, Seed: 7, Retry: retry,
+		Attempt: func(ctx context.Context, _, _ int, _ trials.Engine, _ trials.Func) ([]trials.Result, error) {
+			calls.Add(1)
+			cancel()
+			return nil, ctx.Err()
+		},
+	}.Run(ctx, fingerless)
+	if !errors.Is(err, context.Canceled) || calls.Load() != 1 {
+		t.Fatalf("fleet: err = %v after %d attempts, want context.Canceled after 1", err, calls.Load())
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	input := problems.GenMultisetYes(64, 16, rng).Encode()
+	ctx, cancel = context.WithCancel(context.Background())
+	calls.Store(0)
+	_, _, err = shard.Sort{
+		Shards: 1, Retry: retry,
+		Exec: func(ctx context.Context, _, _ int, _ shard.SortJob) ([]byte, core.Resources, error) {
+			calls.Add(1)
+			cancel()
+			return nil, core.Resources{}, ctx.Err()
+		},
+	}.Run(ctx, input, 1)
+	if !errors.Is(err, context.Canceled) || calls.Load() != 1 {
+		t.Fatalf("sort: err = %v after %d attempts, want context.Canceled after 1", err, calls.Load())
+	}
+}
+
+// The typed shard panic error carries the shard index and unwraps to
+// the panic value, and a panicking attempt degrades instead of failing.
+func TestPanicErrorSurface(t *testing.T) {
 	cause := errors.New("shard exploded")
 	rng := rand.New(rand.NewSource(11))
 	input := problems.GenMultisetYes(64, 16, rng).Encode()
@@ -264,10 +361,13 @@ func TestSortPanicErrorSurface(t *testing.T) {
 		t.Fatalf("panic in inject hook must degrade, got %v", err)
 	}
 
-	var pe *shard.SortPanicError
-	se := &shard.SortPanicError{Shard: 1, Value: cause, Stack: []byte("stack")}
+	var pe *shard.PanicError
+	se := &shard.PanicError{Shard: 1, Value: cause, Stack: []byte("stack")}
 	if !errors.As(error(se), &pe) || pe.Shard != 1 || !errors.Is(se, cause) {
-		t.Fatalf("SortPanicError surface broken: %v", se)
+		t.Fatalf("PanicError surface broken: %v", se)
+	}
+	if msg := se.Error(); !strings.Contains(msg, "shard 1") || strings.Contains(msg, "sort") {
+		t.Errorf("PanicError text %q should name the shard, not the stage", msg)
 	}
 }
 

@@ -2,8 +2,13 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime/debug"
+	"sync"
 	"time"
+
+	"extmem/internal/core"
 )
 
 // RetryPolicy bounds how often a failed shard is re-executed before
@@ -68,11 +73,168 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// InjectFunc is the chaos hook of the sharded sort: when non-nil it
-// runs before each shard-local attempt (attempt is 1-based) and may
-// sleep, return an error, or panic — all three are treated as that
-// attempt of that shard failing. internal/faults derives deterministic
-// hooks from seed-keyed fault plans; the fallback path never consults
-// the hook, because it models the coordinator doing the work itself
-// rather than the faulty shard machine.
+// InjectFunc is the chaos hook of a shard stage: when non-nil it runs
+// before each budgeted attempt (attempt is 1-based) and may sleep,
+// return an error, or panic — all three are treated as that attempt of
+// that shard failing. internal/faults derives deterministic hooks from
+// seed-keyed fault plans; the fallback never consults the hook, because
+// it models the coordinator doing the work itself rather than the
+// faulty shard machine.
 type InjectFunc func(shard, attempt int) error
+
+// StageAttempt runs one attempt of one shard of a stage and returns the
+// shard's output with its machine's exact resource report. shard and
+// attempt (1-based) identify the execution. chaos is false only on the
+// coordinator's fallback, which must do the shard's work itself: in
+// this process, with no transport and no chaos hook.
+type StageAttempt func(ctx context.Context, shard, attempt int, chaos bool) ([]byte, core.Resources, error)
+
+// Census is the recovery census of one stage. All zero except Attempts
+// (== shard count) on a fault-free run. Every failed budgeted attempt
+// is either retried or spends its shard's budget, so a completed stage
+// had Retries + Fallbacks failed budgeted attempts.
+type Census struct {
+	Attempts  int // attempts across all shards, fallbacks included
+	Retries   int // failed attempts followed by another budgeted attempt
+	Recovered int // attempt panics recovered, fallbacks included
+	Fallbacks int // shards the coordinator re-ran after retry exhaustion
+}
+
+func (c *Census) add(o Census) {
+	c.Attempts += o.Attempts
+	c.Retries += o.Retries
+	c.Recovered += o.Recovered
+	c.Fallbacks += o.Fallbacks
+}
+
+// PanicError is a panic recovered from a shard attempt: RunStage
+// converts the panic into this typed error, the attempt counts as
+// failed, and the retry → fallback path takes over instead of the
+// process dying.
+type PanicError struct {
+	Shard int    // index of the shard whose attempt panicked
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("shard: shard %d panicked: %v", e.Shard, e.Value)
+}
+
+// Unwrap exposes a panic value that was itself an error.
+func (e *PanicError) Unwrap() error {
+	if err, ok := e.Value.(error); ok {
+		return err
+	}
+	return nil
+}
+
+// RunStage runs one attempt loop per shard, all shards concurrently,
+// and returns the per-shard outputs and resource reports in shard order
+// with the stage's census. It is the one retry loop of the execution
+// layer — sorts, merges, operator scans and trial fleets all run their
+// shard attempts through it — and its rule is:
+//
+//   - If the run's context is cancelled, the stage ends at once with
+//     the context's error.
+//   - Any other attempt error — an inject strike, a recovered panic, a
+//     dead worker, a plain error — uses up one attempt of the retry
+//     budget, after the policy's backoff. Once the budget is spent the
+//     coordinator runs the shard's work itself (chaos == false).
+//
+// inject, when non-nil, is consulted before every budgeted attempt and
+// never by the fallback. A fallback that fails ends the stage with its
+// error; the first error that ends a shard cancels its siblings. Shard
+// work is input-pure, so recovery moves the census, never a byte.
+func RunStage(ctx context.Context, shards int, retry RetryPolicy, inject InjectFunc, attempt StageAttempt) ([][]byte, []core.Resources, Census, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	st := &stage{retry: retry, inject: inject, attempt: attempt}
+	st.ctx, st.cancel = context.WithCancel(ctx)
+	defer st.cancel()
+	outs := make([][]byte, shards)
+	reps := make([]core.Resources, shards)
+	var wg sync.WaitGroup
+	for sh := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c Census
+			out, res, err := st.run(sh, &c)
+			outs[sh], reps[sh] = out, res
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			st.census.add(c)
+			if err != nil && st.err == nil {
+				st.err = err
+				st.cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	if st.err != nil {
+		return nil, reps, st.census, st.err
+	}
+	return outs, reps, st.census, nil
+}
+
+// stage is the shared state of one RunStage call.
+type stage struct {
+	ctx     context.Context
+	cancel  context.CancelFunc
+	retry   RetryPolicy
+	inject  InjectFunc
+	attempt StageAttempt
+
+	mu     sync.Mutex
+	census Census
+	err    error // the first error that ended a shard
+}
+
+// run drives one shard through the retry rule, tallying into c.
+func (st *stage) run(sh int, c *Census) ([]byte, core.Resources, error) {
+	budget := st.retry.maxAttempts()
+	for a := 1; ; a++ {
+		if err := st.ctx.Err(); err != nil {
+			return nil, core.Resources{}, err
+		}
+		chaos := a <= budget
+		if !chaos {
+			c.Fallbacks++
+		}
+		c.Attempts++
+		out, res, err := st.try(sh, a, chaos, c)
+		switch {
+		case err == nil:
+			return out, res, nil
+		case st.ctx.Err() != nil:
+			return nil, core.Resources{}, st.ctx.Err()
+		case !chaos:
+			return nil, core.Resources{}, err
+		}
+		if a < budget {
+			c.Retries++
+			if err := sleep(st.ctx, st.retry.Backoff(a)); err != nil {
+				return nil, core.Resources{}, err
+			}
+		}
+	}
+}
+
+// try runs one attempt: the chaos hook on budgeted attempts, then the
+// attempt body, with any panic recovered into a *PanicError.
+func (st *stage) try(sh, a int, chaos bool, c *Census) (out []byte, res core.Resources, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.Recovered++
+			err = &PanicError{Shard: sh, Value: p, Stack: debug.Stack()}
+		}
+	}()
+	if chaos && st.inject != nil {
+		if err := st.inject(sh, a); err != nil {
+			return nil, core.Resources{}, err
+		}
+	}
+	return st.attempt(st.ctx, sh, a, chaos)
+}

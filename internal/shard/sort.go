@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"extmem/internal/algorithms"
 	"extmem/internal/core"
@@ -224,38 +221,11 @@ func (a Agg) String() string {
 		a.Shards, a.MaxScans, a.SumScans, a.MaxMemoryBits, a.SumMemoryBits, a.MaxSteps, a.SumSteps)
 }
 
-// SortPanicError is a panic recovered from a shard-local sort attempt:
-// the shard goroutine converts the panic into this typed error, the
-// attempt counts as failed, and the retry/fallback machinery takes
-// over instead of the process dying.
-type SortPanicError struct {
-	Shard int    // index of the shard whose attempt panicked
-	Value any    // the value passed to panic
-	Stack []byte // the panicking goroutine's stack
-}
-
-func (e *SortPanicError) Error() string {
-	return fmt.Sprintf("shard: shard %d sort panicked: %v", e.Shard, e.Value)
-}
-
-// Unwrap exposes a panic value that was itself an error.
-func (e *SortPanicError) Unwrap() error {
-	if err, ok := e.Value.(error); ok {
-		return err
-	}
-	return nil
-}
-
-// ShardFault marks the recovered sort panic as a failed shard attempt
-// (see Fault); the sort retry loop treats every attempt error as
-// recoverable anyway, so the marker is for callers that triage.
-func (e *SortPanicError) ShardFault() {}
-
 // SortTape runs the sharded sort on the items of tape src of m and
 // installs the sorted (optionally deduplicated) output back on src
 // with the head at the start — the tape-handoff analogue of Run for a
 // sort embedded in a larger machine program, and the primitive behind
-// LaunchSort. The coordinator's distribution scan, the shard-local
+// relalg.Evaluator's sharded operator sorts. The coordinator's distribution scan, the shard-local
 // sorts and the final combining merge all run on their own machines
 // and are accounted in the returned SortReport; m is charged nothing
 // for the sort itself, but its pre-handoff traffic on the tape stays
@@ -268,39 +238,6 @@ func (s Sort) SortTape(ctx context.Context, m *core.Machine, src int, seed int64
 	}
 	m.SwapTape(src, out)
 	return rep, nil
-}
-
-// Launcher returns the algorithms.SortLauncher that runs every sort
-// through this sharded configuration — the sort-side counterpart of
-// LaunchRetry. The engine configuration (fan-in, run-formation memory,
-// dedup) is taken from the caller's Sorter, so the run partitioning is
-// exactly the one the single-machine engine would form; the receiver
-// contributes the execution shape (shard count, retry policy, chaos
-// hook); seed feeds the shard machines' (unused by the deterministic
-// sort) coin sources; and onReport, if non-nil, receives each
-// successful sort's SortReport in call order.
-func (s Sort) Launcher(seed int64, onReport func(SortReport)) algorithms.SortLauncher {
-	return func(ctx context.Context, sorter algorithms.Sorter, m *core.Machine, src int, _ []int) error {
-		cfg := s
-		cfg.FanIn = sorter.FanIn
-		cfg.RunMemoryBits = sorter.RunMemoryBits
-		cfg.Dedup = sorter.Dedup
-		rep, err := cfg.SortTape(ctx, m, src, seed)
-		if err != nil {
-			return err
-		}
-		if onReport != nil {
-			onReport(rep)
-		}
-		return nil
-	}
-}
-
-// LaunchSort returns the algorithms.SortLauncher that runs every sort
-// through the sharded run-partitioned path — the sort-side counterpart
-// of Launch, with no retries and no chaos.
-func LaunchSort(shards int, seed int64, onReport func(SortReport)) algorithms.SortLauncher {
-	return Sort{Shards: shards}.Launcher(seed, onReport)
 }
 
 // Run sorts the '#'-terminated input across the configured shards and
@@ -348,10 +285,6 @@ func (s Sort) RunKeepRuns(ctx context.Context, input []byte, seed int64) ([][]by
 // runShards is phases 1+2 of the sharded sort: the coordinator's
 // distribution scan and the concurrent shard-local sorts.
 func (s Sort) runShards(ctx context.Context, input []byte, seed int64) ([][]byte, SortReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	shards := s.shardCount()
 	rep := SortReport{}
 
 	// Phase 1 — distribution: the coordinator scans the input once,
@@ -402,49 +335,42 @@ func (s Sort) runShards(ctx context.Context, input []byte, seed int64) ([][]byte
 	// (input, RunMemoryBits, shards), so the phase is deterministic —
 	// which is also why a failed attempt can be retried or re-run by
 	// the coordinator without moving a single output byte.
-	ranges := Split(rep.Runs, shards)
+	ranges := Split(rep.Runs, s.shardCount())
 	bound := func(runIdx int) int {
 		if runIdx >= rep.Runs {
 			return len(payload)
 		}
 		return runStarts[runIdx]
 	}
-	tapes := s.fanIn() + 2
-	outs := make([][]byte, shards)
-	reps := make([]core.Resources, shards)
-	errs := make([]error, shards)
-	var (
-		attempts  atomic.Int64
-		fallbacks atomic.Int64
-		recovered atomic.Int64
-	)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, rg := range ranges {
-		wg.Add(1)
-		go func(rg Range) {
-			defer wg.Done()
-			out, res, err := s.sortShard(runCtx, rg, payload[bound(rg.Lo):bound(rg.Hi)],
-				tapes, seed, &attempts, &fallbacks, &recovered)
-			outs[rg.Shard], reps[rg.Shard], errs[rg.Shard] = out, res, err
-			if err != nil {
-				// The first unrecoverable shard stops its siblings.
-				cancel()
-			}
-		}(rg)
-	}
-	wg.Wait()
-	rep.Shards = reps
-	rep.Attempts = int(attempts.Load())
-	rep.Fallbacks = int(fallbacks.Load())
-	rep.Recovered = int(recovered.Load())
-	for _, err := range errs {
-		if err != nil {
-			return nil, rep, err
+	outs, err := s.stage(ctx, &rep, func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
+		rg := ranges[sh]
+		job := SortJob{
+			Payload:       payload[bound(rg.Lo):bound(rg.Hi)],
+			FanIn:         s.FanIn,
+			RunMemoryBits: s.RunMemoryBits,
+			Tapes:         s.fanIn() + 2,
+			Seed:          trials.Seed(seed, sh+1),
+			Tape:          s.TapeOpts,
 		}
-	}
-	return outs, rep, nil
+		if chaos && s.Exec != nil {
+			return s.Exec(ctx, sh, attempt, job)
+		}
+		if chaos && s.WrapTape != nil {
+			job.Tape.Wrap = s.WrapTape(sh, attempt)
+		}
+		return job.Execute()
+	})
+	return outs, rep, err
+}
+
+// stage runs one shard stage of the sort through RunStage under the
+// sort's retry policy and chaos hook, recording the per-shard reports
+// and the recovery census in rep.
+func (s Sort) stage(ctx context.Context, rep *SortReport, attempt StageAttempt) ([][]byte, error) {
+	outs, shards, c, err := RunStage(ctx, s.shardCount(), s.Retry, s.Inject, attempt)
+	rep.Shards = shards
+	rep.Attempts, rep.Fallbacks, rep.Recovered = c.Attempts, c.Fallbacks, c.Recovered
+	return outs, err
 }
 
 // combine k-way merges the per-shard sorted outputs on one merge
@@ -472,56 +398,44 @@ func (s Sort) combine(outs [][]byte, seed int64) ([]byte, core.Resources, error)
 // the producing stage. Contiguous run ranges go to shard-local merge
 // machines under the same Split rule (no dedup: cross-range duplicates
 // meet only in the final combine), then the shard outputs are k-way
-// merged exactly like Run's phase 3. Shard attempts sit on the same
-// retry → coordinator-fallback path as sort attempts.
+// merged exactly like Run's phase 3. Shard attempts run through the
+// same RunStage loop as sort attempts; they always execute in-process
+// (Exec ships sorts only), while Inject and WrapTape apply as usual.
 //
 // The report's Distribute is zero — no coordinator scan runs, which is
 // the point — and Items/Bytes are provenance metadata computed from
 // the handed-over payloads, not charged to any machine.
 func (s Sort) MergeRuns(ctx context.Context, runs [][]byte, seed int64) ([]byte, SortReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	shards := s.shardCount()
 	rep := SortReport{Runs: len(runs)}
 	for _, r := range runs {
 		rep.Bytes += int64(len(r))
 		rep.Items += bytes.Count(r, separator)
 	}
 
-	ranges := Split(len(runs), shards)
-	outs := make([][]byte, shards)
-	reps := make([]core.Resources, shards)
-	errs := make([]error, shards)
-	var (
-		attempts  atomic.Int64
-		fallbacks atomic.Int64
-		recovered atomic.Int64
-	)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, rg := range ranges {
-		wg.Add(1)
-		go func(rg Range) {
-			defer wg.Done()
-			out, res, err := s.mergeShard(runCtx, rg, runs[rg.Lo:rg.Hi], seed,
-				&attempts, &fallbacks, &recovered)
-			outs[rg.Shard], reps[rg.Shard], errs[rg.Shard] = out, res, err
-			if err != nil {
-				cancel()
-			}
-		}(rg)
-	}
-	wg.Wait()
-	rep.Shards = reps
-	rep.Attempts = int(attempts.Load())
-	rep.Fallbacks = int(fallbacks.Load())
-	rep.Recovered = int(recovered.Load())
-	for _, err := range errs {
-		if err != nil {
-			return nil, rep, err
+	ranges := Split(len(runs), s.shardCount())
+	outs, err := s.stage(ctx, &rep, func(_ context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
+		rg := ranges[sh]
+		opts := s.TapeOpts
+		if chaos && s.WrapTape != nil {
+			opts.Wrap = s.WrapTape(sh, attempt)
 		}
+		m := core.NewMachineOpts(rg.Len()+1, trials.Seed(seed, sh+1), opts)
+		defer m.Close()
+		if rg.Len() == 0 {
+			return nil, m.Resources(), nil
+		}
+		srcs := make([]int, rg.Len())
+		for i, r := range runs[rg.Lo:rg.Hi] {
+			m.SetTape(i+1, r)
+			srcs[i] = i + 1
+		}
+		if err := algorithms.MergeTapes(m, 0, srcs, false); err != nil {
+			return nil, core.Resources{}, err
+		}
+		return m.Tape(0).Contents(), m.Resources(), nil
+	})
+	if err != nil {
+		return nil, rep, err
 	}
 
 	out, merge, err := s.combine(outs, seed)
@@ -530,132 +444,4 @@ func (s Sort) MergeRuns(ctx context.Context, runs [][]byte, seed int64) ([]byte,
 	}
 	rep.Merge = merge
 	return out, rep, nil
-}
-
-// mergeShard merges one contiguous range of pre-formed runs on a
-// shard-local machine, under the same retry → coordinator-fallback
-// discipline as sortShard. The shard output is a pure function of its
-// run range, so recovery cannot move a byte.
-func (s Sort) mergeShard(ctx context.Context, rg Range, runs [][]byte, seed int64,
-	attempts, fallbacks, recovered *atomic.Int64) ([]byte, core.Resources, error) {
-	execute := func(opts tape.Options) ([]byte, core.Resources, error) {
-		m := core.NewMachineOpts(len(runs)+1, trials.Seed(seed, rg.Shard+1), opts)
-		defer m.Close()
-		if len(runs) == 0 {
-			return nil, m.Resources(), nil
-		}
-		srcs := make([]int, len(runs))
-		for i, r := range runs {
-			m.SetTape(i+1, r)
-			srcs[i] = i + 1
-		}
-		if err := algorithms.MergeTapes(m, 0, srcs, false); err != nil {
-			return nil, core.Resources{}, err
-		}
-		return m.Tape(0).Contents(), m.Resources(), nil
-	}
-	attemptOnce := func(attempt int, inject bool) (out []byte, res core.Resources, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				recovered.Add(1)
-				err = &SortPanicError{Shard: rg.Shard, Value: p, Stack: debug.Stack()}
-			}
-		}()
-		if inject && s.Inject != nil {
-			if ierr := s.Inject(rg.Shard, attempt); ierr != nil {
-				return nil, core.Resources{}, ierr
-			}
-		}
-		opts := s.TapeOpts
-		if inject && s.WrapTape != nil {
-			opts.Wrap = s.WrapTape(rg.Shard, attempt)
-		}
-		return execute(opts)
-	}
-	budget := s.Retry.maxAttempts()
-	for attempt := 1; attempt <= budget; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, core.Resources{}, err
-		}
-		attempts.Add(1)
-		out, res, err := attemptOnce(attempt, true)
-		if err == nil {
-			return out, res, nil
-		}
-		if attempt < budget {
-			if serr := sleep(ctx, s.Retry.Backoff(attempt)); serr != nil {
-				return nil, core.Resources{}, serr
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, core.Resources{}, err
-	}
-	fallbacks.Add(1)
-	attempts.Add(1)
-	return attemptOnce(budget+1, false)
-}
-
-// sortShard runs one shard's local sort under the retry policy. Each
-// attempt consults the Inject hook first (a strike — error or panic —
-// fails the attempt), recovers any panic into a *SortPanicError, and
-// counts toward the attempt census. When the budget is exhausted the
-// coordinator re-runs the range itself with the hook bypassed: the
-// degradation models the coordinator absorbing a dead shard machine's
-// work, and because the range's sorted output is input-pure, the
-// bytes and the successful machine's resource report are exactly what
-// the shard would have produced.
-func (s Sort) sortShard(ctx context.Context, rg Range, payload []byte, tapes int, seed int64,
-	attempts, fallbacks, recovered *atomic.Int64) ([]byte, core.Resources, error) {
-	job := SortJob{
-		Payload:       payload,
-		FanIn:         s.FanIn,
-		RunMemoryBits: s.RunMemoryBits,
-		Tapes:         tapes,
-		Seed:          trials.Seed(seed, rg.Shard+1),
-		Tape:          s.TapeOpts,
-	}
-	attemptOnce := func(attempt int, inject bool) (out []byte, res core.Resources, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				recovered.Add(1)
-				err = &SortPanicError{Shard: rg.Shard, Value: p, Stack: debug.Stack()}
-			}
-		}()
-		if inject && s.Inject != nil {
-			if ierr := s.Inject(rg.Shard, attempt); ierr != nil {
-				return nil, core.Resources{}, ierr
-			}
-		}
-		if inject && s.Exec != nil {
-			return s.Exec(ctx, rg.Shard, attempt, job)
-		}
-		aj := job
-		if inject && s.WrapTape != nil {
-			aj.Tape.Wrap = s.WrapTape(rg.Shard, attempt)
-		}
-		return aj.Execute()
-	}
-	budget := s.Retry.maxAttempts()
-	for attempt := 1; attempt <= budget; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, core.Resources{}, err
-		}
-		attempts.Add(1)
-		out, res, err := attemptOnce(attempt, true)
-		if err == nil {
-			return out, res, nil
-		}
-		if attempt < budget {
-			if serr := sleep(ctx, s.Retry.Backoff(attempt)); serr != nil {
-				return nil, core.Resources{}, serr
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, core.Resources{}, err
-	}
-	fallbacks.Add(1)
-	attempts.Add(1)
-	return attemptOnce(budget+1, false)
 }

@@ -334,7 +334,7 @@ func TestMergeRunsRecovery(t *testing.T) {
 		Retry: RetryPolicy{MaxAttempts: 2},
 		Inject: func(shard, attempt int) error {
 			if shard == 1 {
-				return &SortPanicError{Shard: shard, Value: "permanent"}
+				return &PanicError{Shard: shard, Value: "permanent"}
 			}
 			return nil
 		},

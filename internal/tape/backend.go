@@ -107,13 +107,13 @@ func (o Options) Validate() error {
 
 // ErrStorage is the sentinel every backend I/O failure wraps:
 // errors.Is(err, tape.ErrStorage) identifies a storage fault wherever
-// it surfaces — typically inside a *shard.SortPanicError after the
+// it surfaces — typically inside a *shard.PanicError after the
 // recovery layer caught the backend's panic.
 var ErrStorage = errors.New("tape: storage I/O failure")
 
 // IOError is a storage backend failure. Backends deliver it by
 // panicking (the single-cell tape API has no error returns), and the
-// recovery layers above — shard.Sort's attempt recover, the trial
+// recovery layers above — shard.RunStage's attempt recover, the trial
 // engine's worker recover — convert the panic into their typed errors,
 // so a mid-sort disk fault lands on the same retry → coordinator-
 // fallback path as a dead worker process. Is(ErrStorage) is true and

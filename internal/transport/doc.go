@@ -13,11 +13,13 @@
 // and speaks length-prefixed gob frames over the worker's pipes: a
 // 4-byte big-endian payload length, then the gob payload, each frame
 // an independent gob stream. Exactly one Job frame goes down stdin
-// (a trial-index range with its workload wire form, or a
-// shard.SortJob); Reply frames come back up stdout — per-trial
-// trials.Result rows strictly in trial order, then a terminal Done
-// frame carrying, for sorts, the sorted bytes and the shard machine's
-// exact core.Resources report.
+// (a trial-index range with its workload wire form, or a machine job:
+// a shard.SortJob or relalg.ScanJob); Reply frames come back up stdout
+// — per-trial trials.Result rows strictly in trial order, then a
+// terminal Done frame whose MachineDone carries, for machine jobs, the
+// output bytes and the shard machine's exact core.Resources report.
+// Sort and scan jobs take one path on each side: one coordinator
+// helper behind Exec and ExecScan, one worker body.
 //
 // Trial functions are closures and cannot cross a process boundary;
 // trials.Workload is their wire form. Fleet entry points whose trial
@@ -34,16 +36,17 @@
 //
 // Worker death in any costume — nonzero exit, SIGKILL, early EOF, a
 // malformed or out-of-order frame, a blown Deadline — surfaces as a
-// WorkerError carrying the shard.Fault marker, which puts it on
-// exactly the path an injected in-process panic takes: burn one
-// attempt of the shard.RetryPolicy budget, back off, retry, and after
-// exhaustion let the coordinator absorb the range itself (the degraded
-// fallback never consults the transport). Shard work is input-pure, so
-// recovery moves the attempt census — Retries, Fallbacks, Recovered;
-// Attempts for sorts — and never a byte of output. WorkerFault orders
-// shipped inside job frames make workers actually stall, stream
-// garbage, or kill themselves mid-stream, so the recovery contract is
-// tested against real process death, not simulations of it.
+// WorkerError, and shard.RunStage gives it exactly the path an injected
+// in-process panic takes: burn one attempt of the shard.RetryPolicy
+// budget, back off, retry, and after exhaustion let the coordinator
+// absorb the range itself (the fallback never consults the transport).
+// Only the run's own cancellation ends a stage instead. Shard work is
+// input-pure, so recovery moves the attempt census — Retries,
+// Fallbacks, Recovered; Attempts for sorts — and never a byte of
+// output. WorkerFault orders shipped inside job frames make workers
+// actually stall, stream garbage, or kill themselves mid-stream, so the
+// recovery contract is tested against real process death, not
+// simulations of it.
 //
 // # Multi-host
 //

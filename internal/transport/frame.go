@@ -21,7 +21,7 @@ import (
 // pipe transport (Proc) needs no handshake — it spawns its own
 // executable, so coordinator and worker are the same build by
 // construction.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Hello is the handshake frame that opens every TCP connection, sent
 // coordinator→worker and answered worker→coordinator before the job
@@ -122,28 +122,17 @@ type Reply struct {
 
 // Done terminates a worker's reply stream. A non-empty Err means the
 // job failed worker-side (the coordinator maps it onto the same
-// retry → fallback path as process death); Sort carries a sort job's
-// output and the shard machine's exact (r, s, t) report, Scan the
-// same for an operator-scan job.
+// retry → fallback path as process death); Machine carries a sort or
+// operator-scan job's result.
 type Done struct {
-	Err  string
-	Sort *SortDone
-	Scan *ScanDone
+	Err     string
+	Machine *MachineDone
 }
 
-// SortDone is the result of a sort job: the sorted run-range bytes and
-// the shard-local machine's resource census, crossing the process
-// boundary intact.
-type SortDone struct {
-	Out       []byte
-	Resources core.Resources
-}
-
-// ScanDone is the result of an operator-scan job (relalg.ScanJob): the
-// shard's output bytes and the shard-local machine's resource census,
-// which the coordinator folds into the query's relalg.ScanReport
-// exactly as an in-process shard would.
-type ScanDone struct {
+// MachineDone is the result of a machine job (shard.SortJob or
+// relalg.ScanJob): the shard's output bytes and the shard-local
+// machine's exact (r, s, t) census, crossing the boundary intact.
+type MachineDone struct {
 	Out       []byte
 	Resources core.Resources
 }

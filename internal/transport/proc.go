@@ -10,7 +10,6 @@ import (
 	"os/exec"
 	"time"
 
-	"extmem/internal/algorithms"
 	"extmem/internal/relalg"
 	"extmem/internal/shard"
 	"extmem/internal/trials"
@@ -49,10 +48,10 @@ type Proc struct {
 
 // WorkerError is a failed worker attempt: the process died (exit,
 // signal, deadline), its stream ended early, or it sent a malformed or
-// out-of-order frame. It carries the shard.Fault marker, so the fleet
-// and sort retry machinery treats a dead process exactly like a
-// recovered in-process panic: burn an attempt, back off, retry, and
-// degrade to the coordinator's own execution when the budget runs out.
+// out-of-order frame. shard.RunStage treats it like any other attempt
+// error — exactly like a recovered in-process panic: burn an attempt,
+// back off, retry, and degrade to the coordinator's own execution when
+// the budget runs out.
 type WorkerError struct {
 	Shard   int   // the shard whose attempt failed
 	Attempt int   // 1-based attempt number
@@ -64,10 +63,6 @@ func (e *WorkerError) Error() string {
 }
 
 func (e *WorkerError) Unwrap() error { return e.Err }
-
-// ShardFault marks the dead worker as a recoverable shard attempt
-// failure (see shard.Fault).
-func (e *WorkerError) ShardFault() {}
 
 func (p *Proc) stderr() io.Writer {
 	if p.Stderr != nil {
@@ -191,65 +186,25 @@ func (p *Proc) fault(sh, attempt int) *WorkerFault {
 }
 
 // Attempt returns the shard.AttemptFunc that executes trial-range
-// attempts in worker processes. A fleet whose context carries a
-// trials.Workload annotation ships it — workload name and spec out,
-// rows back, validated strictly in trial order; the worker re-derives
-// all randomness from (seed, global index), so the rows are the ones
-// the in-process engine would produce, byte for byte. A fleet with no
-// annotation (a closure with no wire form, or a chaos-wrapped fleet)
-// transparently runs in-process. Worker death fails the attempt with a
-// WorkerError, which the fleet retries and then absorbs via its
-// degraded fallback — output identical either way, only the attempt
-// census moves.
+// attempts in worker processes (see attemptFunc): workload name and
+// spec out, rows back, validated strictly in trial order; a fleet with
+// no workload annotation transparently runs in-process.
 func (p *Proc) Attempt() shard.AttemptFunc { return attemptFunc(p) }
 
 // Exec returns the shard.ExecFunc that executes shard-local sort
 // attempts in worker processes: the self-contained shard.SortJob goes
 // out, the sorted bytes and the shard machine's exact core.Resources
-// report come back. Worker death fails the attempt with a WorkerError
-// and the sort's retry → coordinator-fallback path takes over.
-func (p *Proc) Exec() shard.ExecFunc { return execFunc(p) }
+// report come back.
+func (p *Proc) Exec() shard.ExecFunc { return machineExec(p, sortJob) }
 
 // ExecScan returns the relalg.ScanExecFunc that executes shard-local
 // operator-scan attempts (anti-merge, product) in worker processes —
 // the scan-side twin of Exec, so planned queries honor `-transport
-// proc` end to end instead of silently running their scans in-process.
-func (p *Proc) ExecScan() relalg.ScanExecFunc { return execScanFunc(p) }
+// proc` end to end.
+func (p *Proc) ExecScan() relalg.ScanExecFunc { return machineExec(p, scanJob) }
 
 // Launch returns the trials.Launcher whose fleets run every shard
-// attempt through this transport — shard.LaunchRetry with worker
-// processes for shard machines. Nothing above the launcher seam
-// changes: results, summary and OnResult order are byte-identical to
-// the in-process fleet at any shard and worker count.
+// attempt in worker processes (see launch).
 func (p *Proc) Launch(shards, parallel int, retry shard.RetryPolicy) trials.Launcher {
-	return func(n int, seed int64, onResult func(trials.Result)) trials.Runner {
-		return shard.Fleet{
-			Plan:     shard.Plan{Shards: shards, Trials: n},
-			Parallel: parallel,
-			Seed:     seed,
-			Retry:    retry,
-			OnResult: onResult,
-			Attempt:  p.Attempt(),
-		}
-	}
-}
-
-// LaunchSort returns the algorithms.SortLauncher that runs every sort
-// through the sharded run-partitioned path with shard-local sorts in
-// worker processes — shard.Sort's launcher with this transport's Exec.
-func (p *Proc) LaunchSort(shards int, seed int64, retry shard.RetryPolicy, onReport func(shard.SortReport)) algorithms.SortLauncher {
-	return shard.Sort{Shards: shards, Retry: retry, Exec: p.Exec()}.Launcher(seed, onReport)
-}
-
-// Launch is the package-level convenience: a default transport with no
-// deadline, no chaos and no retry budget — the process-boundary twin
-// of shard.Launch.
-func Launch(shards, parallel int) trials.Launcher {
-	return (&Proc{}).Launch(shards, parallel, shard.RetryPolicy{})
-}
-
-// LaunchSort is the package-level convenience — the process-boundary
-// twin of shard.LaunchSort.
-func LaunchSort(shards int, seed int64, onReport func(shard.SortReport)) algorithms.SortLauncher {
-	return (&Proc{}).LaunchSort(shards, seed, shard.RetryPolicy{}, onReport)
+	return launch(p, shards, parallel, retry)
 }

@@ -1,20 +1,20 @@
 package transport
 
 // seams.go builds the shard-layer seam implementations —
-// shard.Fleet.Attempt, shard.Sort.Exec, relalg.Evaluator.ExecScan —
-// once, over an internal job-runner abstraction, so the pipe transport
-// (Proc) and the TCP transport share all coordinator-side logic:
-// workload shipping, strict row-order validation, cancellation
-// precedence over worker faults, and WorkerError wrapping. A transport
-// only decides how one job reaches one worker; what a failed or
-// successful attempt means is decided here, identically for both.
+// shard.Fleet.Attempt, shard.Sort.Exec, relalg.Evaluator.ExecScan and
+// the fleet launcher — once, over an internal job-runner abstraction,
+// so the pipe transport (Proc) and the TCP transport share all
+// coordinator-side logic: workload shipping, strict row-order
+// validation, cancellation precedence over worker faults, and
+// WorkerError wrapping. A transport only decides how one job reaches
+// one worker; what a failed or successful attempt means is decided
+// here, identically for both.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 
-	"extmem/internal/algorithms"
 	"extmem/internal/core"
 	"extmem/internal/relalg"
 	"extmem/internal/shard"
@@ -33,7 +33,6 @@ type Transport interface {
 	Exec() shard.ExecFunc
 	ExecScan() relalg.ScanExecFunc
 	Launch(shards, parallel int, retry shard.RetryPolicy) trials.Launcher
-	LaunchSort(shards int, seed int64, retry shard.RetryPolicy, onReport func(shard.SortReport)) algorithms.SortLauncher
 }
 
 var (
@@ -47,6 +46,17 @@ var (
 type runner interface {
 	run(ctx context.Context, sh, attempt int, job Job, onRow func(trials.Result) error) (*Done, error)
 	fault(sh, attempt int) *WorkerFault
+}
+
+// attemptErr maps a failed run onto the attempt's error: the run
+// context's cancellation when there is one — the cancellation killed
+// the worker, and it must end the stage rather than burn a retry —
+// and a WorkerError otherwise.
+func attemptErr(ctx context.Context, sh, attempt int, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	return &WorkerError{Shard: sh, Attempt: attempt, Err: err}
 }
 
 // attemptFunc is the shared shard.AttemptFunc over a runner. A fleet
@@ -91,12 +101,7 @@ func attemptFunc(p runner) shard.AttemptFunc {
 			return nil
 		}
 		if _, err := p.run(ctx, sh, attempt, job, onRow); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				// Cancellation killed the worker; report the
-				// cancellation, not a retryable fault.
-				return nil, cerr
-			}
-			return nil, &WorkerError{Shard: sh, Attempt: attempt, Err: err}
+			return nil, attemptErr(ctx, sh, attempt, err)
 		}
 		if len(rs) != eng.Trials {
 			return nil, &WorkerError{Shard: sh, Attempt: attempt,
@@ -106,45 +111,49 @@ func attemptFunc(p runner) shard.AttemptFunc {
 	}
 }
 
-// execFunc is the shared shard.ExecFunc over a runner: the
-// self-contained shard.SortJob goes out, the sorted bytes and the
-// shard machine's exact core.Resources report come back. Worker death
-// fails the attempt with a WorkerError and the sort's retry →
-// coordinator-fallback path takes over.
-func execFunc(p runner) shard.ExecFunc {
-	return func(ctx context.Context, sh, attempt int, job shard.SortJob) ([]byte, core.Resources, error) {
-		done, err := p.run(ctx, sh, attempt, Job{Sort: &job, Fault: p.fault(sh, attempt)}, nil)
+// machineExec is the shared coordinator side of a machine job — a
+// shard-local sort (shard.SortJob) or operator scan (relalg.ScanJob)
+// over a runner: wire puts the job in its frame, the output bytes and
+// the shard machine's exact core.Resources report come back in the
+// Done frame's MachineDone. Worker death fails the attempt with a
+// WorkerError and the stage's retry → coordinator-fallback path takes
+// over.
+func machineExec[J any](p runner, wire func(*J) Job) func(context.Context, int, int, J) ([]byte, core.Resources, error) {
+	return func(ctx context.Context, sh, attempt int, j J) ([]byte, core.Resources, error) {
+		job := wire(&j)
+		job.Fault = p.fault(sh, attempt)
+		done, err := p.run(ctx, sh, attempt, job, nil)
 		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, core.Resources{}, cerr
-			}
-			return nil, core.Resources{}, &WorkerError{Shard: sh, Attempt: attempt, Err: err}
+			return nil, core.Resources{}, attemptErr(ctx, sh, attempt, err)
 		}
-		if done.Sort == nil {
+		// The frame came from the worker: validate it before trusting it.
+		if done.Machine == nil {
 			return nil, core.Resources{}, &WorkerError{Shard: sh, Attempt: attempt,
-				Err: errors.New("done frame carries no sort result")}
+				Err: errors.New("done frame carries no machine result")}
 		}
-		return done.Sort.Out, done.Sort.Resources, nil
+		return done.Machine.Out, done.Machine.Resources, nil
 	}
 }
 
-// execScanFunc is the shared relalg.ScanExecFunc over a runner — the
-// scan-side twin of execFunc, closing the gap where sharded operator
-// scans (the difference's anti-merge, the product's paired scan)
-// silently ran in-process under a transport.
-func execScanFunc(p runner) relalg.ScanExecFunc {
-	return func(ctx context.Context, sh, attempt int, job relalg.ScanJob) ([]byte, core.Resources, error) {
-		done, err := p.run(ctx, sh, attempt, Job{Scan: &job, Fault: p.fault(sh, attempt)}, nil)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, core.Resources{}, cerr
-			}
-			return nil, core.Resources{}, &WorkerError{Shard: sh, Attempt: attempt, Err: err}
+// sortJob and scanJob are the wire forms machineExec ships.
+func sortJob(j *shard.SortJob) Job  { return Job{Sort: j} }
+func scanJob(j *relalg.ScanJob) Job { return Job{Scan: j} }
+
+// launch is the shared trials.Launcher over a runner: fleets whose
+// every shard attempt runs through this transport — shard.LaunchRetry
+// with the runner's workers for shard machines. Nothing above the
+// launcher seam changes: results, summary and OnResult order are
+// byte-identical to the in-process fleet at any shard and worker count.
+func launch(p runner, shards, parallel int, retry shard.RetryPolicy) trials.Launcher {
+	attempt := attemptFunc(p)
+	return func(n int, seed int64, onResult func(trials.Result)) trials.Runner {
+		return shard.Fleet{
+			Plan:     shard.Plan{Shards: shards, Trials: n},
+			Parallel: parallel,
+			Seed:     seed,
+			Retry:    retry,
+			OnResult: onResult,
+			Attempt:  attempt,
 		}
-		if done.Scan == nil {
-			return nil, core.Resources{}, &WorkerError{Shard: sh, Attempt: attempt,
-				Err: errors.New("done frame carries no scan result")}
-		}
-		return done.Scan.Out, done.Scan.Resources, nil
 	}
 }

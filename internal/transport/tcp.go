@@ -8,9 +8,9 @@ package transport
 // reset mid-frame, a stall past the attempt deadline) maps onto
 // exactly one failed attempt. Network death is process death: the
 // coordinator cannot tell a crashed remote worker from a cut cable,
-// and it does not need to — both surface as a *WorkerError carrying
-// the shard.Fault marker, both take the retry → backoff → chaos-free
-// coordinator-fallback path, and neither can move an output byte.
+// and it does not need to — both surface as a *WorkerError, both take
+// the retry → backoff → chaos-free coordinator-fallback path, and
+// neither can move an output byte.
 
 import (
 	"bufio"
@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"extmem/internal/algorithms"
 	"extmem/internal/relalg"
 	"extmem/internal/shard"
 	"extmem/internal/trials"
@@ -88,9 +87,9 @@ func ParseWorkers(s string) ([]string, error) {
 // workload registry differs from this build's, so shipped workload
 // names would not rebuild the same trial functions. It is rejected
 // before any job frame — a typed error instead of gob garbage — and
-// still carries the shard.Fault path via the WorkerError that wraps
-// it: mismatched attempts burn retries and the coordinator absorbs the
-// work itself, output bytes intact.
+// the WorkerError that wraps it takes the ordinary attempt-failure
+// path: mismatched attempts burn retries and the coordinator absorbs
+// the work itself, output bytes intact.
 type HandshakeError struct {
 	Field string // "protocol version" or "workload registry"
 	Got   uint64 // the peer's value
@@ -207,33 +206,15 @@ func (p *TCP) Attempt() shard.AttemptFunc { return attemptFunc(p) }
 
 // Exec returns the shard.ExecFunc that executes shard-local sort
 // attempts on TCP workers — the multi-host twin of Proc.Exec.
-func (p *TCP) Exec() shard.ExecFunc { return execFunc(p) }
+func (p *TCP) Exec() shard.ExecFunc { return machineExec(p, sortJob) }
 
 // ExecScan returns the relalg.ScanExecFunc that executes shard-local
 // operator-scan attempts on TCP workers — the multi-host twin of
 // Proc.ExecScan.
-func (p *TCP) ExecScan() relalg.ScanExecFunc { return execScanFunc(p) }
+func (p *TCP) ExecScan() relalg.ScanExecFunc { return machineExec(p, scanJob) }
 
 // Launch returns the trials.Launcher whose fleets run every shard
-// attempt through this transport. Nothing above the launcher seam
-// changes: results, summary and OnResult order are byte-identical to
-// the in-process fleet at any shard and worker count.
+// attempt on TCP workers (see launch).
 func (p *TCP) Launch(shards, parallel int, retry shard.RetryPolicy) trials.Launcher {
-	return func(n int, seed int64, onResult func(trials.Result)) trials.Runner {
-		return shard.Fleet{
-			Plan:     shard.Plan{Shards: shards, Trials: n},
-			Parallel: parallel,
-			Seed:     seed,
-			Retry:    retry,
-			OnResult: onResult,
-			Attempt:  p.Attempt(),
-		}
-	}
-}
-
-// LaunchSort returns the algorithms.SortLauncher that runs every sort
-// through the sharded run-partitioned path with shard-local sorts on
-// TCP workers — shard.Sort's launcher with this transport's Exec.
-func (p *TCP) LaunchSort(shards int, seed int64, retry shard.RetryPolicy, onReport func(shard.SortReport)) algorithms.SortLauncher {
-	return shard.Sort{Shards: shards, Retry: retry, Exec: p.Exec()}.Launcher(seed, onReport)
+	return launch(p, shards, parallel, retry)
 }

@@ -23,6 +23,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,9 +171,10 @@ func TestTCPQueryEvaluatorMatchesInprocess(t *testing.T) {
 		t.Fatalf("in-process evaluation: %v", err)
 	}
 	tr := localTCP(t, 2)
-	scans := 0
+	// Shard attempts run concurrently, so the seam counter is atomic.
+	var scans atomic.Int64
 	counting := func(ctx context.Context, sh, attempt int, job relalg.ScanJob) ([]byte, core.Resources, error) {
-		scans++
+		scans.Add(1)
 		return tr.ExecScan()(ctx, sh, attempt, job)
 	}
 	got, rep, err := eval(tr.Exec(), counting)
@@ -185,7 +187,7 @@ func TestTCPQueryEvaluatorMatchesInprocess(t *testing.T) {
 	if !reflect.DeepEqual(rep, wantRep) {
 		t.Error("tcp-evaluated query census differs from the in-process run")
 	}
-	if scans == 0 {
+	if scans.Load() == 0 {
 		t.Error("the scan seam never fired: operator scans stayed in-process")
 	}
 }
@@ -408,10 +410,6 @@ func TestTCPHandshakeMismatch(t *testing.T) {
 			var werr *transport.WorkerError
 			if !errors.As(err, &werr) {
 				t.Error("handshake failure is not wrapped in a *WorkerError")
-			}
-			var fault shard.Fault
-			if !errors.As(err, &fault) {
-				t.Error("handshake failure does not carry the shard.Fault marker")
 			}
 		})
 	}

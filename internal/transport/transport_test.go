@@ -116,7 +116,7 @@ func TestLaunchMatchesPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
-	got, sum, err := transport.Launch(2, 2)(n, 99, nil).Run(ctx, fn)
+	got, sum, err := (&transport.Proc{}).Launch(2, 2, shard.RetryPolicy{})(n, 99, nil).Run(ctx, fn)
 	if err != nil {
 		t.Fatalf("transport launch: %v", err)
 	}
@@ -318,15 +318,11 @@ func TestUnknownWorkloadFallsBack(t *testing.T) {
 	}
 }
 
-// A WorkerError unwraps to its cause and carries the shard.Fault
-// marker — the property that puts process death on the retry path.
+// A WorkerError unwraps to its cause and names the shard and attempt
+// that failed.
 func TestWorkerErrorIsShardFault(t *testing.T) {
 	cause := errors.New("boom")
 	werr := &transport.WorkerError{Shard: 3, Attempt: 2, Err: cause}
-	var fault shard.Fault
-	if !errors.As(error(werr), &fault) {
-		t.Error("WorkerError does not carry the shard.Fault marker")
-	}
 	if !errors.Is(werr, cause) {
 		t.Error("WorkerError does not unwrap to its cause")
 	}

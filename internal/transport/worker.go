@@ -8,8 +8,7 @@ import (
 	"os"
 	"time"
 
-	"extmem/internal/relalg"
-	"extmem/internal/shard"
+	"extmem/internal/core"
 	"extmem/internal/trials"
 )
 
@@ -124,9 +123,9 @@ func serveJob(job Job, send func(Reply) error, corrupt func(), die func(*WorkerF
 	case job.Trial != nil:
 		return runTrialJob(job.Trial, job.Fault, send, die, stderr)
 	case job.Sort != nil:
-		return runSortJob(job.Sort, job.Fault, send, die, stderr)
+		return runMachineJob(job.Sort.Execute, job.Fault, send, die, stderr)
 	case job.Scan != nil:
-		return runScanJob(job.Scan, job.Fault, send, die, stderr)
+		return runMachineJob(job.Scan.Execute, job.Fault, send, die, stderr)
 	}
 	fmt.Fprintln(stderr, "stworker: job frame assigns no work")
 	return 1
@@ -136,9 +135,9 @@ func serveJob(job Job, send func(Reply) error, corrupt func(), die func(*WorkerF
 // Done frame (process death on pipes, connection death in serve mode).
 func (f *WorkerFault) dies() bool { return f != nil && (f.Exit || f.Drop) }
 
-// dieAfter is the number of row frames to stream before dying; sort
-// and scan jobs stream no rows, so any death order lands before their
-// Done frame.
+// dieAfter is the number of row frames to stream before dying; machine
+// jobs stream no rows, so any death order lands before their Done
+// frame.
 func (f *WorkerFault) dieAfter() int {
 	if f.Exit {
 		return f.ExitAfter
@@ -215,39 +214,23 @@ func runTrialJob(j *TrialJob, fault *WorkerFault, send func(Reply) error, die fu
 	return 0
 }
 
-func runSortJob(j *shard.SortJob, fault *WorkerFault, send func(Reply) error, die func(*WorkerFault), stderr io.Writer) int {
+// runMachineJob is the worker body of a machine job — a shard-local
+// sort or operator scan: execute runs the job on a fresh shard machine,
+// and its output bytes and resource report go back in one Done frame.
+func runMachineJob(execute func() ([]byte, core.Resources, error), fault *WorkerFault, send func(Reply) error, die func(*WorkerFault), stderr io.Writer) int {
 	if fault.dies() {
-		// Sort jobs stream no rows; any death order means dying before
-		// the Done frame.
+		// Machine jobs stream no rows; any death order means dying
+		// before the Done frame.
 		die(fault)
 		return 1
 	}
-	out, res, err := j.Execute()
+	out, res, err := execute()
 	if err != nil {
 		send(Reply{Done: &Done{Err: err.Error()}})
 		fmt.Fprintln(stderr, "stworker:", err)
 		return 1
 	}
-	if err := send(Reply{Done: &Done{Sort: &SortDone{Out: out, Resources: res}}}); err != nil {
-		fmt.Fprintln(stderr, "stworker: sending done:", err)
-		return 1
-	}
-	return 0
-}
-
-func runScanJob(j *relalg.ScanJob, fault *WorkerFault, send func(Reply) error, die func(*WorkerFault), stderr io.Writer) int {
-	if fault.dies() {
-		// Scan jobs stream no rows either.
-		die(fault)
-		return 1
-	}
-	out, res, err := j.Execute()
-	if err != nil {
-		send(Reply{Done: &Done{Err: err.Error()}})
-		fmt.Fprintln(stderr, "stworker:", err)
-		return 1
-	}
-	if err := send(Reply{Done: &Done{Scan: &ScanDone{Out: out, Resources: res}}}); err != nil {
+	if err := send(Reply{Done: &Done{Machine: &MachineDone{Out: out, Resources: res}}}); err != nil {
 		fmt.Fprintln(stderr, "stworker: sending done:", err)
 		return 1
 	}

@@ -130,13 +130,6 @@ func (e *TrialPanicError) Unwrap() error {
 	return nil
 }
 
-// ShardFault marks a recovered trial panic as a failed-shard-attempt
-// error: internal/shard.Fleet retries any attempt whose error carries
-// this marker (see shard.Fault). A dead worker process on the
-// transport layer wears the same marker, which is how process death
-// maps onto the same retry → fallback path as an in-process panic.
-func (e *TrialPanicError) ShardFault() {}
-
 // protect runs one trial, converting a panic into a *TrialPanicError.
 func protect(fn Func, g int, rng *rand.Rand) (r Result, err error) {
 	defer func() {
