@@ -167,7 +167,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "trial-fleet worker goroutines per shard (never changes the output)")
 	shards := fs.Int("shards", 1, "trial-fleet shards, each with its own worker pool (never changes the output)")
 	format := fs.String("format", "text", "output format: text, json or csv")
-	transportMode := fs.String("transport", "inproc", "shard transport: inproc (shard goroutines) or proc (worker processes); never changes the output")
+	transportMode := fs.String("transport", "inproc", "shard transport: inproc (shard goroutines), proc (worker processes) or tcp (the -workers TCP workers); never changes the output")
 	chaos := fs.String("chaos", "", "inject a recoverable fault plan: flaky (first-attempt panics) or delay (stragglers); never changes the output")
 	chaosRate := fs.Float64("chaos-rate", 0.02, "fraction of fault sites struck by the -chaos plan (site 0 always strikes)")
 	budget := fs.Float64("budget", 0, "cost-based planner envelope: run-formation memory in bits (never changes the output)")

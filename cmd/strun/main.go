@@ -188,7 +188,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "fleet worker goroutines per shard (never changes the rows)")
 	shards := fs.Int("shards", 1, "fleet shards (fingerprint fleets) or sort shards (relalg); never changes stdout")
 	format := fs.String("format", "text", "fleet row format: text, json or csv")
-	transportMode := fs.String("transport", "inproc", "shard transport: inproc (shard goroutines) or proc (worker processes); never changes stdout")
+	transportMode := fs.String("transport", "inproc", "shard transport: inproc (shard goroutines), proc (worker processes) or tcp (the -workers TCP workers); never changes stdout")
 	budget := fs.Float64("budget", 0, "relalg only: cost-based planner envelope, run-formation memory in bits (never changes stdout)")
 	budgetTapes := fs.Int("budget-tapes", 6, "planner envelope: tapes per shard machine (requires -budget)")
 	budgetShards := fs.Int("budget-shards", 4, "planner envelope: shard-fleet ceiling (requires -budget)")

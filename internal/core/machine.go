@@ -121,10 +121,10 @@ func (m *Machine) SetTape(i int, data []byte) {
 
 // SwapTape replaces the content of external tape i with data while
 // KEEPING the tape's accumulated counters — the mid-run tape handoff
-// of the sharded execution layer (shard.Sort.SortTape): the machine
-// hands its tape to a shard fleet and receives the combined result
-// back, rewound, with its own pre-handoff head traffic still on the
-// books. Contrast SetTape, which models input placement before the
+// of the sharded execution layer (relalg's sharded operator stages):
+// the machine hands its tape to a shard fleet and receives the
+// combined result back, rewound, with its own pre-handoff head traffic
+// still on the books. Contrast SetTape, which models input placement before the
 // run and therefore resets the counters.
 func (m *Machine) SwapTape(i int, data []byte) {
 	m.Tape(i).Replace(data)

@@ -82,7 +82,7 @@ func E20FaultTolerance(cfg Config) Result {
 	for _, fp := range fleetPlans {
 		struck := fp.plan.StruckSites(n)
 		for _, shards := range []int{1, 2, 4} {
-			launch := fp.plan.Trials(shard.LaunchRetry(shards, cfg.Parallel, fp.retry))
+			launch := fp.plan.Trials(shard.LaunchRetry(shards, cfg.Parallel, fp.retry, nil))
 			rs, sum, err := launch(n, fleetSeed, nil).Run(cfg.ctx(), trial)
 			// A nil result slice is a hard failure (unrecovered panic,
 			// cancellation); a non-nil err alongside rows is the standing

@@ -100,16 +100,17 @@ func (c Config) ShardCount() int {
 }
 
 // launch builds the sharded fleet launcher every Monte-Carlo
-// experiment runs on: per-trial results are pure functions of (seed,
-// global trial index), so neither Shards nor Parallel — nor a
-// recoverable fault plan under the retry budget — can change a table
-// byte.
+// experiment runs on, its shard attempts on the configured transport's
+// workers when there is one: per-trial results are pure functions of
+// (seed, global trial index), so neither Shards nor Parallel — nor the
+// transport, nor a recoverable fault plan under the retry budget — can
+// change a table byte.
 func (c Config) launch() trials.Launcher {
-	inner := shard.LaunchRetry(c.ShardCount(), c.Parallel, c.Retry)
+	var attempt shard.AttemptFunc
 	if c.Transport != nil {
-		inner = c.Transport.Launch(c.ShardCount(), c.Parallel, c.Retry)
+		attempt = c.Transport.Attempt()
 	}
-	return c.Faults.Trials(inner)
+	return c.Faults.Trials(shard.LaunchRetry(c.ShardCount(), c.Parallel, c.Retry, attempt))
 }
 
 // exec resolves how sharded operator sorts execute their shard-local

@@ -1,9 +1,11 @@
 // Package faults makes failure an injectable execution shape, exactly
 // like sharding and parallelism: a Plan is a deterministic, seed-keyed
 // description of which fault (panic, error, delay) strikes which sites
-// (trial indices, shard indices, sort invocations) on which attempts,
-// and wrapping a trials.Launcher or algorithms.SortLauncher with a
-// plan produces a launcher that misbehaves on schedule.
+// (trial indices, shard indices) on which attempts. Wrapping a
+// trials.Launcher with a plan produces a launcher that misbehaves on
+// schedule; ShardInject is the chaos hook of sharded sorts, merges and
+// operator scans, and TapeWrap plants failing storage under a shard
+// attempt's tapes.
 //
 // Determinism is the point. The repo's standing invariant is that
 // every trial row and every sorted range is a pure function of (seed,

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"extmem/internal/algorithms"
-	"extmem/internal/core"
 	"extmem/internal/shard"
 	"extmem/internal/trials"
 )
@@ -257,35 +254,5 @@ func (p Plan) ShardInject() shard.InjectFunc {
 			return nil
 		}
 		return p.fire(sh, attempt)
-	}
-}
-
-// Sorts wraps a sort launcher so whole sort invocations become fault
-// sites, numbered in call order (the first sort the wrapped launcher
-// performs is site 0, the next site 1, …). nil inner means the
-// single-machine engine. There is no recovery layer above a whole
-// sort invocation, so Mode Panic is demoted to Mode Error here — a
-// struck sort fails deterministically instead of unwinding the caller;
-// inject panics below sort granularity with ShardInject, where
-// shard.Sort's retry can recover them.
-func (p Plan) Sorts(inner algorithms.SortLauncher) algorithms.SortLauncher {
-	if !p.Enabled() {
-		return inner
-	}
-	var calls atomic.Int64
-	demoted := p
-	if demoted.Mode == Panic {
-		demoted.Mode = Error
-	}
-	inj := demoted.Injector(0)
-	return func(ctx context.Context, s algorithms.Sorter, m *core.Machine, src int, work []int) error {
-		site := int(calls.Add(1)) - 1
-		if err := inj.Strike(site); err != nil {
-			return err
-		}
-		if inner == nil {
-			return s.Sort(m, src, work)
-		}
-		return inner(ctx, s, m, src, work)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"extmem/internal/algorithms"
 	"extmem/internal/faults"
 	"extmem/internal/shard"
 	"extmem/internal/trials"
@@ -158,26 +157,5 @@ func TestShardInject(t *testing.T) {
 	}
 	if (faults.Plan{}).ShardInject() != nil {
 		t.Fatal("disabled plan must return the nil hook")
-	}
-}
-
-// Whole-sort sites: strikes are numbered in call order, and Panic is
-// demoted to Error — there is no recovery layer above a whole sort
-// invocation, so the fault must fail the call, not unwind the caller.
-func TestSortsDemotesPanicToError(t *testing.T) {
-	launch := faults.Plan{Mode: faults.Panic, Sites: []int{0}}.Sorts(nil)
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				t.Fatalf("Sorts let a panic escape: %v", p)
-			}
-		}()
-		// The strike fires before the sorter runs, so the zero sorter
-		// and nil machine are never touched.
-		return launch(nil, algorithms.Sorter{}, nil, 0, nil)
-	}()
-	var fe *faults.Injected
-	if !errors.As(err, &fe) || fe.Mode != faults.Error || fe.Site != 0 {
-		t.Fatalf("first sort call: err = %v, want demoted injected error at site 0", err)
 	}
 }

@@ -51,7 +51,7 @@ func FuzzFaultPlanSchedule(f *testing.F) {
 		}
 
 		budget := shard.RetryPolicy{MaxAttempts: len(plan.StruckSites(n)) + 2}
-		launch := plan.Trials(shard.LaunchRetry(nShards, nWorkers, budget))
+		launch := plan.Trials(shard.LaunchRetry(nShards, nWorkers, budget, nil))
 		got, sum, err := launch(n, 11, nil).Run(nil, fn)
 		if err != nil {
 			t.Fatalf("recoverable plan %+v surfaced: %v", plan, err)

@@ -76,13 +76,15 @@ func (b *failingBackend) Reset() {
 	b.Backend.Reset()
 }
 
-// TapeWrap derives shard.Sort's storage-fault hook from the plan: on a
-// struck shard's injectable attempts (honoring Flaky), every tape of
-// the attempt's machine gets a backend that fails — panics with a
+// TapeWrap derives a storage-fault hook from the plan: on a struck
+// shard's injectable attempts (honoring Flaky), every tape of the
+// attempt's machine gets a backend that fails — panics with a
 // *tape.IOError wrapping an *Injected — once the attempt has performed
-// afterOps backend operations in total. Shard selection is the same as
-// ShardInject (Sites hold shard indices, Shard/OfShards strikes one
-// shard, Rate hashes the index), so the two hooks compose with the
+// afterOps backend operations in total. A shard.Sort installs it
+// through Exec, which runs budgeted attempts only: set job.Tape.Wrap
+// to the hook's wrapper, then job.Execute(). Shard selection is the
+// same as ShardInject (Sites hold shard indices, Shard/OfShards strikes
+// one shard, Rate hashes the index), so the two hooks compose with the
 // rest of the plan's schedule. A disabled plan returns nil, the
 // no-fault hook.
 func (p Plan) TapeWrap(afterOps int) func(sh, attempt int) tape.WrapBackend {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"extmem/internal/core"
 	"extmem/internal/problems"
 	"extmem/internal/shard"
 	"extmem/internal/tape"
@@ -17,6 +18,17 @@ func storageSort(o tape.Options) shard.Sort {
 		Shards: 4, FanIn: 4, RunMemoryBits: 1024,
 		Retry:    shard.RetryPolicy{MaxAttempts: 3},
 		TapeOpts: o,
+	}
+}
+
+// wrapExec is the Exec that runs every budgeted shard attempt
+// in-process on tapes wrapped by the plan's storage-fault hook; the
+// coordinator's fallback never consults Exec, so it never sees the
+// wrapper.
+func wrapExec(wrap func(sh, attempt int) tape.WrapBackend) shard.ExecFunc {
+	return func(_ context.Context, sh, attempt int, job shard.SortJob) ([]byte, core.Resources, error) {
+		job.Tape.Wrap = wrap(sh, attempt)
+		return job.Execute()
 	}
 }
 
@@ -46,7 +58,7 @@ func TestStorageFaultRetryHeals(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := Plan{Mode: Panic, Rate: 1, Flaky: 1, Seed: 5}
 			s := storageSort(c.o)
-			s.WrapTape = p.TapeWrap(20)
+			s.Exec = wrapExec(p.TapeWrap(20))
 			out, rep, err := s.Run(context.Background(), enc, seed)
 			if err != nil {
 				t.Fatalf("sort under storage faults failed: %v", err)
@@ -81,7 +93,7 @@ func TestStorageFaultFallsBackChaosFree(t *testing.T) {
 
 	p := Plan{Mode: Panic, Sites: []int{1}} // shard 1's storage is gone for good
 	s := storageSort(tape.Options{Storage: tape.File, SpillDir: t.TempDir()})
-	s.WrapTape = p.TapeWrap(20)
+	s.Exec = wrapExec(p.TapeWrap(20))
 	out, rep, err := s.Run(context.Background(), enc, seed)
 	if err != nil {
 		t.Fatalf("sort with a dead shard store failed: %v", err)

@@ -42,13 +42,18 @@
 // and therefore the query answer — is byte-identical at every shard
 // count; the per-shard (r, s, t) census of every operator sort is
 // collected in QueryReport with max/sum rollups and a critical-path
-// view. The execution shape resolves in the trials.Launcher style to
-// an algorithms.SortLauncher (Shards == 0 with no planner is the
-// historical single-machine engine, bit for bit). With Shards >= 1 the
-// difference's anti-merge and the product's paired scan distribute
-// too, and every shard stage — sort, merge or scan — runs its attempts
-// through shard.RunStage, the one retry → coordinator-fallback loop,
-// recording its census in a shard.SortReport (ScanReport embeds one).
+// view. One predicate — a planner or Shards >= 1 — puts a query on
+// the sharded path (the zero shape is the historical single-machine
+// engine, bit for bit), and one rule resolves each stage's shard
+// count, fan-in and run memory: the planner's per-stage choice, or the
+// fixed shape. On the sharded path the difference's anti-merge and the
+// product's paired scan distribute too: shard.Partition cuts the left
+// side exactly as it cuts a sort's input and broadcasts the right
+// side, and the anti-merge combines through the sort's own
+// shard.Sort.Combine. Every shard stage — sort, merge or scan — runs
+// its attempts through shard.RunStage, the one retry →
+// coordinator-fallback loop, recording its census in a
+// shard.SortReport (ScanReport embeds one).
 // Evaluator.Sorted and Evaluator.EqualSet expose the machine-backed
 // counterparts of Relation.Sorted and Relation.EqualSet on the same
 // path. Experiment E19 tables the resulting shards × fan-in frontier;

@@ -21,17 +21,13 @@ package relalg
 // active on the sharded path, so the zero evaluator and the PR 5
 // sharded path keep their historical accounting bit for bit.
 
-import (
-	"fmt"
-
-	"extmem/internal/shard"
-)
+import "fmt"
 
 // pipelined reports whether the merge-free handoff is active: it is
 // opt-in (Pipeline, or always under a planner) and needs the sharded
 // path (KeepRuns hands over per-shard tapes).
 func (c *evalCtx) pipelined() bool {
-	return (c.ev.Pipeline || c.ev.Plan != nil) && c.ev.scanShards() >= 1
+	return (c.ev.Pipeline || c.ev.Plan != nil) && c.ev.sharded()
 }
 
 // evalRuns evaluates an expression whose consumer immediately re-sorts,
@@ -136,7 +132,7 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 		if !ls.Equal(rs) {
 			return nil, nil, fmt.Errorf("%w: %v vs %v", ErrSchema, ls, rs)
 		}
-		runs, err := c.shardedScanRuns(ScanOpDiff, l, r, c.scanShardCount(l))
+		runs, err := c.shardedScanRuns(ScanOpDiff, l, r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -154,7 +150,7 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 			return nil, nil, err
 		}
 		defer c.release(dst)
-		if err := c.productOp(l, r, dst); err != nil {
+		if err := c.scanOp(ScanOpProduct, l, r, dst); err != nil {
 			return nil, nil, err
 		}
 		c.release(l)
@@ -190,36 +186,17 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 	}
 }
 
-// stageSort builds the shard.Sort of a pipelined stage over a known
-// input census: the planner's per-stage choice in plan mode, otherwise
-// the evaluator's fixed shape resolved exactly like engineSort does for
-// the launcher path.
-func (c *evalCtx) stageSort(items int, bytes int64, dedup bool) shard.Sort {
-	s := c.ev.shardSort(dedup)
-	if c.ev.Plan != nil {
-		sh := c.ev.Plan.Choose(items, bytes)
-		s.Shards, s.FanIn, s.RunMemoryBits = sh.Shards, sh.FanIn, sh.RunMemoryBits
-		return s
-	}
-	s.FanIn = min(c.ev.fanInTarget(), 2+len(c.free))
-	s.RunMemoryBits = c.ev.runMemoryBits()
-	return s
-}
-
 // sortKeepRuns runs the merge-free half of an operator sort: the
 // sharded sort of tape idx's items stops after the shard-local sorts
 // and returns the per-shard sorted payloads. The stage's report (Merge
 // zero: none ran) is recorded like any operator sort's.
 func (c *evalCtx) sortKeepRuns(idx int) ([][]byte, error) {
 	data := c.m.Tape(idx).Contents()
-	s := c.stageSort(countItems(data), int64(len(data)), false)
-	runs, rep, err := s.RunKeepRuns(c.ctx, data, c.ev.Seed)
+	runs, rep, err := c.stageSort(false, data).RunKeepRuns(c.ctx, data, c.ev.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if c.ev.Report != nil {
-		c.ev.Report.record(rep)
-	}
+	c.record(rep)
 	return runs, nil
 }
 
@@ -227,20 +204,11 @@ func (c *evalCtx) sortKeepRuns(idx int) ([][]byte, error) {
 // (and deduplicated — set semantics happen here) on the sharded merge
 // path, and the result installed on dst via SwapTape.
 func (c *evalCtx) mergeRuns(runs [][]byte, dst int) error {
-	var items int
-	var total int64
-	for _, r := range runs {
-		items += countItems(r)
-		total += int64(len(r))
-	}
-	s := c.stageSort(items, total, true)
-	out, rep, err := s.MergeRuns(c.ctx, runs, c.ev.Seed)
+	out, rep, err := c.stageSort(true, runs...).MergeRuns(c.ctx, runs, c.ev.Seed)
 	if err != nil {
 		return err
 	}
 	c.m.SwapTape(dst, out)
-	if c.ev.Report != nil {
-		c.ev.Report.record(rep)
-	}
+	c.record(rep)
 	return nil
 }

@@ -4,17 +4,17 @@ package relalg
 // layer: every operator that reaches sortDedup (Scan, Project, Union,
 // Product — and through them EvalST's whole set-semantics discipline)
 // can run its sort on the run-partitioned sharded path of
-// internal/shard instead of the single-machine k-way engine. The
-// execution shape is resolved into an algorithms.SortLauncher, the
-// sort-side twin of trials.Launcher: an Evaluator with zero Shards and
-// no planner is the historical single-machine EvalST, bit for bit,
-// while Shards >= 1 ships each sort's initial runs to shard-local
-// machines and k-way merges the results back. A sorted, deduplicated
-// item sequence is canonical, so the relation an operator leaves on
-// its tape — and therefore the query result — is byte-identical at
-// every shard count; only the resource census moves, and it is
-// preserved per-shard in QueryReport rather than blurred into the
-// coordinator.
+// internal/shard instead of the single-machine k-way engine, and the
+// difference's anti-merge and the product's paired scan distribute
+// too. One predicate (sharded) decides whether a stage leaves the
+// query machine, and one rule (shape) picks every stage's shard count,
+// fan-in and run memory: an Evaluator with zero Shards and no planner
+// is the historical single-machine EvalST, bit for bit. A sorted,
+// deduplicated item sequence is canonical, so the relation an operator
+// leaves on its tape — and therefore the query result — is
+// byte-identical at every shape; only the resource census moves, and
+// it is preserved per-shard in QueryReport rather than blurred into
+// the coordinator.
 
 import (
 	"bytes"
@@ -234,8 +234,8 @@ func (ev Evaluator) EqualSet(ctx context.Context, m *core.Machine, a, b *Relatio
 	}
 }
 
-// newCtx builds the evaluation context: the bounding context, the
-// tape free-list and the resolved sort launcher.
+// newCtx builds the evaluation context: the bounding context and the
+// tape free-list.
 func (ev Evaluator) newCtx(ctx context.Context, m *core.Machine) (*evalCtx, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -243,52 +243,79 @@ func (ev Evaluator) newCtx(ctx context.Context, m *core.Machine) (*evalCtx, erro
 	if m.NumTapes() < NumQueryTapes {
 		return nil, fmt.Errorf("relalg: machine has %d tapes, need %d", m.NumTapes(), NumQueryTapes)
 	}
-	ec := &evalCtx{ctx: ctx, m: m, ev: ev, launch: ev.launcher()}
+	ec := &evalCtx{ctx: ctx, m: m, ev: ev}
 	for i := m.NumTapes() - 1; i >= firstPool; i-- {
 		ec.free = append(ec.free, i)
 	}
 	return ec, nil
 }
 
-// launcher resolves the evaluator's sort execution shape: nil — the
-// single-machine engine — for the zero shape, otherwise the sharded
-// path with the sorter's engine configuration (so the run partitioning
-// is the one the single machine would form), or the planner's choice
-// for the tape's census in plan mode.
-func (ev Evaluator) launcher() algorithms.SortLauncher {
-	if ev.Plan == nil && ev.Shards < 1 {
-		return nil
+// sharded reports whether operator stages — sorts, merges and the
+// difference and product scans — run on shard machines: under a
+// planner, or with a fixed shard count.
+func (ev Evaluator) sharded() bool { return ev.Plan != nil || ev.Shards >= 1 }
+
+// shape is the one rule that resolves a sharded stage's shape from its
+// input (a sort's tape, a merge's handed-over runs, a scan's left
+// side): the planner's per-stage choice from the input's census in
+// plan mode (a scan's run memory falls back to the evaluator's when
+// the budget sets none), the fixed shape otherwise — with the fan-in
+// the single-machine engine would reach, so the run partitioning is
+// the one it would form.
+func (c *evalCtx) shape(scan bool, input ...[]byte) plan.Shape {
+	if c.ev.Plan == nil {
+		return plan.Shape{
+			Shards:        c.ev.Shards,
+			FanIn:         min(c.ev.fanInTarget(), 2+len(c.free)),
+			RunMemoryBits: c.ev.runMemoryBits(),
+		}
 	}
-	return func(ctx context.Context, sorter algorithms.Sorter, m *core.Machine, src int, _ []int) error {
-		s := ev.shardSort(sorter.Dedup)
-		s.FanIn, s.RunMemoryBits = sorter.FanIn, sorter.RunMemoryBits
-		if ev.Plan != nil {
-			data := m.Tape(src).Contents()
-			sh := ev.Plan.Choose(countItems(data), int64(len(data)))
-			s.Shards, s.FanIn, s.RunMemoryBits = sh.Shards, sh.FanIn, sh.RunMemoryBits
-		}
-		rep, err := s.SortTape(ctx, m, src, ev.Seed)
-		if err != nil {
-			return err
-		}
-		if ev.Report != nil {
-			ev.Report.record(rep)
-		}
-		return nil
+	var items int
+	var n int64
+	for _, in := range input {
+		items += countItems(in)
+		n += int64(len(in))
+	}
+	if !scan {
+		return c.ev.Plan.Choose(items, n)
+	}
+	sh := c.ev.Plan.ChooseScan(items, n)
+	if sh.RunMemoryBits <= 0 {
+		sh.RunMemoryBits = c.ev.runMemoryBits()
+	}
+	return sh
+}
+
+// stageSort is the shard.Sort of one sort or merge stage over input,
+// shaped by shape and executed under the evaluator's retry policy,
+// chaos hook, transport seam and storage.
+func (c *evalCtx) stageSort(dedup bool, input ...[]byte) shard.Sort {
+	sh := c.shape(false, input...)
+	return shard.Sort{
+		Shards:        sh.Shards,
+		FanIn:         sh.FanIn,
+		RunMemoryBits: sh.RunMemoryBits,
+		Dedup:         dedup,
+		Retry:         c.ev.Retry,
+		Inject:        c.ev.Inject,
+		Exec:          c.ev.Exec,
+		TapeOpts:      c.ev.TapeOpts,
 	}
 }
 
-// shardSort is the shard.Sort of one operator stage before its shape is
-// chosen: the evaluator's fixed shard count, retry policy, chaos hook,
-// transport seam and storage, plus the stage's dedup.
-func (ev Evaluator) shardSort(dedup bool) shard.Sort {
-	return shard.Sort{
-		Shards:   ev.Shards,
-		Dedup:    dedup,
-		Retry:    ev.Retry,
-		Inject:   ev.Inject,
-		Exec:     ev.Exec,
-		TapeOpts: ev.TapeOpts,
+// record appends one operator sort or merge stage's report, and
+// recordScan one operator scan's, to the evaluator's QueryReport when
+// it has one. EvalST runs operators sequentially, so no locking is
+// needed.
+func (c *evalCtx) record(rep shard.SortReport) {
+	if c.ev.Report != nil {
+		c.ev.Report.Sorts = append(c.ev.Report.Sorts, rep)
+	}
+}
+
+func (c *evalCtx) recordScan(rep ScanReport) {
+	if c.ev.Report != nil {
+		c.ev.Report.Scans = append(c.ev.Report.Scans, rep)
 	}
 }
 
@@ -311,16 +338,6 @@ func (ev Evaluator) runMemoryBits() int64 {
 	return ev.RunMemoryBits
 }
 
-// scanRunBits resolves the run-partition budget of sharded operator
-// scans: the planner's memory budget in plan mode, the evaluator's
-// run-formation budget otherwise.
-func (ev Evaluator) scanRunBits() int64 {
-	if ev.Plan != nil && ev.Plan.Budget.MemoryBits > 0 {
-		return ev.Plan.Budget.MemoryBits
-	}
-	return ev.runMemoryBits()
-}
-
 // QueryReport is the resource census of one sharded query evaluation:
 // one shard.SortReport per operator sort and one ScanReport per
 // sharded operator scan (anti-merge, product), each in the order the
@@ -336,13 +353,6 @@ type QueryReport struct {
 	// EvalST fills it in after the evaluation completes.
 	Coordinator core.Resources
 }
-
-// record appends one operator sort's report. EvalST runs operators
-// sequentially, so no locking is needed.
-func (q *QueryReport) record(rep shard.SortReport) { q.Sorts = append(q.Sorts, rep) }
-
-// recordScan appends one sharded operator scan's report.
-func (q *QueryReport) recordScan(rep ScanReport) { q.Scans = append(q.Scans, rep) }
 
 // Rollup aggregates across every operator sort and sharded scan of the
 // query by folding the per-stage rollups through shard.Agg.Merge: the

@@ -1,8 +1,10 @@
 package relalg
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"extmem/internal/core"
@@ -270,6 +272,64 @@ func TestShardedScanRecoveryCensus(t *testing.T) {
 						c.attempts, c.recovered, c.fallbacks)
 				}
 			}
+		}
+	}
+}
+
+// The difference and product scans cut their left side exactly as a
+// sharded sort cuts its input and broadcast the right side in one
+// forward sweep: each ScanReport's partition census equals that of
+// shard.Sort.Run over the same left payload, on a two-tape distribution
+// machine whose second tape is read once, end to end, never reversed.
+func TestShardedScanPartitionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	db := InstanceDB(problems.GenSetNo(64, 16, rng))
+	for _, q := range []Expr{
+		Diff{L: Scan{Rel: "R1"}, R: Scan{Rel: "R2"}},
+		Product{L: Scan{Rel: "R1"}, R: Scan{Rel: "R2"}},
+	} {
+		var mu sync.Mutex
+		jobs := map[int]ScanJob{}
+		rep := &QueryReport{}
+		ev := Evaluator{Shards: 3, RunMemoryBits: 256, Report: rep,
+			ExecScan: func(_ context.Context, sh, _ int, job ScanJob) ([]byte, core.Resources, error) {
+				mu.Lock()
+				jobs[sh] = job
+				mu.Unlock()
+				return job.Execute()
+			}}
+		if _, err := ev.EvalST(nil, q, db, core.NewMachine(NumQueryTapes, 1)); err != nil {
+			t.Fatalf("%v: %v", q, err)
+		}
+		if len(rep.Scans) != 1 || len(jobs) != 3 {
+			t.Fatalf("%v: %d scans over %d shard jobs, want 1 over 3", q, len(rep.Scans), len(jobs))
+		}
+		var left []byte
+		for sh := range 3 {
+			left = append(left, jobs[sh].Left...)
+		}
+		right := jobs[0].Right
+		_, want, err := shard.Sort{Shards: 3, RunMemoryBits: 256}.Run(nil, left, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Runs < 3 {
+			t.Fatalf("%v: left side forms %d runs, want a partition across all 3 shards", q, want.Runs)
+		}
+		got := rep.Scans[0]
+		if got.Items != want.Items || got.Bytes != want.Bytes || got.Runs != want.Runs || got.RunLen != want.RunLen {
+			t.Errorf("%v: scan partition (items=%d bytes=%d runs=%d runlen=%d), sort partition (%d %d %d %d)",
+				q, got.Items, got.Bytes, got.Runs, got.RunLen, want.Items, want.Bytes, want.Runs, want.RunLen)
+		}
+		if !reflect.DeepEqual(got.Distribute.PerTape[0], want.Distribute.PerTape[0]) {
+			t.Errorf("%v: left tape of the scan distribution %+v, sort distribution %+v",
+				q, got.Distribute.PerTape[0], want.Distribute.PerTape[0])
+		}
+		if got.Distribute.Tapes != 2 {
+			t.Fatalf("%v: scan distribution machine has %d tapes, want 2", q, got.Distribute.Tapes)
+		}
+		if bc := got.Distribute.PerTape[1]; bc.Reversals != 0 || bc.Reads != int64(len(right)) {
+			t.Errorf("%v: broadcast tape %+v, want one forward sweep of %d bytes", q, bc, len(right))
 		}
 	}
 }

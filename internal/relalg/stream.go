@@ -42,12 +42,11 @@ const (
 // evalCtx carries the machine, the tape free-list and the execution
 // shape (the Evaluator that built it).
 type evalCtx struct {
-	ctx    context.Context // bounds the evaluation; cancellation stops sharded sorts
-	m      *core.Machine
-	db     DB
-	free   []int
-	ev     Evaluator
-	launch algorithms.SortLauncher // resolved sort launcher; nil = single-machine engine
+	ctx  context.Context // bounds the evaluation; cancellation stops sharded stages
+	m    *core.Machine
+	db   DB
+	free []int
+	ev   Evaluator
 }
 
 func (c *evalCtx) acquire() (int, error) {
@@ -185,7 +184,7 @@ func (c *evalCtx) eval(e Expr) (int, Schema, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := c.antiMergeOp(l, r, dst); err != nil {
+		if err := c.scanOp(ScanOpDiff, l, r, dst); err != nil {
 			return 0, nil, err
 		}
 		c.release(l)
@@ -201,7 +200,7 @@ func (c *evalCtx) eval(e Expr) (int, Schema, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := c.productOp(l, r, dst); err != nil {
+		if err := c.scanOp(ScanOpProduct, l, r, dst); err != nil {
 			return 0, nil, err
 		}
 		c.release(l)
@@ -261,17 +260,27 @@ const sortDedupFanIn = 4
 func (c *evalCtx) sortDedup(idx int) error { return c.engineSort(idx, true) }
 
 // engineSort sorts the tape's items in place on the evaluator's
-// execution shape. On the single-machine shape (nil launcher) it runs
-// the k-way engine with its dedup-on-output hook, so deduplication
-// happens while the final merge pass is written — the separate dedup
-// scan + copy-back of the legacy evaluator is gone. The fan-in is the
-// two dedicated scratch tapes plus pool tapes up to the evaluator's
-// target when available (the pool state is a deterministic function
-// of the query, so resource reports stay reproducible). The sharded
-// launcher receives the same resolved Sorter — fan-in fixes the run
-// partitioning — does its sorting on shard-local machines and hands the
-// identical merged bytes back on the tape.
+// execution shape. On the sharded path the tape is read once, sorted
+// on shard-local machines, and the identical merged bytes are swapped
+// back in (SwapTape keeps the slot's pre-handoff counters; the sort is
+// accounted in the recorded report). On the single-machine shape it
+// runs the k-way engine with its dedup-on-output hook, so
+// deduplication happens while the final merge pass is written — the
+// separate dedup scan + copy-back of the legacy evaluator is gone. The
+// fan-in is the two dedicated scratch tapes plus pool tapes up to the
+// evaluator's target when available (the pool state is a deterministic
+// function of the query, so resource reports stay reproducible).
 func (c *evalCtx) engineSort(idx int, dedup bool) error {
+	if c.ev.sharded() {
+		data := c.m.Tape(idx).Contents()
+		out, rep, err := c.stageSort(dedup, data).Run(c.ctx, data, c.ev.Seed)
+		if err != nil {
+			return err
+		}
+		c.m.SwapTape(idx, out)
+		c.record(rep)
+		return nil
+	}
 	work := []int{sortScratchA, sortScratchB}
 	var extras []int
 	for len(work) < c.ev.fanInTarget() && len(c.free) > 0 {
@@ -291,9 +300,6 @@ func (c *evalCtx) engineSort(idx int, dedup bool) error {
 		FanIn:         len(work),
 		RunMemoryBits: c.ev.runMemoryBits(),
 		Dedup:         dedup,
-	}
-	if c.launch != nil {
-		return c.launch(c.ctx, s, c.m, idx, work)
 	}
 	return s.Sort(c.m, idx, work)
 }

@@ -29,7 +29,9 @@
 //     machine with its own tape set, and k-way merges the per-shard
 //     outputs through the loser tree (algorithms.MergeTapes). A sorted
 //     multiset is canonical, so the output bytes are independent of
-//     the shard count.
+//     the shard count. Partition is that run-boundary cut on its own —
+//     the one distribution scan of sorts and of internal/relalg's
+//     operator scans, which also combine through Sort.Combine.
 //
 // # Resource accounting
 //
@@ -60,5 +62,6 @@
 // that the fleet entry points in internal/algorithms and
 // internal/lowerbound accept, which is how experiments (E2, E5, E8,
 // E14, E16, E18) and cmd/stbench -shards run sharded without a single
-// table byte changing.
+// table byte changing; LaunchRetry adds the retry policy and the
+// AttemptFunc a transport supplies.
 package shard

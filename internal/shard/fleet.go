@@ -241,14 +241,16 @@ func runDegraded(ctx context.Context, eng trials.Engine, fn trials.Func, recover
 // points of internal/algorithms and internal/lowerbound without
 // changing a single output byte.
 func Launch(shards, parallel int) trials.Launcher {
-	return LaunchRetry(shards, parallel, RetryPolicy{})
+	return LaunchRetry(shards, parallel, RetryPolicy{}, nil)
 }
 
-// LaunchRetry is Launch with a per-shard retry budget: the fleets it
-// builds survive worker panics by re-executing the failed shard range
-// (byte-identically — trial rows are index-pure) up to the policy's
-// attempt budget with capped exponential backoff.
-func LaunchRetry(shards, parallel int, retry RetryPolicy) trials.Launcher {
+// LaunchRetry is Launch with a per-shard retry budget and an attempt
+// seam: the fleets it builds survive worker panics by re-executing the
+// failed shard range (byte-identically — trial rows are index-pure) up
+// to the policy's attempt budget with capped exponential backoff, and
+// run every budgeted shard attempt through attempt (Fleet.Attempt; nil
+// means in-process, a transport's Attempt puts it in a worker).
+func LaunchRetry(shards, parallel int, retry RetryPolicy, attempt AttemptFunc) trials.Launcher {
 	return func(n int, seed int64, onResult func(trials.Result)) trials.Runner {
 		return Fleet{
 			Plan:     Plan{Shards: shards, Trials: n},
@@ -256,6 +258,7 @@ func LaunchRetry(shards, parallel int, retry RetryPolicy) trials.Launcher {
 			Seed:     seed,
 			Retry:    retry,
 			OnResult: onResult,
+			Attempt:  attempt,
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestFleetRetryHealsFlakyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := faults.Plan{Mode: faults.Panic, Sites: []int{5, 13}, Flaky: 1}
-	launch := plan.Trials(shard.LaunchRetry(4, 2, shard.RetryPolicy{MaxAttempts: 4}))
+	launch := plan.Trials(shard.LaunchRetry(4, 2, shard.RetryPolicy{MaxAttempts: 4}, nil))
 	got, sum, err := launch(n, 7, nil).Run(nil, fingerless)
 	if err != nil {
 		t.Fatalf("flaky fleet: %v", err)
@@ -109,7 +109,7 @@ func TestFleetFallbackDegradesToErrorRow(t *testing.T) {
 	}
 	plan := faults.Plan{Mode: faults.Panic, Sites: []int{5}}
 	for _, shards := range []int{1, 3} {
-		launch := plan.Trials(shard.LaunchRetry(shards, 2, shard.RetryPolicy{MaxAttempts: 2}))
+		launch := plan.Trials(shard.LaunchRetry(shards, 2, shard.RetryPolicy{MaxAttempts: 2}, nil))
 		got, sum, err := launch(n, 7, nil).Run(nil, fingerless)
 		if got == nil {
 			t.Fatalf("shards=%d: hard failure %v, want degraded rows", shards, err)
@@ -135,7 +135,7 @@ func TestFleetFallbackDegradesToErrorRow(t *testing.T) {
 // the fleet's returned soft error, wrapped with its trial index.
 func TestFleetFallbackFirstErr(t *testing.T) {
 	plan := faults.Plan{Mode: faults.Panic, Sites: []int{2}}
-	launch := plan.Trials(shard.LaunchRetry(2, 1, shard.RetryPolicy{}))
+	launch := plan.Trials(shard.LaunchRetry(2, 1, shard.RetryPolicy{}, nil))
 	_, _, err := launch(8, 1, nil).Run(nil, fingerless)
 	if err == nil || !strings.Contains(err.Error(), "trial 2: recovered panic:") {
 		t.Fatalf("err = %v, want wrapped trial-2 recovered panic", err)
@@ -179,7 +179,7 @@ func TestFleetNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	plan := faults.Plan{Mode: faults.Panic, Sites: []int{0, 9}, Flaky: 1}
 	for k := 0; k < 10; k++ {
-		launch := plan.Trials(shard.LaunchRetry(3, 4, shard.RetryPolicy{MaxAttempts: 3}))
+		launch := plan.Trials(shard.LaunchRetry(3, 4, shard.RetryPolicy{MaxAttempts: 3}, nil))
 		if _, _, err := launch(20, int64(k), nil).Run(nil, fingerless); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

@@ -61,23 +61,17 @@ type Sort struct {
 	// fields).
 	TapeOpts tape.Options
 
-	// WrapTape, when non-nil, supplies a storage-fault wrapper for the
-	// tapes of one shard-local attempt — the storage twin of Inject,
-	// consulted for every injectable attempt and never by the
-	// coordinator's fallback, so an injected I/O fault lands on the
-	// retry → chaos-free fallback path exactly like a worker death.
-	WrapTape func(shard, attempt int) tape.WrapBackend
-
 	// Exec, when non-nil, overrides how a shard-local attempt executes
 	// its SortJob — the transport seam, the sort-side twin of
 	// Fleet.Attempt. The default is job.Execute() in-process;
 	// internal/transport substitutes an Exec that ships the job to a
 	// worker process and reads the sorted bytes and the shard machine's
-	// core.Resources report back. A failed Exec (a dead worker, a
-	// malformed reply) burns one attempt of the Retry budget like any
-	// other attempt failure; the coordinator's fallback after retry
-	// exhaustion always runs job.Execute() locally and never consults
-	// Exec — nor Inject.
+	// core.Resources report back, and a storage-fault plan can set
+	// job.Tape.Wrap before executing the job itself. A failed Exec (a
+	// dead worker, a malformed reply) burns one attempt of the Retry
+	// budget like any other attempt failure; the coordinator's fallback
+	// after retry exhaustion always runs job.Execute() locally and never
+	// consults Exec — nor Inject.
 	Exec ExecFunc
 }
 
@@ -221,25 +215,6 @@ func (a Agg) String() string {
 		a.Shards, a.MaxScans, a.SumScans, a.MaxMemoryBits, a.SumMemoryBits, a.MaxSteps, a.SumSteps)
 }
 
-// SortTape runs the sharded sort on the items of tape src of m and
-// installs the sorted (optionally deduplicated) output back on src
-// with the head at the start — the tape-handoff analogue of Run for a
-// sort embedded in a larger machine program, and the primitive behind
-// relalg.Evaluator's sharded operator sorts. The coordinator's distribution scan, the shard-local
-// sorts and the final combining merge all run on their own machines
-// and are accounted in the returned SortReport; m is charged nothing
-// for the sort itself, but its pre-handoff traffic on the tape stays
-// on the books (core.Machine.SwapTape keeps the slot's counters while
-// the fleet's sorted tape replaces the content).
-func (s Sort) SortTape(ctx context.Context, m *core.Machine, src int, seed int64) (SortReport, error) {
-	out, rep, err := s.Run(ctx, m.Tape(src).Contents(), seed)
-	if err != nil {
-		return rep, err
-	}
-	m.SwapTape(src, out)
-	return rep, nil
-}
-
 // Run sorts the '#'-terminated input across the configured shards and
 // returns the sorted (optionally deduplicated) output bytes with the
 // full resource report. seed only feeds the machines' (unused by the
@@ -253,7 +228,7 @@ func (s Sort) SortTape(ctx context.Context, m *core.Machine, src int, seed int64
 // are identical to the fault-free run no matter what the fault plan
 // did. Cancelling ctx stops every shard and returns the context error.
 func (s Sort) Run(ctx context.Context, input []byte, seed int64) ([]byte, SortReport, error) {
-	outs, rep, err := s.runShards(ctx, input, seed)
+	outs, rep, err := s.RunKeepRuns(ctx, input, seed)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -262,7 +237,7 @@ func (s Sort) Run(ctx context.Context, input []byte, seed int64) ([]byte, SortRe
 	// merge machine (tape 0 is the output, tape 1+i shard i's sorted
 	// run) and k-way merged through the loser tree; dedup, when
 	// requested, folds into this final write.
-	out, merge, err := s.combine(outs, seed)
+	out, merge, err := s.Combine(outs, seed)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -278,36 +253,60 @@ func (s Sort) Run(ctx context.Context, input []byte, seed int64) ([]byte, SortRe
 // intermediate relation is never written to — or re-read from — a
 // single combined tape. Deduplication, which belongs to the combine
 // stage, is deferred to whichever stage finally merges.
+//
+// It is phases 1+2 of the sharded sort: the coordinator's distribution
+// scan (Partition) and the concurrent shard-local sorts. Which runs
+// land where is a pure function of (input, RunMemoryBits, shards), so
+// a failed attempt can be retried or re-run by the coordinator without
+// moving a single output byte.
 func (s Sort) RunKeepRuns(ctx context.Context, input []byte, seed int64) ([][]byte, SortReport, error) {
-	return s.runShards(ctx, input, seed)
+	parts, rep, err := Partition(input, s.RunMemoryBits, s.shardCount(), s.TapeOpts, seed)
+	if err != nil {
+		return nil, rep, err
+	}
+	outs, err := s.stage(ctx, &rep, func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
+		job := SortJob{
+			Payload:       parts[sh],
+			FanIn:         s.FanIn,
+			RunMemoryBits: s.RunMemoryBits,
+			Tapes:         s.fanIn() + 2,
+			Seed:          trials.Seed(seed, sh+1),
+			Tape:          s.TapeOpts,
+		}
+		if chaos && s.Exec != nil {
+			return s.Exec(ctx, sh, attempt, job)
+		}
+		return job.Execute()
+	})
+	return outs, rep, err
 }
 
-// runShards is phases 1+2 of the sharded sort: the coordinator's
-// distribution scan and the concurrent shard-local sorts.
-func (s Sort) runShards(ctx context.Context, input []byte, seed int64) ([][]byte, SortReport, error) {
-	rep := SortReport{}
-
-	// Phase 1 — distribution: the coordinator scans the input once,
-	// cutting the item stream at the same run boundaries the engine's
-	// run formation would produce, and assembles one contiguous payload
-	// per shard. The payload handoff models shipping a tape to the
-	// shard machine; only the scan and the one-item read buffer are
-	// machine state.
-	dist := core.NewMachineOpts(1, seed, s.TapeOpts)
+// Partition is the distribution scan of every sharded stage, sort or
+// operator scan. A coordinator machine with 1+len(broadcast) tapes
+// reads input once, cutting its item stream at the run boundaries the
+// engine's own run formation would produce under runMemoryBits
+// (algorithms.RunPlanner, so the cut and the runs a shard forms can
+// never disagree), then sweeps each broadcast payload once — shipping
+// it to every shard. Split assigns the runs to shards in contiguous
+// ranges, and each shard's part is its range of input itself: the
+// handoff models moving a tape, not a copy. The report carries Items,
+// Bytes, Runs, RunLen and Distribute.
+func Partition(input []byte, runMemoryBits int64, shards int, opts tape.Options, seed int64, broadcast ...[]byte) ([][]byte, SortReport, error) {
+	rep := SortReport{Bytes: int64(len(input))}
+	dist := core.NewMachineOpts(1+len(broadcast), seed, opts)
 	defer dist.Close()
 	dist.SetInput(input)
+	for i, b := range broadcast {
+		dist.SetTape(i+1, b)
+	}
 	in := dist.Tape(0)
 	if err := in.Rewind(); err != nil {
 		return nil, rep, err
 	}
 	var (
-		payload   []byte
 		runStarts []int
-		// The planner is the engine's own fixed-count rule
-		// (algorithms.Sorter run formation steps the same type), so the
-		// partition boundaries here and the runs a shard-local sort
-		// forms can never disagree.
-		planner = algorithms.RunPlanner{Budget: s.RunMemoryBits}
+		pos       int
+		planner   = algorithms.RunPlanner{Budget: runMemoryBits}
 	)
 	for {
 		item, ok, err := algorithms.ReadItem(in, dist.Mem(), "item.shard.distribute")
@@ -318,49 +317,33 @@ func (s Sort) runShards(ctx context.Context, input []byte, seed int64) ([][]byte
 			break
 		}
 		if planner.Next(int64(len(item))) {
-			runStarts = append(runStarts, len(payload))
+			runStarts = append(runStarts, pos)
 		}
-		payload = append(payload, item...)
-		payload = append(payload, '#')
+		pos += len(item) + 1
 		rep.Items++
+	}
+	for i := range broadcast {
+		if _, err := dist.Tape(i + 1).ScanBytes(); err != nil {
+			return nil, rep, err
+		}
 	}
 	rep.Runs = len(runStarts)
 	rep.RunLen = planner.RunLen
-	rep.Bytes = int64(len(payload))
 	rep.Distribute = dist.Resources()
 
-	// Phase 2 — shard-local sorts: contiguous run ranges, one machine
-	// (with its own tape set and meter) per shard, all running
-	// concurrently. Which runs land where is a pure function of
-	// (input, RunMemoryBits, shards), so the phase is deterministic —
-	// which is also why a failed attempt can be retried or re-run by
-	// the coordinator without moving a single output byte.
-	ranges := Split(rep.Runs, s.shardCount())
-	bound := func(runIdx int) int {
-		if runIdx >= rep.Runs {
-			return len(payload)
+	bound := func(run int) int {
+		if run >= rep.Runs {
+			return len(input)
 		}
-		return runStarts[runIdx]
+		return runStarts[run]
 	}
-	outs, err := s.stage(ctx, &rep, func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
-		rg := ranges[sh]
-		job := SortJob{
-			Payload:       payload[bound(rg.Lo):bound(rg.Hi)],
-			FanIn:         s.FanIn,
-			RunMemoryBits: s.RunMemoryBits,
-			Tapes:         s.fanIn() + 2,
-			Seed:          trials.Seed(seed, sh+1),
-			Tape:          s.TapeOpts,
-		}
-		if chaos && s.Exec != nil {
-			return s.Exec(ctx, sh, attempt, job)
-		}
-		if chaos && s.WrapTape != nil {
-			job.Tape.Wrap = s.WrapTape(sh, attempt)
-		}
-		return job.Execute()
-	})
-	return outs, rep, err
+	ranges := Split(rep.Runs, shards)
+	parts := make([][]byte, len(ranges))
+	for sh, rg := range ranges {
+		lo, hi := bound(rg.Lo), bound(rg.Hi)
+		parts[sh] = input[lo:hi:hi]
+	}
+	return parts, rep, nil
 }
 
 // stage runs one shard stage of the sort through RunStage under the
@@ -373,10 +356,12 @@ func (s Sort) stage(ctx context.Context, rep *SortReport, attempt StageAttempt) 
 	return outs, err
 }
 
-// combine k-way merges the per-shard sorted outputs on one merge
+// Combine k-way merges the per-shard sorted outputs on one merge
 // machine (tape 0 is the output, tape 1+i shard i's sorted run), with
-// the configured dedup folded into the final write.
-func (s Sort) combine(outs [][]byte, seed int64) ([]byte, core.Resources, error) {
+// the configured dedup folded into the final write — phase 3 of Run
+// and MergeRuns, and the combine of the sharded anti-merge, whose
+// disjoint ordered outputs it merges with Dedup false.
+func (s Sort) Combine(outs [][]byte, seed int64) ([]byte, core.Resources, error) {
 	mm := core.NewMachineOpts(len(outs)+1, seed, s.TapeOpts)
 	defer mm.Close()
 	srcs := make([]int, len(outs))
@@ -400,7 +385,7 @@ func (s Sort) combine(outs [][]byte, seed int64) ([]byte, core.Resources, error)
 // meet only in the final combine), then the shard outputs are k-way
 // merged exactly like Run's phase 3. Shard attempts run through the
 // same RunStage loop as sort attempts; they always execute in-process
-// (Exec ships sorts only), while Inject and WrapTape apply as usual.
+// (Exec ships sorts only), while Inject applies as usual.
 //
 // The report's Distribute is zero — no coordinator scan runs, which is
 // the point — and Items/Bytes are provenance metadata computed from
@@ -413,13 +398,9 @@ func (s Sort) MergeRuns(ctx context.Context, runs [][]byte, seed int64) ([]byte,
 	}
 
 	ranges := Split(len(runs), s.shardCount())
-	outs, err := s.stage(ctx, &rep, func(_ context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
+	outs, err := s.stage(ctx, &rep, func(_ context.Context, sh, _ int, _ bool) ([]byte, core.Resources, error) {
 		rg := ranges[sh]
-		opts := s.TapeOpts
-		if chaos && s.WrapTape != nil {
-			opts.Wrap = s.WrapTape(sh, attempt)
-		}
-		m := core.NewMachineOpts(rg.Len()+1, trials.Seed(seed, sh+1), opts)
+		m := core.NewMachineOpts(rg.Len()+1, trials.Seed(seed, sh+1), s.TapeOpts)
 		defer m.Close()
 		if rg.Len() == 0 {
 			return nil, m.Resources(), nil
@@ -438,7 +419,7 @@ func (s Sort) MergeRuns(ctx context.Context, runs [][]byte, seed int64) ([]byte,
 		return nil, rep, err
 	}
 
-	out, merge, err := s.combine(outs, seed)
+	out, merge, err := s.Combine(outs, seed)
 	if err != nil {
 		return nil, rep, err
 	}

@@ -152,11 +152,12 @@ func TestShardedSortRollupInvariants(t *testing.T) {
 	}
 }
 
-// SortTape is the mid-run tape handoff: the sorted fleet output
-// replaces the tape's content with the head rewound, while the
-// machine's own pre-handoff traffic on that slot stays on the books
-// (SwapTape keeps the counters; only the sort itself is accounted
-// off-machine, in the report).
+// The mid-run tape handoff a sharded operator sort performs — Run on
+// the tape's items, then core.Machine.SwapTape of the sorted fleet
+// output — replaces the tape's content with the head rewound, while
+// the machine's own pre-handoff traffic on that slot stays on the
+// books (SwapTape keeps the counters; only the sort itself is
+// accounted off-machine, in the report).
 func TestSortTapeKeepsCoordinatorCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	items := randomItems(40, true, rng)
@@ -171,10 +172,11 @@ func TestSortTapeKeepsCoordinatorCounters(t *testing.T) {
 	if before.Writes == 0 || before.Steps == 0 {
 		t.Fatalf("test setup produced no traffic: %+v", before)
 	}
-	rep, err := Sort{Shards: 3, FanIn: 2, RunMemoryBits: 128, Dedup: true}.SortTape(nil, m, 1, 1)
+	out, rep, err := Sort{Shards: 3, FanIn: 2, RunMemoryBits: 128, Dedup: true}.Run(nil, tp.Contents(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.SwapTape(1, out)
 	after := tp.Stats()
 	if after.Writes != before.Writes || after.Steps != before.Steps || after.Reversals != before.Reversals {
 		t.Errorf("handoff changed the coordinator's counters: before %+v, after %+v", before, after)

@@ -1,9 +1,10 @@
 // Package transport executes shard attempts in worker processes and
 // on TCP workers that may live on other machines — the process- and
 // host-boundary rungs of the shard execution ladder, behind the same
-// seams everything else uses: trials.Launcher for trial fleets,
-// algorithms.SortLauncher for sharded sorts, and relalg.ScanExecFunc
-// for sharded operator scans.
+// seams everything else uses: shard.AttemptFunc for trial fleets (the
+// Fleet.Attempt that shard.LaunchRetry threads into every fleet it
+// launches), shard.ExecFunc for sharded sorts, and relalg.ScanExecFunc
+// for sharded operator scans. Transport is that set of three.
 //
 // # Shape
 //
@@ -57,6 +58,8 @@
 // frame, reply stream — with attempts assigned round-robin by shard
 // index and a retry moving one step around the worker ring. Deadline
 // bounds an attempt's wall clock as an absolute connection deadline.
+// Both ends read the peer's Hello under a 1 KiB cap checked before any
+// allocation, so a first frame declaring more is refused at once.
 // Network death is process death: refused dial, peer reset, handshake
 // mismatch and blown deadline all take the WorkerError path above.
 // WorkerFault's connection-level orders (Drop, Stall) exercise it

@@ -40,6 +40,13 @@ type Hello struct {
 // corrupted length prefix cannot make the decoder allocate the moon.
 const MaxFrame = 1 << 26 // 64 MiB
 
+// maxHelloFrame bounds the handshake frame, which both ends read
+// before they know anything about the peer. An encoded Hello is a few
+// dozen bytes, so a peer declaring more is refused before any
+// allocation: it cannot make a worker reserve MaxFrame bytes and hold
+// the connection for the handshake timeout.
+const maxHelloFrame = 1 << 10
+
 // writeFrame encodes v as one length-prefixed gob frame: a 4-byte
 // big-endian payload length followed by the payload. Every frame is an
 // independent gob stream, so a reader can decode any frame without the
@@ -69,14 +76,17 @@ func writeFrame(w io.Writer, v any) error {
 // returns io.ErrUnexpectedEOF; a length prefix past MaxFrame is
 // rejected before any allocation. Arbitrary input bytes yield an
 // error, never a panic — the FuzzTransportFrame target enforces this.
-func readFrame(r io.Reader, v any) error {
+func readFrame(r io.Reader, v any) error { return readFrameMax(r, v, MaxFrame) }
+
+// readFrameMax is readFrame with the length cap limit.
+func readFrameMax(r io.Reader, v any, limit uint32) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("transport: frame length %d exceeds the %d-byte limit", n, MaxFrame)
+	if n > limit {
+		return fmt.Errorf("transport: frame length %d exceeds the %d-byte limit", n, limit)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

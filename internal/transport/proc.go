@@ -202,9 +202,3 @@ func (p *Proc) Exec() shard.ExecFunc { return machineExec(p, sortJob) }
 // the scan-side twin of Exec, so planned queries honor `-transport
 // proc` end to end.
 func (p *Proc) ExecScan() relalg.ScanExecFunc { return machineExec(p, scanJob) }
-
-// Launch returns the trials.Launcher whose fleets run every shard
-// attempt in worker processes (see launch).
-func (p *Proc) Launch(shards, parallel int, retry shard.RetryPolicy) trials.Launcher {
-	return launch(p, shards, parallel, retry)
-}

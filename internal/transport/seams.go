@@ -1,14 +1,13 @@
 package transport
 
 // seams.go builds the shard-layer seam implementations —
-// shard.Fleet.Attempt, shard.Sort.Exec, relalg.Evaluator.ExecScan and
-// the fleet launcher — once, over an internal job-runner abstraction,
-// so the pipe transport (Proc) and the TCP transport share all
-// coordinator-side logic: workload shipping, strict row-order
-// validation, cancellation precedence over worker faults, and
-// WorkerError wrapping. A transport only decides how one job reaches
-// one worker; what a failed or successful attempt means is decided
-// here, identically for both.
+// shard.Fleet.Attempt, shard.Sort.Exec and relalg.Evaluator.ExecScan —
+// once, over an internal job-runner abstraction, so the pipe transport
+// (Proc) and the TCP transport share all coordinator-side logic:
+// workload shipping, strict row-order validation, cancellation
+// precedence over worker faults, and WorkerError wrapping. A transport
+// only decides how one job reaches one worker; what a failed or
+// successful attempt means is decided here, identically for both.
 
 import (
 	"context"
@@ -22,17 +21,17 @@ import (
 )
 
 // Transport is the full coordinator-side seam set a shard transport
-// provides: trial-fleet attempts, shard-local sort execution,
-// shard-local operator-scan execution, and the fleet launcher. Proc
-// (worker processes over pipes) and TCP (remote workers over
-// connections) both implement it; the CLIs program against it so
-// `-transport proc` and `-transport tcp -workers ...` differ only in
-// how the transport value is built.
+// provides: trial-fleet attempts (the Fleet.Attempt that
+// shard.LaunchRetry threads into every fleet), shard-local sort
+// execution and shard-local operator-scan execution. Proc (worker
+// processes over pipes) and TCP (remote workers over connections) both
+// implement it; the CLIs program against it so `-transport proc` and
+// `-transport tcp -workers ...` differ only in how the transport value
+// is built.
 type Transport interface {
 	Attempt() shard.AttemptFunc
 	Exec() shard.ExecFunc
 	ExecScan() relalg.ScanExecFunc
-	Launch(shards, parallel int, retry shard.RetryPolicy) trials.Launcher
 }
 
 var (
@@ -138,22 +137,3 @@ func machineExec[J any](p runner, wire func(*J) Job) func(context.Context, int, 
 // sortJob and scanJob are the wire forms machineExec ships.
 func sortJob(j *shard.SortJob) Job  { return Job{Sort: j} }
 func scanJob(j *relalg.ScanJob) Job { return Job{Scan: j} }
-
-// launch is the shared trials.Launcher over a runner: fleets whose
-// every shard attempt runs through this transport — shard.LaunchRetry
-// with the runner's workers for shard machines. Nothing above the
-// launcher seam changes: results, summary and OnResult order are
-// byte-identical to the in-process fleet at any shard and worker count.
-func launch(p runner, shards, parallel int, retry shard.RetryPolicy) trials.Launcher {
-	attempt := attemptFunc(p)
-	return func(n int, seed int64, onResult func(trials.Result)) trials.Runner {
-		return shard.Fleet{
-			Plan:     shard.Plan{Shards: shards, Trials: n},
-			Parallel: parallel,
-			Seed:     seed,
-			Retry:    retry,
-			OnResult: onResult,
-			Attempt:  attempt,
-		}
-	}
-}

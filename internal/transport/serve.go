@@ -89,7 +89,7 @@ func handleConn(conn net.Conn, stderr io.Writer) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReader(conn)
 	var hello Hello
-	if err := readFrame(br, &hello); err != nil {
+	if err := readFrameMax(br, &hello, maxHelloFrame); err != nil {
 		fmt.Fprintln(stderr, "stworker: reading handshake:", err)
 		return
 	}

@@ -158,7 +158,7 @@ func (p *TCP) run(ctx context.Context, sh, attempt int, job Job, onRow func(tria
 	}
 	br := bufio.NewReader(conn)
 	var hello Hello
-	if err := readFrame(br, &hello); err != nil {
+	if err := readFrameMax(br, &hello, maxHelloFrame); err != nil {
 		return nil, fmt.Errorf("reading handshake from %s: %w", addr, err)
 	}
 	if err := checkHello(hello); err != nil {
@@ -212,9 +212,3 @@ func (p *TCP) Exec() shard.ExecFunc { return machineExec(p, sortJob) }
 // operator-scan attempts on TCP workers — the multi-host twin of
 // Proc.ExecScan.
 func (p *TCP) ExecScan() relalg.ScanExecFunc { return machineExec(p, scanJob) }
-
-// Launch returns the trials.Launcher whose fleets run every shard
-// attempt on TCP workers (see launch).
-func (p *TCP) Launch(shards, parallel int, retry shard.RetryPolicy) trials.Launcher {
-	return launch(p, shards, parallel, retry)
-}

@@ -449,6 +449,75 @@ func TestTCPHandshakeMismatchFallsBack(t *testing.T) {
 	}
 }
 
+// A peer that sends only a Hello header declaring a 64 MiB body is
+// refused on the spot: the worker checks the handshake cap before it
+// allocates, and closes the connection instead of holding it open for
+// the handshake timeout.
+func TestServeRefusesOversizedHello(t *testing.T) {
+	w := localTCP(t, 1)
+	conn, err := net.Dial("tcp", w.Workers[0])
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0x04, 0, 0, 0}); err != nil {
+		t.Fatalf("sending header: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	var b [1]byte
+	_, err = conn.Read(b[:])
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("worker still held the connection 1 s after an oversized Hello header")
+	}
+	if err == nil {
+		t.Fatal("worker answered an oversized Hello header")
+	}
+}
+
+// A worker that answers the handshake with a Hello header past the
+// 1 KiB cap and then holds the connection open fails the attempt at
+// once with a *WorkerError — the coordinator refuses the header instead
+// of waiting for a body that never comes — and a sort on that worker
+// falls back to the coordinator with byte-identical output.
+func TestTCPOversizedHelloReplyFallsBack(t *testing.T) {
+	hold := make(chan struct{})
+	addr := stubServer(t, func(conn net.Conn) {
+		conn.Write([]byte{0, 0, 0x04, 0x01}) // 1025 bytes declared, none sent
+		<-hold
+	})
+	t.Cleanup(func() { close(hold) })
+	p := &transport.TCP{Workers: []string{addr}}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	start := time.Now()
+	_, _, err := p.Exec()(ctx, 0, 1, testSortJob())
+	var werr *transport.WorkerError
+	if !errors.As(err, &werr) {
+		t.Fatalf("attempt error %v is not a *WorkerError", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("attempt took %v to fail on an oversized Hello", d)
+	}
+
+	s := shard.Sort{Shards: 2, FanIn: 2, RunMemoryBits: 128}
+	want, _, err := s.Run(ctx, testInput(), 3)
+	if err != nil {
+		t.Fatalf("baseline sort: %v", err)
+	}
+	s.Exec = p.Exec()
+	got, rep, err := s.Run(ctx, testInput(), 3)
+	if err != nil {
+		t.Fatalf("sort: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("fallback output differs from the in-process sort")
+	}
+	if rep.Fallbacks != 2 {
+		t.Errorf("fallbacks = %d, want 2 (one per shard)", rep.Fallbacks)
+	}
+}
+
 // A peer that resets the connection mid-frame — correct handshake,
 // then a truncated reply — is one failed attempt: the retry moves to
 // the live worker and the rows cannot move.

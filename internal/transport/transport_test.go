@@ -106,8 +106,9 @@ func TestProcFleetFallsBackWithoutWorkload(t *testing.T) {
 	}
 }
 
-// Launch is the full launcher seam: the runner it builds must match
-// trials.Pool row for row.
+// A launcher whose fleets attempt through the transport is the full
+// launcher seam: the runner it builds must match trials.Pool row for
+// row.
 func TestLaunchMatchesPool(t *testing.T) {
 	const n = 16
 	w, fn := algorithms.FingerprintValueWorkload(4, 10)
@@ -116,7 +117,7 @@ func TestLaunchMatchesPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
-	got, sum, err := (&transport.Proc{}).Launch(2, 2, shard.RetryPolicy{})(n, 99, nil).Run(ctx, fn)
+	got, sum, err := shard.LaunchRetry(2, 2, shard.RetryPolicy{}, (&transport.Proc{}).Attempt())(n, 99, nil).Run(ctx, fn)
 	if err != nil {
 		t.Fatalf("transport launch: %v", err)
 	}
