@@ -372,8 +372,8 @@ func BenchmarkE6RelAlgSharded(b *testing.B) {
 // BenchmarkE6AntiMergeProduct pairs the two sharded operator scans —
 // the difference's anti-merge and the product's paired range scan —
 // on the 64 KiB size class, with allocation counts reported: the scan
-// hot loops reuse their item buffers (ReadItemInto, ScanUntilAppend),
-// so per-item allocation churn is a regression this pair pins.
+// hot loops read through algorithms.ItemReader, which reuses one item
+// buffer, so per-item allocation churn is a regression this pair pins.
 func BenchmarkE6AntiMergeProduct(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	in := problems.GenSetYes(1024, 31, rng)

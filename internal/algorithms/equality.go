@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"extmem/internal/core"
+	"extmem/internal/memory"
 	"extmem/internal/tape"
 )
 
@@ -68,28 +69,29 @@ func SplitHalves(m *core.Machine, dstV, dstW int) error {
 		return err
 	}
 	tw.Truncate()
-	if _, err := CopyItems(in, tv, total/2); err != nil {
+	rd := NewItemReader(in, m.Mem(), itemRegion("split"))
+	if _, err := rd.CopyItems(tv, total/2); err != nil {
 		return err
 	}
-	if _, err := CopyItems(in, tw, total/2); err != nil {
-		return err
-	}
-	return nil
+	_, err = rd.CopyItems(tw, total/2)
+	return err
 }
 
-// equalItemStreams reads items from ta and tb in lockstep (both heads
-// moving forward from their current positions) and reports whether the
-// two item sequences are identical.
-func equalItemStreams(m *core.Machine, ta, tb *tape.Tape) (bool, error) {
+// EqualItemStreams reads items from ta and tb in lockstep (both heads
+// moving forward from their current positions), one buffered item per
+// side, and reports whether the two item sequences are identical.
+func EqualItemStreams(m *core.Machine, ta, tb *tape.Tape) (bool, error) {
 	mem := m.Mem()
 	defer mem.Free(itemRegion("cmp.a"))
 	defer mem.Free(itemRegion("cmp.b"))
+	ra := NewItemReader(ta, mem, itemRegion("cmp.a"))
+	rb := NewItemReader(tb, mem, itemRegion("cmp.b"))
 	for {
-		a, okA, err := ReadItem(ta, mem, itemRegion("cmp.a"))
+		a, okA, err := ra.Next()
 		if err != nil {
 			return false, err
 		}
-		b, okB, err := ReadItem(tb, mem, itemRegion("cmp.b"))
+		b, okB, err := rb.Next()
 		if err != nil {
 			return false, err
 		}
@@ -105,6 +107,34 @@ func equalItemStreams(m *core.Machine, ta, tb *tape.Tape) (bool, error) {
 	}
 }
 
+// uniqueReader reads an ascending-sorted item stream's distinct items,
+// skipping adjacent duplicates with one extra item buffer: the
+// predecessor, copied out of the reader and charged to its own region.
+type uniqueReader struct {
+	rd       *ItemReader
+	prev     []byte
+	prevReg  *memory.Register
+	havePrev bool
+}
+
+func (u *uniqueReader) next() ([]byte, bool, error) {
+	for {
+		it, ok, err := u.rd.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		if u.havePrev && Compare(it, u.prev) == 0 {
+			continue
+		}
+		u.prev = append(u.prev[:0], it...)
+		if err := u.prevReg.Set(int64(len(u.prev))); err != nil {
+			return nil, false, err
+		}
+		u.havePrev = true
+		return it, true, nil
+	}
+}
+
 // equalUniqueItemStreams reads two ascending-sorted item streams and
 // reports whether their sets of distinct items coincide, skipping
 // adjacent duplicates on each side with one extra item buffer per
@@ -116,48 +146,14 @@ func equalUniqueItemStreams(m *core.Machine, ta, tb *tape.Tape) (bool, error) {
 			mem.Free(itemRegion(r))
 		}
 	}()
-	var prevA, prevB []byte
-	havePrevA, havePrevB := false, false
-	readUniqueA := func() ([]byte, bool, error) {
-		for {
-			it, ok, err := ReadItem(ta, mem, itemRegion("uniq.a"))
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			if havePrevA && Compare(it, prevA) == 0 {
-				continue
-			}
-			prevA = append(prevA[:0], it...)
-			if err := mem.Set(itemRegion("uniq.preva"), int64(len(prevA))); err != nil {
-				return nil, false, err
-			}
-			havePrevA = true
-			return it, true, nil
-		}
-	}
-	readUniqueB := func() ([]byte, bool, error) {
-		for {
-			it, ok, err := ReadItem(tb, mem, itemRegion("uniq.b"))
-			if err != nil || !ok {
-				return nil, false, err
-			}
-			if havePrevB && Compare(it, prevB) == 0 {
-				continue
-			}
-			prevB = append(prevB[:0], it...)
-			if err := mem.Set(itemRegion("uniq.prevb"), int64(len(prevB))); err != nil {
-				return nil, false, err
-			}
-			havePrevB = true
-			return it, true, nil
-		}
-	}
+	ua := uniqueReader{rd: NewItemReader(ta, mem, itemRegion("uniq.a")), prevReg: mem.Register(itemRegion("uniq.preva"))}
+	ub := uniqueReader{rd: NewItemReader(tb, mem, itemRegion("uniq.b")), prevReg: mem.Register(itemRegion("uniq.prevb"))}
 	for {
-		a, okA, err := readUniqueA()
+		a, okA, err := ua.next()
 		if err != nil {
 			return false, err
 		}
-		b, okB, err := readUniqueB()
+		b, okB, err := ub.next()
 		if err != nil {
 			return false, err
 		}
@@ -179,10 +175,12 @@ func isSortedStream(m *core.Machine, tp *tape.Tape) (bool, error) {
 	mem := m.Mem()
 	defer mem.Free(itemRegion("sorted.cur"))
 	defer mem.Free(itemRegion("sorted.prev"))
+	rd := NewItemReader(tp, mem, itemRegion("sorted.cur"))
+	prevReg := mem.Register(itemRegion("sorted.prev"))
 	var prev []byte
 	havePrev := false
 	for {
-		it, ok, err := ReadItem(tp, mem, itemRegion("sorted.cur"))
+		it, ok, err := rd.Next()
 		if err != nil {
 			return false, err
 		}
@@ -193,7 +191,7 @@ func isSortedStream(m *core.Machine, tp *tape.Tape) (bool, error) {
 			return false, nil
 		}
 		prev = append(prev[:0], it...)
-		if err := mem.Set(itemRegion("sorted.prev"), int64(len(prev))); err != nil {
+		if err := prevReg.Set(int64(len(prev))); err != nil {
 			return false, err
 		}
 		havePrev = true
@@ -221,7 +219,7 @@ func MultisetEqualityST(m *core.Machine) (core.Verdict, error) {
 	if err := m.Tape(tapeW).Rewind(); err != nil {
 		return core.Reject, err
 	}
-	eq, err := equalItemStreams(m, m.Tape(tapeV), m.Tape(tapeW))
+	eq, err := EqualItemStreams(m, m.Tape(tapeV), m.Tape(tapeW))
 	if err != nil {
 		return core.Reject, err
 	}
@@ -271,7 +269,7 @@ func CheckSortST(m *core.Machine) (core.Verdict, error) {
 	if err := m.Tape(tapeW).Rewind(); err != nil {
 		return core.Reject, err
 	}
-	eq, err := equalItemStreams(m, m.Tape(tapeV), m.Tape(tapeW))
+	eq, err := EqualItemStreams(m, m.Tape(tapeV), m.Tape(tapeW))
 	if err != nil {
 		return core.Reject, err
 	}

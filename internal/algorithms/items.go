@@ -16,6 +16,8 @@
 // '#'-terminated 0-1-strings. Internal-memory buffers and counters are
 // charged to the machine's memory meter (one unit per buffered tape
 // symbol, binary length for counters), so resource reports are exact.
+// Every loop over items, here and in the shard and relalg layers,
+// reads them through an ItemReader.
 package algorithms
 
 import (
@@ -28,65 +30,93 @@ import (
 	"extmem/internal/tape"
 )
 
-// ReadItem reads the next '#'-terminated item from tp, head moving
-// forward, buffering it in internal memory charged to the meter under
-// the given region name. It returns ok = false (and releases the
+// An ItemReader is the one way to read '#'-terminated items from a
+// tape, head moving forward. Each item Next returns is buffered in
+// internal memory, charged to one meter region through a Register (no
+// per-item map lookup), and read into one buffer the reader reuses for
+// every item, so a loop over a stream allocates only when an item
+// outgrows every earlier one.
+//
+// The item Next returns, and the Record holding it, alias that buffer:
+// they stay valid until the reader's next Next or CopyItems call.
+// Anything kept longer (a dedup predecessor, a run-formation buffer)
+// must be copied out first.
+type ItemReader struct {
+	tp     *tape.Tape
+	mem    *memory.Meter
+	region string
+	reg    *memory.Register
+	rec    []byte // the last item read, followed by its separator
+}
+
+// NewItemReader returns a reader of tp's items that charges each
+// buffered item to the named region of mem.
+func NewItemReader(tp *tape.Tape, mem *memory.Meter, region string) *ItemReader {
+	return &ItemReader{tp: tp, mem: mem, region: region, reg: mem.Register(region)}
+}
+
+// Next reads the next item. It returns ok = false (and releases the
 // region) when the tape is exhausted before any symbol is read.
 //
 // The item is consumed in one bulk sweep before the buffer is charged,
 // so on a memory-budget refusal the tape counters cover the whole item
 // rather than a prefix; such errors abort the run, so no resource
 // report is produced.
-func ReadItem(tp *tape.Tape, mem *memory.Meter, region string) (item []byte, ok bool, err error) {
-	if tp.AtEnd() {
-		mem.Free(region)
+func (r *ItemReader) Next() (item []byte, ok bool, err error) {
+	if r.tp.AtEnd() {
+		r.mem.Free(r.region)
 		return nil, false, nil
 	}
-	if err := mem.Set(region, 0); err != nil {
+	if err := r.reg.Set(0); err != nil {
 		return nil, false, err
 	}
-	data, found, err := tp.ScanUntil(problems.Separator)
+	found, err := r.scan()
 	if err != nil {
 		return nil, false, err
 	}
 	if !found {
-		return nil, false, fmt.Errorf("algorithms: item on tape %q not terminated by %q", tp.Name(), problems.Separator)
+		return nil, false, fmt.Errorf("algorithms: item on tape %q not terminated by %q", r.tp.Name(), problems.Separator)
 	}
-	item = data[:len(data)-1]
+	item = r.rec[:len(r.rec)-1]
 	// The buffer grew one symbol at a time; its peak is its final size.
-	if err := mem.Grow(region, int64(len(item))); err != nil {
+	if err := r.reg.Set(int64(len(item))); err != nil {
 		return nil, false, err
 	}
 	return item, true, nil
 }
 
-// ReadItemInto is ReadItem with a caller-supplied buffer: the item is
-// read into buf[:0] (growing it only when an item exceeds the buffer's
-// capacity) so hot loops reuse one allocation per stream instead of one
-// per item. Tape and meter accounting are identical to ReadItem; the
-// returned slice aliases the buffer and is valid until the next call
-// that reuses it.
-func ReadItemInto(tp *tape.Tape, mem *memory.Meter, region string, buf []byte) (item []byte, ok bool, err error) {
-	if tp.AtEnd() {
-		mem.Free(region)
-		return buf[:0], false, nil
+// Record returns the item the last successful Next returned, followed
+// by its separator: WriteBlock(Record()) writes the item exactly as
+// WriteItem does, counters and refused turns included, in one call.
+func (r *ItemReader) Record() []byte { return r.rec }
+
+// CopyItems copies up to count items to dst, record by record through
+// the reader's buffer, and returns the number copied (less than count
+// if the tape ran out). It charges nothing to the meter: a copy moves
+// each symbol straight from tape to tape with O(1) internal memory.
+// Tape accounting is one ScanUntilAppend plus one WriteBlock per item.
+func (r *ItemReader) CopyItems(dst *tape.Tape, count int) (int, error) {
+	copied := 0
+	for copied < count && !r.tp.AtEnd() {
+		found, err := r.scan()
+		if err != nil {
+			return copied, err
+		}
+		if err := dst.WriteBlock(r.rec); err != nil {
+			return copied, err
+		}
+		if !found {
+			return copied, fmt.Errorf("algorithms: unterminated item while copying from %q", r.tp.Name())
+		}
+		copied++
 	}
-	if err := mem.Set(region, 0); err != nil {
-		return buf[:0], false, err
-	}
-	data, found, err := tp.ScanUntilAppend(problems.Separator, buf)
-	if err != nil {
-		return data, false, err
-	}
-	if !found {
-		return data, false, fmt.Errorf("algorithms: item on tape %q not terminated by %q", tp.Name(), problems.Separator)
-	}
-	item = data[:len(data)-1]
-	// The buffer grew one symbol at a time; its peak is its final size.
-	if err := mem.Grow(region, int64(len(item))); err != nil {
-		return item, false, err
-	}
-	return item, true, nil
+	return copied, nil
+}
+
+// scan reads up to and including the next separator into the buffer.
+func (r *ItemReader) scan() (found bool, err error) {
+	r.rec, found, err = r.tp.ScanUntilAppend(problems.Separator, r.rec)
+	return found, err
 }
 
 // WriteItem writes item followed by the separator at the head of tp,
@@ -150,27 +180,6 @@ func CopyTape(src, dst *tape.Tape) error {
 		}
 	}
 	return nil
-}
-
-// CopyItems copies count items from src (head moving forward) to dst,
-// item block by item block with O(1) internal memory. It returns the
-// number of items actually copied (less than count if src ran out).
-func CopyItems(src, dst *tape.Tape, count int) (int, error) {
-	copied := 0
-	for copied < count && !src.AtEnd() {
-		data, found, err := src.ScanUntil(problems.Separator)
-		if err != nil {
-			return copied, err
-		}
-		if err := dst.WriteBlock(data); err != nil {
-			return copied, err
-		}
-		if !found {
-			return copied, fmt.Errorf("algorithms: unterminated item while copying from %q", src.Name())
-		}
-		copied++
-	}
-	return copied, nil
 }
 
 // itemRegion builds a meter region name for a buffered item.

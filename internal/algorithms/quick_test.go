@@ -35,8 +35,9 @@ func TestQuickMergeSortMatchesReference(t *testing.T) {
 			return false
 		}
 		var got []string
+		rd := NewItemReader(tp, m.Mem(), "q")
 		for {
-			it, ok, err := ReadItem(tp, m.Mem(), "q")
+			it, ok, err := rd.Next()
 			if err != nil {
 				return false
 			}

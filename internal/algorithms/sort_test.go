@@ -32,8 +32,9 @@ func dumpItems(t *testing.T, m *core.Machine, idx int) []string {
 		t.Fatal(err)
 	}
 	var out []string
+	rd := NewItemReader(tp, m.Mem(), "test.dump")
 	for {
-		it, ok, err := ReadItem(tp, m.Mem(), "test.dump")
+		it, ok, err := rd.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +219,7 @@ func TestCountItems(t *testing.T) {
 func TestCopyItemsPartial(t *testing.T) {
 	m := core.NewMachine(2, 1)
 	m.SetInput([]byte("0#1#"))
-	n, err := CopyItems(m.Tape(0), m.Tape(1), 5)
+	n, err := NewItemReader(m.Tape(0), m.Mem(), "x").CopyItems(m.Tape(1), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestCopyItemsPartial(t *testing.T) {
 func TestReadItemUnterminated(t *testing.T) {
 	m := core.NewMachine(1, 1)
 	m.SetInput([]byte("01"))
-	if _, _, err := ReadItem(m.Tape(0), m.Mem(), "x"); err == nil {
+	if _, _, err := NewItemReader(m.Tape(0), m.Mem(), "x").Next(); err == nil {
 		t.Fatal("unterminated item accepted")
 	}
 }
@@ -241,8 +242,12 @@ func TestReadItemUnterminated(t *testing.T) {
 func TestReadItemEmptyValue(t *testing.T) {
 	m := core.NewMachine(1, 1)
 	m.SetInput([]byte("#"))
-	it, ok, err := ReadItem(m.Tape(0), m.Mem(), "x")
+	rd := NewItemReader(m.Tape(0), m.Mem(), "x")
+	it, ok, err := rd.Next()
 	if err != nil || !ok || len(it) != 0 {
-		t.Fatalf("ReadItem = (%q, %v, %v), want empty item", it, ok, err)
+		t.Fatalf("Next = (%q, %v, %v), want empty item", it, ok, err)
+	}
+	if rec := string(rd.Record()); rec != "#" {
+		t.Fatalf("Record = %q, want %q", rec, "#")
 	}
 }

@@ -30,9 +30,10 @@ package algorithms
 // the frontier; sort_test.go asserts the monotonicity).
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"extmem/internal/core"
 	"extmem/internal/memory"
@@ -185,20 +186,13 @@ func MergeTapes(m *core.Machine, dst int, srcs []int, dedup bool) error {
 		}
 		seen[s] = true
 	}
-	k := len(srcs)
-	st := &sortState{
-		m:     m,
-		mem:   m.Mem(),
-		src:   m.Tape(dst),
-		lanes: make([]*tape.Tape, k),
-		laneR: make([]string, k),
-		k:     k,
-	}
+	lanes := make([]*tape.Tape, len(srcs))
 	for i, s := range srcs {
-		st.lanes[i] = m.Tape(s)
-		st.laneR[i] = itemRegion(fmt.Sprintf("sort.run%d", i))
+		lanes[i] = m.Tape(s)
 	}
+	st := newSortState(m, m.Tape(dst), lanes)
 	defer st.freeRegions()
+	k := len(srcs)
 	if k > 2 {
 		if err := st.mem.Set(counterRegion("sort.tree"), int64((k-1)*bitsFor(k))); err != nil {
 			return err
@@ -228,18 +222,11 @@ func (s Sorter) sort(m *core.Machine, src int, work []int, countPrepass bool) er
 		seen[w] = true
 	}
 
-	st := &sortState{
-		m:     m,
-		mem:   m.Mem(),
-		src:   m.Tape(src),
-		lanes: make([]*tape.Tape, k),
-		laneR: make([]string, k),
-		k:     k,
-	}
+	lanes := make([]*tape.Tape, k)
 	for i, w := range work {
-		st.lanes[i] = m.Tape(w)
-		st.laneR[i] = itemRegion(fmt.Sprintf("sort.run%d", i))
+		lanes[i] = m.Tape(w)
 	}
+	st := newSortState(m, m.Tape(src), lanes)
 	defer st.freeRegions()
 
 	if err := st.src.Rewind(); err != nil {
@@ -314,10 +301,29 @@ type sortState struct {
 	m     *core.Machine
 	mem   *memory.Meter
 	src   *tape.Tape
+	in    *ItemReader // src's items: formation reads and distribution copies
 	lanes []*tape.Tape
-	laneR []string // meter region per lane's buffered item
+	laneR []*ItemReader // one reader per lane, its item charged to sort.run<i>
 	k     int
 	tree  *loserTree
+}
+
+func newSortState(m *core.Machine, src *tape.Tape, lanes []*tape.Tape) *sortState {
+	mem := m.Mem()
+	k := len(lanes)
+	st := &sortState{
+		m:     m,
+		mem:   mem,
+		src:   src,
+		in:    NewItemReader(src, mem, itemRegion("sort.form")),
+		lanes: lanes,
+		laneR: make([]*ItemReader, k),
+		k:     k,
+	}
+	for i, lane := range lanes {
+		st.laneR[i] = NewItemReader(lane, mem, itemRegion(fmt.Sprintf("sort.run%d", i)))
+	}
+	return st
 }
 
 func (st *sortState) freeRegions() {
@@ -326,8 +332,8 @@ func (st *sortState) freeRegions() {
 	mem.Free(counterRegion("sort.tree"))
 	mem.Free(itemRegion("sort.runbuf"))
 	mem.Free(itemRegion("sort.dedupprev"))
-	for _, r := range st.laneR {
-		mem.Free(r)
+	for _, rd := range st.laneR {
+		mem.Free(rd.region)
 	}
 }
 
@@ -338,14 +344,21 @@ func (st *sortState) freeRegions() {
 // is written straight back to src and done is true.
 func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLen0 int, err error) {
 	mem := st.mem
-	bufRegion := itemRegion("sort.runbuf")
-	headRegion := itemRegion("sort.form")
-	defer mem.Free(headRegion)
+	defer mem.Free(st.in.region)
+	head := mem.Register(st.in.region)
+	buf := mem.Register(itemRegion("sort.runbuf"))
 
-	var run [][]byte
-	planner := RunPlanner{Budget: budget}
-	runCount := 0
-	prepared := make([]bool, st.k)
+	var (
+		// The run buffer: the run's items back to back, exactly what
+		// sort.runbuf charges, reused for every run. The first run
+		// fills at most the budget, so sizing the buffer there (capped
+		// by the input) spares it the copies of growing.
+		arena    = make([]byte, 0, min(budget, int64(st.src.Len())))
+		run      [][]byte // the run's items, slices of arena
+		planner  = RunPlanner{Budget: budget}
+		runCount = 0
+		prepared = make([]bool, st.k)
+	)
 
 	flush := func() error {
 		lane := st.lanes[runCount%st.k]
@@ -362,12 +375,12 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 			}
 		}
 		runCount++
-		run = run[:0]
-		return mem.Set(bufRegion, 0)
+		arena, run = arena[:0], run[:0]
+		return buf.Set(0)
 	}
 
 	for {
-		item, ok, rerr := ReadItem(st.src, mem, headRegion)
+		item, ok, rerr := st.in.Next()
 		if rerr != nil {
 			return false, 0, 0, rerr
 		}
@@ -385,13 +398,15 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 		}
 		// The item moves from the read head into the run buffer: hand
 		// the charge over so the peak is the buffer size, not double.
-		if err := mem.Set(headRegion, 0); err != nil {
+		if err := head.Set(0); err != nil {
 			return false, 0, 0, err
 		}
-		if err := mem.Grow(bufRegion, int64(len(item))); err != nil {
+		if err := buf.Set(int64(len(arena) + len(item))); err != nil {
 			return false, 0, 0, err
 		}
-		run = append(run, item)
+		// The reader reuses its buffer, so the item is copied out.
+		arena = append(arena, item...)
+		run = append(run, arena[len(arena)-len(item):len(arena):len(arena)])
 	}
 	runLen0 = planner.RunLen
 
@@ -420,7 +435,7 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 			return false, 0, 0, err
 		}
 	}
-	mem.Free(bufRegion)
+	mem.Free(itemRegion("sort.runbuf"))
 	return false, total, runLen0, nil
 }
 
@@ -460,7 +475,7 @@ func (st *sortState) distribute(runLen, total int) (int, error) {
 			}
 			preparedLanes[lane] = true
 		}
-		n, err := CopyItems(st.src, dst, runLen)
+		n, err := st.in.CopyItems(dst, runLen)
 		if err != nil {
 			return 0, err
 		}
@@ -505,8 +520,7 @@ func (st *sortState) merge(runLen, active int, dedup bool) error {
 // index on ties (which for fan-in 2 reproduces the legacy merge's
 // read/write order exactly).
 func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
-	mem := st.mem
-	items := make([][]byte, active)
+	items := make([][]byte, active) // each lane's item, aliasing its reader
 	have := make([]bool, active)
 	seen := make([]int, active)
 
@@ -514,7 +528,7 @@ func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
 		if have[i] || seen[i] >= runLen || st.lanes[i].AtEnd() {
 			return nil
 		}
-		item, ok, err := ReadItem(st.lanes[i], mem, st.laneR[i])
+		item, ok, err := st.laneR[i].Next()
 		if err != nil {
 			return err
 		}
@@ -525,8 +539,9 @@ func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
 		return nil
 	}
 
-	var prev []byte
+	var prev []byte // copied out: the lane's reader reuses its buffer
 	havePrev := false
+	prevReg := st.mem.Register(itemRegion("sort.dedupprev"))
 	emit := func(i int) error {
 		have[i] = false
 		if dedup {
@@ -534,12 +549,12 @@ func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
 				return nil
 			}
 			prev = append(prev[:0], items[i]...)
-			if err := mem.Set(itemRegion("sort.dedupprev"), int64(len(prev))); err != nil {
+			if err := prevReg.Set(int64(len(prev))); err != nil {
 				return err
 			}
 			havePrev = true
 		}
-		return WriteItem(st.src, items[i])
+		return st.src.WriteBlock(st.laneR[i].Record())
 	}
 
 	// First round: fill every lane buffer in lane order, then build
@@ -580,9 +595,7 @@ func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
 
 // sortItems sorts a run buffer in internal memory (free in the ST
 // model: only the buffer's size is charged, via the meter).
-func sortItems(run [][]byte) {
-	sort.Slice(run, func(i, j int) bool { return Compare(run[i], run[j]) < 0 })
-}
+func sortItems(run [][]byte) { slices.SortFunc(run, bytes.Compare) }
 
 func rewindTruncateTape(t *tape.Tape) error {
 	if err := t.Rewind(); err != nil {

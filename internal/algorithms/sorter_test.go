@@ -44,9 +44,21 @@ func uniqSorted(items []string) []string {
 // duplicates.
 func TestSorterMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
+	var inputs [][]string
 	for trial := 0; trial < 60; trial++ {
-		count := rng.Intn(200)
-		items := randomItems(count, 8, rng)
+		inputs = append(inputs, randomItems(rng.Intn(200), 8, rng))
+	}
+	// Items alias the reader's reused buffer, so whatever the engine
+	// keeps must be copied out: variable-length items (up to 40
+	// symbols) drawn from a pool of 12, so duplicates are heavy and
+	// every run of the 256- and 4096-bit budgets holds several items.
+	pool := randomItems(12, 40, rand.New(rand.NewSource(16)))
+	dup := make([]string, 300)
+	for i := range dup {
+		dup[i] = pool[rng.Intn(len(pool))]
+	}
+	inputs = append(inputs, dup)
+	for _, items := range inputs {
 
 		want := append([]string(nil), items...)
 		sort.Strings(want)
@@ -331,12 +343,13 @@ func legacyMergeSort(m *core.Machine, src, auxA, auxB int) error {
 		}
 		tb.Truncate()
 		toA := true
+		in := NewItemReader(ts, mem, "sort.copy")
 		for !ts.AtEnd() {
 			dst := ta
 			if !toA {
 				dst = tb
 			}
-			if _, err := CopyItems(ts, dst, runLen); err != nil {
+			if _, err := in.CopyItems(dst, runLen); err != nil {
 				return err
 			}
 			toA = !toA
@@ -366,6 +379,8 @@ func legacyMergeSort(m *core.Machine, src, auxA, auxB int) error {
 
 func legacyMergeRuns(ta, tb, dst *tape.Tape, runLen int, m *core.Machine) error {
 	mem := m.Mem()
+	ra := NewItemReader(ta, mem, itemRegion("sort.a"))
+	rb := NewItemReader(tb, mem, itemRegion("sort.b"))
 	var (
 		bufA, bufB []byte
 		haveA      bool
@@ -377,7 +392,7 @@ func legacyMergeRuns(ta, tb, dst *tape.Tape, runLen int, m *core.Machine) error 
 		if haveA || seenA >= runLen || ta.AtEnd() {
 			return nil
 		}
-		item, ok, err := ReadItem(ta, mem, itemRegion("sort.a"))
+		item, ok, err := ra.Next()
 		if err != nil {
 			return err
 		}
@@ -391,7 +406,7 @@ func legacyMergeRuns(ta, tb, dst *tape.Tape, runLen int, m *core.Machine) error 
 		if haveB || seenB >= runLen || tb.AtEnd() {
 			return nil
 		}
-		item, ok, err := ReadItem(tb, mem, itemRegion("sort.b"))
+		item, ok, err := rb.Next()
 		if err != nil {
 			return err
 		}

@@ -209,29 +209,7 @@ func (ev Evaluator) EqualSet(ctx context.Context, m *core.Machine, a, b *Relatio
 			return false, err
 		}
 	}
-	ta, tb := m.Tape(ia), m.Tape(ib)
-	mem := m.Mem()
-	defer mem.Free("item.relalg.eqA")
-	defer mem.Free("item.relalg.eqB")
-	for {
-		itemA, okA, err := algorithms.ReadItem(ta, mem, "item.relalg.eqA")
-		if err != nil {
-			return false, err
-		}
-		itemB, okB, err := algorithms.ReadItem(tb, mem, "item.relalg.eqB")
-		if err != nil {
-			return false, err
-		}
-		if okA != okB {
-			return false, nil
-		}
-		if !okA {
-			return true, nil
-		}
-		if algorithms.Compare(itemA, itemB) != 0 {
-			return false, nil
-		}
-	}
+	return algorithms.EqualItemStreams(m, m.Tape(ia), m.Tape(ib))
 }
 
 // newCtx builds the evaluation context: the bounding context and the

@@ -335,9 +335,10 @@ func (c *evalCtx) rewriteScan(src, dst int, fn func(Tuple) (Tuple, bool)) error 
 	}
 	mem := c.m.Mem()
 	defer mem.Free("item.relalg.rw")
+	rd := algorithms.NewItemReader(ts, mem, "item.relalg.rw")
 	var enc []byte
 	for {
-		item, ok, err := algorithms.ReadItem(ts, mem, "item.relalg.rw")
+		item, ok, err := rd.Next()
 		if err != nil {
 			return err
 		}
@@ -406,8 +407,8 @@ func (c *evalCtx) antiMerge(l, r, dst int) error { return antiMergeTapes(c.m, l,
 // antiMergeTapes runs the anti-merge on any machine — the coordinator's
 // query machine or a shard-local machine streaming one contiguous left
 // range against the broadcast right side. Both item streams go through
-// buffers reused across iterations, so the steady-state loop allocates
-// nothing.
+// ItemReaders, and a kept l item is written as its reader's record, so
+// the steady-state loop allocates nothing.
 func antiMergeTapes(m *core.Machine, l, r, dst int) error {
 	tl, tr, td := m.Tape(l), m.Tape(r), m.Tape(dst)
 	if err := rewindTruncate(td); err != nil {
@@ -425,10 +426,12 @@ func antiMergeTapes(m *core.Machine, l, r, dst int) error {
 	// later operators' peak-memory reports are not inflated.
 	defer mem.Free("item.relalg.l")
 	defer mem.Free("item.relalg.r")
-	var lBuf, rItem []byte
+	rl := algorithms.NewItemReader(tl, mem, "item.relalg.l")
+	rr := algorithms.NewItemReader(tr, mem, "item.relalg.r")
+	var rItem []byte
 	rOK := false
 	advanceR := func() error {
-		item, ok, err := algorithms.ReadItemInto(tr, mem, "item.relalg.r", rItem[:0])
+		item, ok, err := rr.Next()
 		if err != nil {
 			return err
 		}
@@ -439,11 +442,10 @@ func antiMergeTapes(m *core.Machine, l, r, dst int) error {
 		return err
 	}
 	for {
-		lItem, ok, err := algorithms.ReadItemInto(tl, mem, "item.relalg.l", lBuf[:0])
+		lItem, ok, err := rl.Next()
 		if err != nil {
 			return err
 		}
-		lBuf = lItem
 		if !ok {
 			return nil
 		}
@@ -455,7 +457,7 @@ func antiMergeTapes(m *core.Machine, l, r, dst int) error {
 		if rOK && string(rItem) == string(lItem) {
 			continue
 		}
-		if err := algorithms.WriteItem(td, lItem); err != nil {
+		if err := td.WriteBlock(rl.Record()); err != nil {
 			return err
 		}
 	}
@@ -482,9 +484,9 @@ func (c *evalCtx) product(l, r, dst int) error {
 }
 
 // productTapes runs the product on any machine, given two scratch tapes
-// for the replication doubling. Outer, inner and pair buffers are all
-// reused across iterations, so the N·M-pair loop allocates nothing in
-// steady state.
+// for the replication doubling. Outer and inner items come from
+// ItemReaders and the pair buffer is reused, so the N·M-pair loop
+// allocates nothing in steady state.
 func productTapes(m *core.Machine, l, r, dst, rep, tmp int) error {
 	mem := m.Mem()
 	// Count both sides.
@@ -542,29 +544,30 @@ func productTapes(m *core.Machine, l, r, dst, rep, tmp int) error {
 	// its region would stay charged after the product without this.
 	defer mem.Free("item.relalg.outer")
 	defer mem.Free("item.relalg.inner")
-	var outerBuf, innerBuf, pair []byte
+	ro := algorithms.NewItemReader(tl, mem, "item.relalg.outer")
+	ri := algorithms.NewItemReader(trep, mem, "item.relalg.inner")
+	var pair []byte
 	for {
-		outer, ok, err := algorithms.ReadItemInto(tl, mem, "item.relalg.outer", outerBuf[:0])
+		outer, ok, err := ro.Next()
 		if err != nil {
 			return err
 		}
-		outerBuf = outer
 		if !ok {
 			return nil
 		}
 		for j := 0; j < rCount; j++ {
-			inner, ok, err := algorithms.ReadItemInto(trep, mem, "item.relalg.inner", innerBuf[:0])
+			_, ok, err := ri.Next()
 			if err != nil {
 				return err
 			}
-			innerBuf = inner
 			if !ok {
 				return fmt.Errorf("relalg: replicated tape exhausted early")
 			}
+			// The inner record carries the pair's separator.
 			pair = append(pair[:0], outer...)
 			pair = append(pair, '|')
-			pair = append(pair, inner...)
-			if err := algorithms.WriteItem(td, pair); err != nil {
+			pair = append(pair, ri.Record()...)
+			if err := td.WriteBlock(pair); err != nil {
 				return err
 			}
 		}
@@ -625,8 +628,9 @@ func readRelationTape(m *core.Machine, idx int, schema Schema) (*Relation, error
 		return nil, err
 	}
 	out := &Relation{Schema: schema}
+	rd := algorithms.NewItemReader(t, m.Mem(), "item.relalg.read")
 	for {
-		item, ok, err := algorithms.ReadItem(t, m.Mem(), "item.relalg.read")
+		item, ok, err := rd.Next()
 		if err != nil {
 			return nil, err
 		}

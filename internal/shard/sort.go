@@ -307,9 +307,10 @@ func Partition(input []byte, runMemoryBits int64, shards int, opts tape.Options,
 		runStarts []int
 		pos       int
 		planner   = algorithms.RunPlanner{Budget: runMemoryBits}
+		rd        = algorithms.NewItemReader(in, dist.Mem(), "item.shard.distribute")
 	)
 	for {
-		item, ok, err := algorithms.ReadItem(in, dist.Mem(), "item.shard.distribute")
+		item, ok, err := rd.Next()
 		if err != nil {
 			return nil, rep, err
 		}

@@ -6,8 +6,9 @@ import (
 )
 
 // TestReturnedSlicesAreOwnedByCaller enforces the ownership contract
-// documented on ReadBlock, ReadBlockBackward, ScanBytes, ScanUntil and
-// Contents: the returned slice is a fresh copy on every backend.
+// documented on ReadBlock, ReadBlockBackward, ScanBytes, Contents and
+// the delimiter scan ScanUntilAppend (given no buffer): the returned
+// slice is a fresh copy on every backend.
 // Mutating it must never reach the tape, and writing to the tape must
 // never reach a previously returned slice — the mem backend could
 // cheaply alias its slice, so this is a mutation test, not a tautology.
@@ -24,7 +25,7 @@ func TestReturnedSlicesAreOwnedByCaller(t *testing.T) {
 				return got
 			},
 			"ScanUntil": func(tp *Tape) []byte {
-				got, _, err := tp.ScanUntil('#') // absent: sweeps the whole tape
+				got, _, err := tp.ScanUntilAppend('#', nil) // absent: sweeps the whole tape
 				if err != nil {
 					t.Fatal(err)
 				}

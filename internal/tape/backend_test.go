@@ -186,8 +186,8 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 			})
 		case 10:
 			delim := arg()
-			each("ScanUntil", func(tp *Tape) ([]byte, bool, error) {
-				return tp.ScanUntil(delim)
+			each("ScanUntilAppend", func(tp *Tape) ([]byte, bool, error) {
+				return tp.ScanUntilAppend(delim, nil)
 			})
 		case 11:
 			each("Truncate", func(tp *Tape) ([]byte, bool, error) {
@@ -254,7 +254,7 @@ func lockstepCorpus() map[string][]byte {
 			7,         // Rewind
 			15, 17, 5, // big ReadBlock back across the pages
 			7,       // Rewind
-			10, '#', // ScanUntil with no delimiter: sweep to the end
+			10, '#', // ScanUntilAppend with no delimiter: sweep to the end
 		},
 		"truncate-regrow": {
 			4, 10, 0, 9, // WriteBlock of 1 KiB

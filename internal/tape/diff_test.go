@@ -184,17 +184,17 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 					t.Fatalf("trial %d op %d: ScanBytes %q vs %q", trial, op, gotB, gotS)
 				}
 			case 3:
-				name = "ScanUntil"
+				name = "ScanUntilAppend(nil)"
 				delim := byte('#')
 				if rng.Intn(2) == 0 {
 					delim = byte(rng.Intn(4)) // include Blank and rare symbols
 				}
 				var gotB, gotS []byte
 				var foundB, foundS bool
-				gotB, foundB, errB = bulk.ScanUntil(delim)
+				gotB, foundB, errB = bulk.ScanUntilAppend(delim, nil)
 				gotS, foundS, errS = ref.ScanUntil(delim)
 				if !bytes.Equal(gotB, gotS) || foundB != foundS {
-					t.Fatalf("trial %d op %d: ScanUntil (%q,%v) vs (%q,%v)", trial, op, gotB, foundB, gotS, foundS)
+					t.Fatalf("trial %d op %d: ScanUntilAppend(nil) (%q,%v) vs (%q,%v)", trial, op, gotB, foundB, gotS, foundS)
 				}
 			case 4:
 				name = "WriteBlock"

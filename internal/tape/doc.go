@@ -25,7 +25,7 @@
 //
 // In addition to the single-cell primitives (Move, Read, Write), the
 // package offers bulk operations that sweep a whole direction in one
-// call: ReadBlock, WriteBlock, ScanBytes, ScanUntil, AppendBytes,
+// call: ReadBlock, WriteBlock, ScanBytes, ScanUntilAppend, AppendBytes,
 // ReadBlockBackward, MoveBackwardN, Rewind and SeekEnd. Bulk ops are
 // performance sugar only — each is defined as, and accounted exactly
 // like, the equivalent sequence of single-cell steps: reversal,
@@ -68,9 +68,10 @@
 //     backend zeroes the dropped range and keeps every mapped byte
 //     past Len zero).
 //   - Slices returned by Tape (ReadBlock, ReadBlockBackward,
-//     ScanBytes, ScanUntil, Contents) are fresh copies owned by the
-//     caller on every backend — mutation never reaches the tape and
-//     tape writes never reach a returned slice (alias_test.go).
+//     ScanBytes, Contents) are fresh copies owned by the caller on
+//     every backend, and ScanUntilAppend copies into the caller's
+//     buffer — mutation never reaches the tape and tape writes never
+//     reach a returned slice (alias_test.go).
 //   - Spill files are created unlinked (os.CreateTemp + immediate
 //     Remove), so the directory never holds an entry and any exit —
 //     Close, SIGINT or SIGKILL — reclaims the inode.

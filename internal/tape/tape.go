@@ -525,37 +525,13 @@ func (t *Tape) ScanBytes() ([]byte, error) {
 	return out, nil
 }
 
-// ScanUntil reads forward until just past the first occurrence of
+// ScanUntilAppend reads forward until just past the first occurrence of
 // delim and returns the bytes read, including the delimiter. If the
 // materialized region ends before a delimiter is found, the bytes up
 // to the end are returned with found = false and the head rests on the
-// first blank cell. The returned slice is a fresh copy owned by the
-// caller on every backend.
-func (t *Tape) ScanUntil(delim byte) (data []byte, found bool, err error) {
-	if t.AtEnd() {
-		return nil, false, nil
-	}
-	if err := t.turn(Forward); err != nil {
-		// The first ReadMove reads the cell before the refused turn.
-		t.reads++
-		return nil, false, err
-	}
-	n := t.length() - t.pos
-	if i := t.indexByte(delim, t.pos); i >= 0 {
-		n = i - t.pos + 1
-		found = true
-	}
-	out := make([]byte, n)
-	t.readAt(out, t.pos)
-	t.reads += int64(n)
-	t.advanceForward(n)
-	return out, found, nil
-}
-
-// ScanUntilAppend is ScanUntil with a caller-supplied buffer: the bytes
-// read are appended to buf[:0] and the resulting slice returned, so a
-// loop that reads many items can reuse one allocation. Head movement
-// and counter accounting are identical to ScanUntil.
+// first blank cell. The bytes are copied into buf[:0], which grows
+// only when they exceed its capacity, so a loop that reads many items
+// can reuse one buffer; the result never aliases the cell storage.
 func (t *Tape) ScanUntilAppend(delim byte, buf []byte) (data []byte, found bool, err error) {
 	if t.AtEnd() {
 		return buf[:0], false, nil
