@@ -80,6 +80,7 @@ func SortLasVegasRepeated(ctx context.Context, input []byte, tapes, dst, scanBud
 	_, sum, err := launch(attempts, seed, nil).Run(ctx,
 		func(i int, rng *rand.Rand) trials.Result {
 			m := core.NewMachine(tapes, rng.Int63())
+			defer m.Close()
 			m.SetInput(input)
 			res, err := SortLasVegasAuto(m, dst, scanBudget, DefaultRunMemoryBits)
 			results[i] = res

@@ -103,6 +103,7 @@ func FingerprintGenWorkload(m, n int, yes bool) (trials.Workload, trials.Func) {
 			in = problems.GenMultisetNo(m, n, rng)
 		}
 		mach := core.NewMachine(1, rng.Int63())
+		defer mach.Close()
 		mach.SetInput(in.Encode())
 		v, _, err := FingerprintMultisetEquality(mach)
 		if err != nil {
@@ -120,6 +121,7 @@ func FingerprintInputWorkload(input []byte) (trials.Workload, trials.Func) {
 	w := trials.Workload{Name: WorkloadFingerprintInput, Spec: input}
 	return w, func(_ int, rng *rand.Rand) trials.Result {
 		m := core.NewMachine(1, rng.Int63())
+		defer m.Close()
 		m.SetInput(input)
 		v, _, err := FingerprintMultisetEquality(m)
 		if err != nil {
@@ -138,6 +140,7 @@ func FingerprintValueWorkload(m, n int) (trials.Workload, trials.Func) {
 	return w, func(_ int, rng *rand.Rand) trials.Result {
 		in := problems.GenMultisetNo(m, n, rng)
 		mach := core.NewMachine(1, rng.Int63())
+		defer mach.Close()
 		mach.SetInput(in.Encode())
 		v, params, err := FingerprintMultisetEquality(mach)
 		if err != nil {

@@ -5,7 +5,12 @@ package faults
 // TapeWrap plants a failing storage backend inside the shard's own
 // machine, so the fault erupts mid-sort from whatever backend
 // operation happens to be the AfterOps'th — a model of a disk or
-// mapping going bad under an out-of-core run. The failure is a panic
+// mapping going bad under an out-of-core run. An operation is one call
+// the tape makes into its backend, and the tape makes one per 64 KiB
+// window fill (a ReadAt) or flush (a Grow and a WriteAt), not one per
+// item; input placement, Contents, Truncate and Reset make one or two
+// more. A wrapped backend never lends its pages, so every window the
+// tape moves over it is filled and flushed through the wrapper. The failure is a panic
 // carrying a *tape.IOError (errors.Is ErrStorage) wrapping an
 // *Injected, which shard.RunStage's recovery converts to a
 // *shard.PanicError and retries; the coordinator fallback never sees
@@ -21,7 +26,8 @@ import (
 // shard attempt (the counter is shared by all tapes the attempt's
 // machine creates) and panics with a *tape.IOError once the budget is
 // spent. Subsequent operations fail too — a dead disk stays dead for
-// the remainder of the attempt.
+// the remainder of the attempt. The tape never calls Cell, SetCell or
+// IndexByte, so they pass through uncounted.
 type failingBackend struct {
 	tape.Backend
 	ops *atomic.Int64 // remaining healthy operations, shared per attempt
@@ -36,16 +42,6 @@ func (b *failingBackend) strike(op string) {
 	}
 }
 
-func (b *failingBackend) Cell(i int) byte {
-	b.strike("read")
-	return b.Backend.Cell(i)
-}
-
-func (b *failingBackend) SetCell(i int, c byte) {
-	b.strike("write")
-	b.Backend.SetCell(i, c)
-}
-
 func (b *failingBackend) ReadAt(dst []byte, off int) {
 	b.strike("read")
 	b.Backend.ReadAt(dst, off)
@@ -54,11 +50,6 @@ func (b *failingBackend) ReadAt(dst []byte, off int) {
 func (b *failingBackend) WriteAt(src []byte, off int) {
 	b.strike("write")
 	b.Backend.WriteAt(src, off)
-}
-
-func (b *failingBackend) IndexByte(c byte, off int) int {
-	b.strike("scan")
-	return b.Backend.IndexByte(c, off)
 }
 
 func (b *failingBackend) Grow(n int) {

@@ -13,6 +13,12 @@ import (
 	"extmem/internal/tape"
 )
 
+// storageOps is the op budget of the storage-fault tests. An op is a
+// call the tape makes into its backend: an input placement, a window
+// fill or flush, a Truncate or a Contents. A shard attempt of the
+// tests' sort makes 13, so a budget of 6 strikes mid-sort.
+const storageOps = 6
+
 func storageSort(o tape.Options) shard.Sort {
 	return shard.Sort{
 		Shards: 4, FanIn: 4, RunMemoryBits: 1024,
@@ -58,7 +64,7 @@ func TestStorageFaultRetryHeals(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p := Plan{Mode: Panic, Rate: 1, Flaky: 1, Seed: 5}
 			s := storageSort(c.o)
-			s.Exec = wrapExec(p.TapeWrap(20))
+			s.Exec = wrapExec(p.TapeWrap(storageOps))
 			out, rep, err := s.Run(context.Background(), enc, seed)
 			if err != nil {
 				t.Fatalf("sort under storage faults failed: %v", err)
@@ -93,7 +99,7 @@ func TestStorageFaultFallsBackChaosFree(t *testing.T) {
 
 	p := Plan{Mode: Panic, Sites: []int{1}} // shard 1's storage is gone for good
 	s := storageSort(tape.Options{Storage: tape.File, SpillDir: t.TempDir()})
-	s.Exec = wrapExec(p.TapeWrap(20))
+	s.Exec = wrapExec(p.TapeWrap(storageOps))
 	out, rep, err := s.Run(context.Background(), enc, seed)
 	if err != nil {
 		t.Fatalf("sort with a dead shard store failed: %v", err)
@@ -110,7 +116,8 @@ func TestStorageFaultFallsBackChaosFree(t *testing.T) {
 // delivers: the panic value is a *tape.IOError that errors.Is
 // ErrStorage and unwraps to the plan's *Injected, and a recovered
 // shard attempt (*shard.PanicError) keeps that whole chain
-// reachable for triage.
+// reachable for triage. The write stays in the tape's window;
+// Contents flushes it, the first op that reaches the backend.
 func TestStorageFaultTypedChain(t *testing.T) {
 	wrap := Plan{Mode: Panic, Sites: []int{0}}.TapeWrap(0)(0, 1)
 	tp := tape.NewWith("t", tape.Options{Wrap: wrap})
@@ -136,5 +143,8 @@ func TestStorageFaultTypedChain(t *testing.T) {
 			t.Fatal("PanicError hides the storage error from errors.Is")
 		}
 	}()
-	_ = tp.WriteBlock([]byte("boom"))
+	if err := tp.WriteBlock([]byte("boom")); err != nil {
+		t.Fatal(err)
+	}
+	_ = tp.Contents()
 }

@@ -2,27 +2,29 @@ package tape
 
 // backend.go defines the storage backend seam of the tape device: the
 // Tape above it owns the whole cost model (reversals, steps, reads,
-// writes, MaxCell, budgets), while a Backend merely holds the cells —
-// in RAM, in a buffered temp file, or in a memory mapping. The
-// contract, enforced by the backend-conformance differential suite in
-// backend_test.go and FuzzTapeBackend, is that the backend may move
-// the bytes' home, never a count: every tape operation must be
-// observationally identical — contents, head, errors and every Stats
-// counter — on every backend.
+// writes, MaxCell, budgets) and the one 64 KiB window every read and
+// write goes through, while a Backend merely holds the cells — in RAM
+// pages, in a temp file, or in a memory mapping. A backend sees one
+// call per window fill or flush, never one per item. The contract,
+// enforced by the backend-conformance suite in backend_test.go and
+// FuzzTapeBackend, is that the backend may move the bytes' home, never
+// a count: every tape operation must be observationally identical —
+// contents, head, errors and every Stats counter — on every backend.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Storage selects where a tape's cells live. The zero value is Mem.
 type Storage string
 
-// The storage backends. Mem is the historical in-RAM byte slice; File
-// is buffered sequential I/O over an unlinked temp file; Mmap is a
-// memory mapping of an unlinked temp file (falling back to File on
-// platforms without mmap support).
+// The storage backends. Mem keeps the cells in pooled in-RAM pages;
+// File is pread/pwrite over an unlinked temp file; Mmap is a memory
+// mapping of an unlinked temp file (falling back to File on platforms
+// without mmap support).
 const (
 	Mem  Storage = "mem"
 	File Storage = "file"
@@ -141,9 +143,11 @@ func ioPanic(op string, kind Storage, err error) {
 
 // A Backend stores a tape's cells. Offsets and lengths are cells
 // (bytes); the Tape above guarantees every ReadAt/WriteAt/Cell/SetCell
-// range lies within [0, Len()). Backends are not safe for concurrent
-// use (neither is a Tape) and report I/O failures by panicking with an
-// *IOError.
+// range lies within [0, Len()). The Tape fills its window with one
+// ReadAt and flushes it with one Grow and one WriteAt; it calls
+// neither Cell, SetCell nor IndexByte. Backends are not safe for
+// concurrent use (neither is a Tape) and report I/O failures by
+// panicking with an *IOError.
 type Backend interface {
 	// Kind identifies the backend for diagnostics.
 	Kind() Storage
@@ -206,31 +210,113 @@ func NewBackend(o Options) Backend {
 	return be
 }
 
-// memBackend is the historical in-RAM cell array.
-type memBackend struct {
-	cells []byte
+// winSize is the size of the tape window and of the mem backend's
+// pages: one backend call fills or flushes up to this many cells.
+const winSize = 64 << 10
+
+// A page is one window's worth of cells.
+type page = [winSize]byte
+
+// pagePool holds zeroed pages for every tape in the process: the mem
+// backend's cells and the windows the Tape owns over the other
+// backends. Pages go back zeroed, so a page one tape frees reads
+// Blank in the next tape that takes it.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+func getPage() *page { return pagePool.Get().(*page) }
+
+// putPage blanks the first used cells of p (the rest are already
+// Blank) and returns it to the pool.
+func putPage(p *page, used int) {
+	clear(p[:used])
+	pagePool.Put(p)
 }
 
-func (b *memBackend) Kind() Storage               { return Mem }
-func (b *memBackend) Len() int                    { return len(b.cells) }
-func (b *memBackend) Cell(i int) byte             { return b.cells[i] }
-func (b *memBackend) SetCell(i int, c byte)       { b.cells[i] = c }
-func (b *memBackend) ReadAt(dst []byte, off int)  { copy(dst, b.cells[off:]) }
-func (b *memBackend) WriteAt(src []byte, off int) { copy(b.cells[off:], src) }
+// A pager is a backend whose cells sit in addressable memory. It lends
+// them to the Tape one page at a time as the window, so reads and
+// writes through the window touch the cells themselves: no fill and no
+// write-back, only a Grow when the writes pass Len. A wrapped backend
+// (Options.Wrap) hides its pager, so the wrapper sees every fill and
+// flush of a window the Tape owns.
+type pager interface {
+	// page returns cells [po, po+winSize), po a multiple of winSize,
+	// with storage materialized for all of them. Len does not change,
+	// and cells at or past Len read Blank; a Grow up to po+winSize
+	// keeps the slice valid. Any other call for another page,
+	// Truncate, Reset or Close may invalidate it.
+	page(po int) []byte
+}
+
+// memBackend keeps its cells in fixed pages from pagePool. Growth never
+// copies a cell, and Truncate, Reset and Close return every page they
+// free, zeroed, for the next tape to reuse.
+type memBackend struct {
+	pages []*page
+	n     int // logical cell count
+}
+
+func (b *memBackend) Kind() Storage { return Mem }
+func (b *memBackend) Len() int      { return b.n }
+
+func (b *memBackend) Cell(i int) byte       { return b.pages[i/winSize][i%winSize] }
+func (b *memBackend) SetCell(i int, c byte) { b.pages[i/winSize][i%winSize] = c }
+
+func (b *memBackend) ReadAt(dst []byte, off int) {
+	for len(dst) > 0 {
+		k := copy(dst, b.pages[off/winSize][off%winSize:])
+		dst, off = dst[k:], off+k
+	}
+}
+
+func (b *memBackend) WriteAt(src []byte, off int) {
+	for len(src) > 0 {
+		k := copy(b.pages[off/winSize][off%winSize:], src)
+		src, off = src[k:], off+k
+	}
+}
 
 func (b *memBackend) IndexByte(delim byte, off int) int {
-	if i := bytes.IndexByte(b.cells[off:], delim); i >= 0 {
-		return off + i
+	for off < b.n {
+		po := off &^ (winSize - 1)
+		if i := bytes.IndexByte(b.pages[po/winSize][off-po:min(winSize, b.n-po)], delim); i >= 0 {
+			return off + i
+		}
+		off = po + winSize
 	}
 	return -1
 }
 
-func (b *memBackend) Grow(n int) {
-	// The append writes zeros over any stale capacity, so re-grown
-	// cells read Blank — the contract Truncate relies on.
-	b.cells = append(b.cells, make([]byte, n-len(b.cells))...)
+// cover takes pages from the pool until they hold n cells.
+func (b *memBackend) cover(n int) {
+	for len(b.pages)*winSize < n {
+		b.pages = append(b.pages, getPage())
+	}
 }
 
-func (b *memBackend) Truncate(n int) { b.cells = b.cells[:n] }
-func (b *memBackend) Reset()         { b.cells = b.cells[:0] }
-func (b *memBackend) Close() error   { b.cells = nil; return nil }
+func (b *memBackend) page(po int) []byte {
+	b.cover(po + winSize)
+	return b.pages[po/winSize][:]
+}
+
+func (b *memBackend) Grow(n int) {
+	b.cover(n)
+	b.n = n
+}
+
+// Truncate blanks cells [n, Len) and pools every page past the one
+// holding cell n-1.
+func (b *memBackend) Truncate(n int) {
+	keep := (n + winSize - 1) / winSize
+	if cut := n % winSize; cut != 0 {
+		clear(b.pages[keep-1][cut:min(winSize, b.n-(keep-1)*winSize)])
+	}
+	for i := keep; i < len(b.pages); i++ {
+		putPage(b.pages[i], max(min(winSize, b.n-i*winSize), 0))
+		b.pages[i] = nil
+	}
+	b.pages = b.pages[:keep]
+	b.n = n
+}
+
+func (b *memBackend) Reset()       { b.Truncate(0) }
+func (b *memBackend) Close() error { b.Reset(); b.pages = nil; return nil }

@@ -4,10 +4,11 @@ package tape
 // forEachBackend table that re-runs every tape property on every
 // storage backend, and the lockstep driver (shared with
 // FuzzTapeBackend) that applies one operation sequence to a tape per
-// backend and requires identical observable behavior — contents, head,
-// errors and every Stats counter — after every single operation. This
-// is the enforcement of the backend contract: the backend may move the
-// bytes' home, never a count.
+// backend and to flatTape, an independent step-by-step reference, and
+// requires identical observable behavior — results, errors, head and
+// every Stats counter after every operation, contents at random
+// operations and at the end. This is the enforcement of the backend
+// contract: the backend may move the bytes' home, never a count.
 
 import (
 	"bytes"
@@ -15,8 +16,10 @@ import (
 )
 
 // backendConfigs are the storage configurations every conformance test
-// runs over: the three backends plus a spill configuration that starts
-// in RAM and migrates to the file backend mid-sequence.
+// runs over: the three backends; the mem backend behind a wrapper,
+// which hides its pages so the tape owns its window and fills and
+// flushes it as it does over a file; and a spill configuration that
+// starts in RAM and migrates to the file backend mid-sequence.
 func backendConfigs(t testing.TB) []struct {
 	Name string
 	Opts Options
@@ -26,6 +29,7 @@ func backendConfigs(t testing.TB) []struct {
 		Opts Options
 	}{
 		{"mem", Options{}},
+		{"mem-owned", Options{Wrap: func(be Backend) Backend { return struct{ Backend }{be} }}},
 		{"file", Options{Storage: File, SpillDir: t.TempDir()}},
 		{"mmap", Options{Storage: Mmap, SpillDir: t.TempDir()}},
 		{"file-spill64", Options{Storage: File, SpillDir: t.TempDir(), SpillThreshold: 64}},
@@ -58,10 +62,125 @@ func genBlock(seed byte, n int) []byte {
 	return out
 }
 
+// flatTape is the lockstep driver's reference: a flat []byte tape with
+// the model's step semantics, written without any of Tape's code. Its
+// bulk operations are loops of single-cell reads, writes and moves.
+type flatTape struct {
+	cells  []byte
+	pos    int
+	dir    Direction
+	st     Stats // Size is len(cells), filled in by stats
+	budget int   // < 0: unlimited
+}
+
+func newFlatTape() *flatTape { return &flatTape{dir: Forward, budget: -1} }
+
+func (f *flatTape) stats() Stats {
+	s := f.st
+	s.Size = len(f.cells)
+	return s
+}
+
+func (f *flatTape) read() byte {
+	f.st.Reads++
+	if f.pos < len(f.cells) {
+		return f.cells[f.pos]
+	}
+	return Blank
+}
+
+func (f *flatTape) write(b byte) {
+	f.st.Writes++
+	for len(f.cells) <= f.pos {
+		f.cells = append(f.cells, Blank)
+	}
+	f.cells[f.pos] = b
+}
+
+func (f *flatTape) move(d Direction) error {
+	if d != f.dir {
+		if f.budget >= 0 && f.st.Reversals >= f.budget {
+			return ErrBudget
+		}
+		f.st.Reversals++
+		f.dir = d
+	}
+	if d == Backward && f.pos == 0 {
+		return ErrLeftEnd
+	}
+	f.pos += int(d)
+	f.st.Steps++
+	f.st.MaxCell = max(f.st.MaxCell, f.pos)
+	return nil
+}
+
+func (f *flatTape) readForward(n int, stop func(b byte) bool) ([]byte, bool, error) {
+	var out []byte
+	for i := 0; i < n; i++ {
+		b := f.read()
+		if err := f.move(Forward); err != nil {
+			return out, false, err
+		}
+		out = append(out, b)
+		if stop(b) {
+			return out, true, nil
+		}
+	}
+	return out, false, nil
+}
+
+func (f *flatTape) writeBlock(data []byte) error {
+	for _, b := range data {
+		f.write(b)
+		if err := f.move(Forward); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (f *flatTape) readBackward(n int) ([]byte, error) {
+	var out []byte
+	for i := 0; i < n; i++ {
+		if err := f.move(Backward); err != nil {
+			return out, err
+		}
+		out = append(out, f.read())
+	}
+	return out, nil
+}
+
+func (f *flatTape) moveBackward(n int) error {
+	for i := 0; i < n; i++ {
+		if err := f.move(Backward); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (f *flatTape) seekEnd() error {
+	for f.pos < len(f.cells) {
+		if err := f.move(Forward); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rest is the number of cells from the head to the end of the tape.
+func (f *flatTape) rest() int { return max(len(f.cells)-f.pos, 0) }
+
+func never(byte) bool { return false }
+
 // runBackendLockstep decodes ops as an operation sequence and applies
-// it, one operation at a time, to a tape on every backend, failing on
-// the first divergence in returned bytes, error class, head position,
-// direction, contents or Stats.
+// it, one operation at a time, to a tape on every backend and to the
+// flatTape reference, failing on the first divergence in returned
+// bytes, error class, head position, direction or Stats. Contents are
+// compared after an operation whose code byte is 0xF0 or above, and at
+// the end: comparing them after every operation would move every
+// window, which would hide a window that stays dirty across
+// operations.
 func runBackendLockstep(t *testing.T, ops []byte) {
 	t.Helper()
 	configs := backendConfigs(t)
@@ -70,7 +189,7 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 		tapes[i] = NewWith("lockstep", c.Opts)
 		defer tapes[i].Close()
 	}
-	ref := tapes[0] // the mem backend is the reference
+	ref := newFlatTape()
 
 	pos := 0
 	arg := func() byte {
@@ -81,56 +200,57 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 		pos++
 		return b
 	}
-	check := func(op int, name string) {
+	check := func(op int, name string, contents bool) {
 		t.Helper()
-		want := ref.Contents()
-		for i, tp := range tapes[1:] {
-			cfg := configs[i+1].Name
-			if tp.Pos() != ref.Pos() || tp.Dir() != ref.Dir() {
-				t.Fatalf("op %d (%s) on %s: head (%d,%v) diverges from mem (%d,%v)",
-					op, name, cfg, tp.Pos(), tp.Dir(), ref.Pos(), ref.Dir())
+		for i, tp := range tapes {
+			cfg := configs[i].Name
+			if tp.Pos() != ref.pos || tp.Dir() != ref.dir {
+				t.Fatalf("op %d (%s) on %s: head (%d,%v) diverges from the reference (%d,%v)",
+					op, name, cfg, tp.Pos(), tp.Dir(), ref.pos, ref.dir)
 			}
-			if tp.Stats() != ref.Stats() {
-				t.Fatalf("op %d (%s) on %s: stats %+v diverge from mem %+v",
-					op, name, cfg, tp.Stats(), ref.Stats())
+			if tp.Stats() != ref.stats() {
+				t.Fatalf("op %d (%s) on %s: stats %+v diverge from the reference %+v",
+					op, name, cfg, tp.Stats(), ref.stats())
 			}
-			if got := tp.Contents(); !bytes.Equal(got, want) {
-				t.Fatalf("op %d (%s) on %s: contents (%d cells) diverge from mem (%d cells)",
-					op, name, cfg, len(got), len(want))
+			if !contents {
+				continue
+			}
+			if got := tp.Contents(); !bytes.Equal(got, ref.cells) {
+				t.Fatalf("op %d (%s) on %s: contents (%d cells) diverge from the reference (%d cells)",
+					op, name, cfg, len(got), len(ref.cells))
 			}
 		}
 	}
 
-	for op := 0; pos < len(ops) && op < 512; op++ {
+	op := 0
+	for ; pos < len(ops) && op < 512; op++ {
 		opc := arg()
 		name := ""
 		var (
-			firstData  []byte
-			firstFound bool
-			firstErr   error
+			want      []byte
+			wantFound bool
+			wantErr   error
 		)
 		each := func(n string, f func(tp *Tape) ([]byte, bool, error)) {
 			t.Helper()
 			name = n
 			for i, tp := range tapes {
 				data, found, err := f(tp)
-				if i == 0 {
-					firstData, firstFound, firstErr = data, found, err
-					continue
-				}
-				if !bytes.Equal(data, firstData) || found != firstFound || !sameErr(err, firstErr) {
-					t.Fatalf("op %d (%s) on %s: result (%q,%v,%v) diverges from mem (%q,%v,%v)",
-						op, n, configs[i].Name, data, found, err, firstData, firstFound, firstErr)
+				if !bytes.Equal(data, want) || found != wantFound || !sameErr(err, wantErr) {
+					t.Fatalf("op %d (%s) on %s: result (%q,%v,%v) diverges from the reference (%q,%v,%v)",
+						op, n, configs[i].Name, data, found, err, want, wantFound, wantErr)
 				}
 			}
 		}
 		switch opc % 16 {
 		case 0:
+			want = []byte{ref.read()}
 			each("Read", func(tp *Tape) ([]byte, bool, error) {
 				return []byte{tp.Read()}, false, nil
 			})
 		case 1:
 			b := arg()
+			ref.write(b)
 			each("Write", func(tp *Tape) ([]byte, bool, error) {
 				tp.Write(b)
 				return nil, false, nil
@@ -140,89 +260,104 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 			if arg()%2 == 0 {
 				d = Backward
 			}
+			wantErr = ref.move(d)
 			each("Move", func(tp *Tape) ([]byte, bool, error) {
 				return nil, false, tp.Move(d)
 			})
 		case 3:
 			n := int(arg())
+			want, _, wantErr = ref.readForward(n, never)
 			each("ReadBlock", func(tp *Tape) ([]byte, bool, error) {
 				data, err := tp.ReadBlock(n)
 				return data, false, err
 			})
 		case 4:
-			// Exponential sizes reach past the file backend's page, so
-			// block writes exercise both the buffered and bypass paths.
+			// Exponential sizes reach past the 64 KiB window, so block
+			// writes cross and span window boundaries.
 			n := (1 << (int(arg()) % 18)) + int(arg())
-			if ref.Pos()+n > maxLockstepCells {
+			if ref.pos+n > maxLockstepCells {
 				n %= 4096
 			}
 			data := genBlock(arg(), n)
+			wantErr = ref.writeBlock(data)
 			each("WriteBlock", func(tp *Tape) ([]byte, bool, error) {
 				return nil, false, tp.WriteBlock(data)
 			})
 		case 5:
 			n := int(arg())
+			want, wantErr = ref.readBackward(n)
 			each("ReadBlockBackward", func(tp *Tape) ([]byte, bool, error) {
 				data, err := tp.ReadBlockBackward(n)
 				return data, false, err
 			})
 		case 6:
 			n := int(arg())
+			wantErr = ref.moveBackward(n)
 			each("MoveBackwardN", func(tp *Tape) ([]byte, bool, error) {
 				return nil, false, tp.MoveBackwardN(n)
 			})
 		case 7:
+			wantErr = ref.moveBackward(ref.pos)
 			each("Rewind", func(tp *Tape) ([]byte, bool, error) {
 				return nil, false, tp.Rewind()
 			})
 		case 8:
+			wantErr = ref.seekEnd()
 			each("SeekEnd", func(tp *Tape) ([]byte, bool, error) {
 				return nil, false, tp.SeekEnd()
 			})
 		case 9:
+			want, _, wantErr = ref.readForward(ref.rest(), never)
 			each("ScanBytes", func(tp *Tape) ([]byte, bool, error) {
 				data, err := tp.ScanBytes()
 				return data, false, err
 			})
 		case 10:
 			delim := arg()
+			want, wantFound, wantErr = ref.readForward(ref.rest(), func(b byte) bool { return b == delim })
 			each("ScanUntilAppend", func(tp *Tape) ([]byte, bool, error) {
 				return tp.ScanUntilAppend(delim, nil)
 			})
 		case 11:
+			ref.cells = ref.cells[:min(ref.pos, len(ref.cells))]
 			each("Truncate", func(tp *Tape) ([]byte, bool, error) {
 				tp.Truncate()
 				return nil, false, nil
 			})
 		case 12:
+			ref.cells, ref.pos = nil, 0
 			each("Reset", func(tp *Tape) ([]byte, bool, error) {
 				tp.Reset()
 				return nil, false, nil
 			})
 		case 13:
 			data := genBlock(arg(), int(arg()))
+			ref.cells, ref.pos, ref.dir = bytes.Clone(data), 0, Forward
 			each("Replace", func(tp *Tape) ([]byte, bool, error) {
 				tp.Replace(data)
 				return nil, false, nil
 			})
 		case 14:
 			budget := int(arg())%8 - 1
+			ref.budget = budget
 			each("SetBudget", func(tp *Tape) ([]byte, bool, error) {
 				tp.SetBudget(budget)
 				return nil, false, nil
 			})
 		case 15:
 			n := (1 << (int(arg()) % 18)) + int(arg())
-			if ref.Pos()+n > maxLockstepCells {
+			if ref.pos+n > maxLockstepCells {
 				n %= 4096
 			}
+			want, _, wantErr = ref.readForward(n, never)
 			each("ReadBlockBig", func(tp *Tape) ([]byte, bool, error) {
 				data, err := tp.ReadBlock(n)
 				return data, false, err
 			})
 		}
-		check(op, name)
+		check(op, name, opc >= 0xF0)
 	}
+	check(op, "end", true)
 }
 
 // TestBackendLockstepSequences pins hand-written corner sequences —
@@ -250,7 +385,7 @@ func lockstepCorpus() map[string][]byte {
 			12, // Reset
 		},
 		"page-boundary": {
-			4, 17, 3, 42, // WriteBlock of 2^17+3 cells: crosses filePage twice
+			4, 17, 3, 42, // WriteBlock of 2^17+3 cells: crosses the 64 KiB window twice
 			7,         // Rewind
 			15, 17, 5, // big ReadBlock back across the pages
 			7,       // Rewind
@@ -263,6 +398,37 @@ func lockstepCorpus() map[string][]byte {
 			4, 12, 0, 7, // re-grow over the dropped range: must read Blank
 			7, // Rewind
 			9, // ScanBytes
+		},
+		"truncate-gap": {
+			4, 10, 0, 9, // WriteBlock of 1 KiB
+			7,      // Rewind: the turn flushes the window
+			9,      // ScanBytes through the window
+			6, 200, // MoveBackwardN into the middle
+			11,     // Truncate below the backend's length
+			3, 100, // ReadBlock past the end: the head moves, nothing materializes
+			1, 'x', // Write after a gap of truncated cells: they must read Blank
+			6, 150, // MoveBackwardN
+			3, 200, // ReadBlock across the gap, through the window
+		},
+		"truncate-dirty-tail": {
+			3, 10, // ReadBlock past the end of the empty tape
+			6, 1, // MoveBackwardN: the head now moves backward
+			1, 'a', // Write: a window write with no turn to flush it
+			6, 5, // MoveBackwardN, no turn
+			11,    // Truncate above the backend's length: the write dies in the window
+			3, 10, // ReadBlock past the end
+			1, 'b', // Write after the gap
+			6, 10, // MoveBackwardN
+			3, 10, // ReadBlock across the gap, through the window
+		},
+		"fill-after-partial-page": {
+			4, 16, 255, 3, // WriteBlock of one page and 255 cells
+			7,      // Rewind
+			9,      // ScanBytes: fills page 0, then the partial page 1
+			3, 200, // ReadBlock past the end
+			1, 'x', // Write after the gap, inside the partial page's window
+			6, 250, // MoveBackwardN
+			3, 255, // ReadBlock across the gap, through the window
 		},
 		"spill-crossing": {
 			4, 6, 0, 1, // WriteBlock of 64+ cells: crosses SpillThreshold 64

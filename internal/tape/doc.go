@@ -46,27 +46,45 @@
 // Where the cells live is a second, orthogonal seam: Backend is a flat
 // cell store (Len, Cell/SetCell, ReadAt/WriteAt, IndexByte, Grow,
 // Truncate, Reset, Close) and Options{Storage, SpillDir,
-// SpillThreshold} selects one per tape — Mem (the default in-memory
-// slice), File (buffered sequential I/O through one 64 KiB write-back
-// page) or Mmap (a MAP_SHARED mapping with doubling remap; falls back
+// SpillThreshold} selects one per tape — Mem (fixed 64 KiB pages from
+// a process-wide sync.Pool), File (pread/pwrite over an unlinked temp
+// file) or Mmap (a MAP_SHARED mapping with doubling remap; falls back
 // to File off unix). SpillThreshold > 0 starts the tape in RAM and
 // migrates it to the storage backend the first time it outgrows the
 // threshold.
 //
+// Every head operation reads and writes through one 64 KiB window, so
+// a backend sees one call per window fill or flush, never one per
+// item. Mem and Mmap lend the page under the head as the window, so
+// growth never copies a cell; over File, or over any wrapped backend,
+// the Tape owns a pooled page that one ReadAt fills and one Grow and
+// one WriteAt flush when the window moves, when the head turns, and
+// before Contents. Input placement (FromBytes, Replace) and Contents
+// are not head operations and move the whole tape in one call.
+// Truncate, Reset and Close hand freed pages back to the pool zeroed,
+// so the next tape, often the next job's, reuses them and reads
+// Blank. The window and the page size are constants: no option
+// selects them.
+//
 // The contract every backend must honor — "the backend may move the
 // bytes' home, never a count":
 //
-//   - All accounting lives in Tape, above the interface. A backend
-//     never touches a counter, so Stats, budgets and error behavior
-//     are byte-identical on every backend; the conformance suite
-//     (forEachBackend tables, the lockstep driver, FuzzTapeBackend)
-//     enforces equality of contents, head and Stats after every
-//     single operation.
+//   - All accounting lives in Tape, above the interface and above the
+//     window, charged per item exactly as the step-by-step model
+//     does. A backend never touches a counter, so Stats, budgets and
+//     error behavior are byte-identical on every backend; the
+//     conformance suite (forEachBackend tables, the lockstep driver
+//     against an independent flat reference tape, FuzzTapeBackend)
+//     enforces equality of results, head and Stats after every
+//     operation, and of contents at random operations and at the end.
 //   - Cells at index ≥ Len read Blank after any Grow: Grow extends
 //     with zeroes, Truncate forgets the tail so a re-grown range
-//     reads Blank again (the file backend ftruncates; the mmap
+//     reads Blank again (the file backend ftruncates; the mem backend
+//     zeroes the dropped range and pools whole pages; the mmap
 //     backend zeroes the dropped range and keeps every mapped byte
-//     past Len zero).
+//     past Len zero). A lent window is dropped whenever its page may
+//     be freed or unmapped: by Truncate, Reset, Close, Replace, a
+//     spill, and a remap.
 //   - Slices returned by Tape (ReadBlock, ReadBlockBackward,
 //     ScanBytes, Contents) are fresh copies owned by the caller on
 //     every backend, and ScanUntilAppend copies into the caller's

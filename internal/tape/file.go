@@ -1,11 +1,12 @@
 package tape
 
-// file.go is the buffered sequential file backend: cells live in an
-// unlinked temp file, and a single write-back page buffer turns the
-// tape's (overwhelmingly sequential) cell traffic into pageSize-sized
-// preads and pwrites. The accounting model sees none of this — the
-// Tape charges the same reversals/steps/reads/writes it would on the
-// in-memory backend; only where the bytes sleep changes.
+// file.go is the sequential file backend: cells live in an unlinked
+// temp file, and every call is one pread or pwrite at the offset it
+// names. The Tape's 64 KiB window turns the tape's (overwhelmingly
+// sequential) cell traffic into window-sized calls, so the backend
+// needs no buffer of its own. The accounting model sees none of this —
+// the Tape charges the same reversals/steps/reads/writes it would on
+// the in-memory backend; only where the bytes sleep changes.
 
 import (
 	"bytes"
@@ -13,24 +14,14 @@ import (
 	"os"
 )
 
-// filePage is the size of the write-back buffer: one page of
-// sequential traffic per pread/pwrite. 64 KiB matches the bulk-scan
-// sweet spot of the PR 1 benchmarks.
-const filePage = 64 << 10
-
-// fileBackend stores cells in an unlinked temp file behind a single
-// write-back page. The file is removed from the directory the moment
-// it is created: the descriptor keeps it alive, and the kernel
-// reclaims the space when the process dies — however it dies — so
-// spill hygiene needs no cleanup path for SIGINT or SIGKILL.
+// fileBackend stores cells in an unlinked temp file. The file is
+// removed from the directory the moment it is created: the descriptor
+// keeps it alive, and the kernel reclaims the space when the process
+// dies — however it dies — so spill hygiene needs no cleanup path for
+// SIGINT or SIGKILL.
 type fileBackend struct {
-	f *os.File
-	n int // logical cell count; the file may be shorter (sparse reads are Blank)
-
-	page    []byte // the write-back page (always filePage long once allocated)
-	pageOff int    // cell offset of the page window; -1 when empty
-	dirty   bool   // page has unflushed writes
-
+	f      *os.File
+	n      int // logical cell count; the file may be shorter (sparse reads are Blank)
 	closed bool
 }
 
@@ -47,16 +38,16 @@ func newFileBackend(dir string) *fileBackend {
 		f.Close()
 		ioPanic("unlink", File, err)
 	}
-	return &fileBackend{f: f, pageOff: -1}
+	return &fileBackend{f: f}
 }
 
 func (b *fileBackend) Kind() Storage { return File }
 func (b *fileBackend) Len() int      { return b.n }
 
-// pread fills dst from the file at cell offset off, reading Blank
+// ReadAt fills dst from the file at cell offset off, reading Blank
 // past the end of the file (Grow is sparse: it extends the logical
 // length without writing zeros).
-func (b *fileBackend) pread(dst []byte, off int) {
+func (b *fileBackend) ReadAt(dst []byte, off int) {
 	n, err := b.f.ReadAt(dst, int64(off))
 	if err != nil && err != io.EOF {
 		ioPanic("pread", File, err)
@@ -64,126 +55,53 @@ func (b *fileBackend) pread(dst []byte, off int) {
 	clear(dst[n:])
 }
 
-func (b *fileBackend) pwrite(src []byte, off int) {
+func (b *fileBackend) WriteAt(src []byte, off int) {
 	if _, err := b.f.WriteAt(src, int64(off)); err != nil {
 		ioPanic("pwrite", File, err)
 	}
 }
 
-// flush writes the page back if it is dirty; the page stays valid.
-func (b *fileBackend) flush() {
-	if b.dirty {
-		b.pwrite(b.page, b.pageOff)
-		b.dirty = false
-	}
-}
-
-// invalidate drops the page window (flushing first if dirty).
-func (b *fileBackend) invalidate() {
-	b.flush()
-	b.pageOff = -1
-}
-
-// ensurePage makes the page window cover cell off.
-func (b *fileBackend) ensurePage(off int) {
-	po := off &^ (filePage - 1)
-	if b.pageOff == po {
-		return
-	}
-	b.flush()
-	if b.page == nil {
-		b.page = make([]byte, filePage)
-	}
-	b.pageOff = po
-	b.pread(b.page, po)
-}
-
 func (b *fileBackend) Cell(i int) byte {
-	b.ensurePage(i)
-	return b.page[i-b.pageOff]
+	var c [1]byte
+	b.ReadAt(c[:], i)
+	return c[0]
 }
 
-func (b *fileBackend) SetCell(i int, c byte) {
-	b.ensurePage(i)
-	b.page[i-b.pageOff] = c
-	b.dirty = true
-}
-
-func (b *fileBackend) ReadAt(dst []byte, off int) {
-	// Small reads ride the page (an item-by-item scan costs one pread
-	// per page, not per item); large ones bypass it with one pread.
-	if len(dst) <= filePage {
-		for len(dst) > 0 {
-			b.ensurePage(off)
-			k := copy(dst, b.page[off-b.pageOff:])
-			dst, off = dst[k:], off+k
-		}
-		return
-	}
-	b.flush()
-	b.pread(dst, off)
-}
-
-func (b *fileBackend) WriteAt(src []byte, off int) {
-	if len(src) <= filePage {
-		for len(src) > 0 {
-			b.ensurePage(off)
-			k := copy(b.page[off-b.pageOff:], src)
-			b.dirty = true
-			src, off = src[k:], off+k
-		}
-		return
-	}
-	b.flush()
-	b.pwrite(src, off)
-	// The direct write may have run under the page window.
-	if b.pageOff >= 0 && off < b.pageOff+filePage && off+len(src) > b.pageOff {
-		b.pageOff = -1
-	}
-}
+func (b *fileBackend) SetCell(i int, c byte) { b.WriteAt([]byte{c}, i) }
 
 func (b *fileBackend) IndexByte(delim byte, off int) int {
+	var buf [4 << 10]byte
 	for off < b.n {
-		b.ensurePage(off)
-		end := min(b.pageOff+filePage, b.n)
-		if i := bytes.IndexByte(b.page[off-b.pageOff:end-b.pageOff], delim); i >= 0 {
+		chunk := buf[:min(len(buf), b.n-off)]
+		b.ReadAt(chunk, off)
+		if i := bytes.IndexByte(chunk, delim); i >= 0 {
 			return off + i
 		}
-		off = b.pageOff + filePage
+		off += len(chunk)
 	}
 	return -1
 }
 
 // Grow is sparse: it only raises the logical length. Reads of never-
 // written cells fall past the file end and come back Blank, exactly
-// like the in-memory backend's zeroed append.
+// like the in-memory backend's zeroed pages.
 func (b *fileBackend) Grow(n int) { b.n = n }
 
+// Truncate cuts the file so a future Grow over the same range reads
+// Blank again.
 func (b *fileBackend) Truncate(n int) {
-	// Drop the page first (a later flush must not resurrect truncated
-	// bytes), then cut the file so a future Grow over the same range
-	// reads Blank again.
-	b.flush()
-	b.pageOff = -1
 	if err := b.f.Truncate(int64(n)); err != nil {
 		ioPanic("truncate", File, err)
 	}
 	b.n = n
 }
 
-func (b *fileBackend) Reset() {
-	b.pageOff, b.dirty = -1, false
-	if err := b.f.Truncate(0); err != nil {
-		ioPanic("truncate", File, err)
-	}
-	b.n = 0
-}
+func (b *fileBackend) Reset() { b.Truncate(0) }
 
 func (b *fileBackend) Close() error {
 	if b.closed {
 		return nil
 	}
 	b.closed = true
-	b.page = nil
 	return b.f.Close()
 }

@@ -5,10 +5,14 @@ package tape
 // mmap_unix.go is the memory-mapped file backend: cells live in a
 // shared mapping of an unlinked temp file, so every access is a plain
 // memory operation and the kernel pages the bytes in and out behind
-// the tape's back. Capacity grows by ftruncate + remap with doubling;
-// the logical length n is tracked here (the mapping is the capacity,
-// not the length). The invariant that makes Truncate/Grow match the
-// in-memory backend: every mapped byte at index >= n is zero.
+// the tape's back. Like the mem backend it lends the Tape its cells,
+// one 64 KiB slice of the mapping at a time, as the window. Capacity
+// grows by ftruncate + remap with doubling; the logical length n is
+// tracked here (the mapping is the capacity, not the length). The
+// invariant that makes Truncate/Grow match the in-memory backend:
+// every mapped byte at index >= n is zero once the Tape has grown the
+// backend over its window's writes, which it does before any
+// Truncate, Reset or Close.
 
 import (
 	"bytes"
@@ -16,9 +20,10 @@ import (
 	"syscall"
 )
 
-// mmapMinCap is the smallest mapping; doublings from here reach 1 GiB
-// in 14 remaps.
-const mmapMinCap = 64 << 10
+// mmapMinCap is the smallest mapping, one window; doublings from here
+// reach 1 GiB in 14 remaps, and every capacity is a whole number of
+// windows.
+const mmapMinCap = winSize
 
 type mmapBackend struct {
 	f      *os.File
@@ -88,6 +93,15 @@ func (b *mmapBackend) IndexByte(delim byte, off int) int {
 		return off + i
 	}
 	return -1
+}
+
+// page lends one window of the mapping. A remap unmaps the slice lent
+// before, so the Tape takes a new page only after dropping the old.
+// The capacity is a whole number of windows, so a later Grow up to
+// po+winSize never remaps under the lent slice.
+func (b *mmapBackend) page(po int) []byte {
+	b.ensureCap(po + winSize)
+	return b.data[po : po+winSize]
 }
 
 func (b *mmapBackend) Grow(n int) {

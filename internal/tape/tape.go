@@ -56,12 +56,26 @@ func (s Stats) Scans() int { return 1 + s.Reversals }
 // MaxCell update is charged here, above the backend, so the choice of
 // backend can never move a count. The zero value is not ready for use;
 // call New, FromBytes, or their ...With variants.
+//
+// Every head operation reads and writes through one window of winSize
+// cells. A pager backend (mem, mmap) lends its own page as the window;
+// any other backend gets a pooled page the Tape owns, filled by one
+// ReadAt when the window moves and flushed by one WriteAt when it
+// moves, when the head turns, and before Contents. The window is
+// mechanics only: nothing in it is charged.
 type Tape struct {
-	name      string
-	be        Backend
-	fast      *memBackend // == be when it is an unwrapped memBackend; else nil
-	opts      Options
-	spillAt   int // spill when materialized size exceeds this; <0 = never
+	name    string
+	be      Backend
+	pager   pager // be, when it lends its pages as the window; else nil
+	opts    Options
+	spillAt int // spill when materialized size exceeds this; <0 = never
+	n       int // materialized cells; the backend's Len catches up at the next flush
+
+	win      []byte // the window: cells [winOff, winOff+winSize), or nil
+	winOff   int
+	own      *page // the window page owned over a non-pager backend; pooled
+	dlo, dhi int   // cells written through the window since its last flush; none when dhi <= dlo
+
 	pos       int // current head position (0-based)
 	dir       Direction
 	reversals int
@@ -98,9 +112,7 @@ func NewWith(name string, o Options) *Tape {
 		t.be = NewBackend(o)
 		t.spillAt = -1
 	}
-	if mb, ok := t.be.(*memBackend); ok {
-		t.fast = mb
-	}
+	t.pager, _ = t.be.(pager)
 	return t
 }
 
@@ -115,10 +127,7 @@ func FromBytes(name string, data []byte) *Tape {
 // FromBytesWith is FromBytes with an explicit storage selection.
 func FromBytesWith(name string, data []byte, o Options) *Tape {
 	t := NewWith(name, o)
-	if len(data) > 0 {
-		t.growTo(len(data))
-		t.writeAt(data, 0)
-	}
+	t.place(data)
 	return t
 }
 
@@ -133,22 +142,21 @@ func FromString(name, data string) *Tape { return FromBytes(name, []byte(data)) 
 // stays on the books. No head movement is charged: the exchange is
 // input placement, like FromBytes, not a rewind.
 func (t *Tape) Replace(data []byte) {
-	t.be.Reset()
-	if len(data) > 0 {
-		t.growTo(len(data))
-		t.writeAt(data, 0)
-	}
+	t.erase()
+	t.place(data)
 	t.pos = 0
 	t.dir = Forward
 }
 
 // Close releases the storage backend's resources (spill files,
-// mappings). Mem-backed tapes release their cell array. Close is
-// idempotent; the only methods that may be called afterwards are
-// Stats accessors.
+// mappings) and returns the tape's pages, zeroed, to the pool for the
+// next tape. Close is idempotent; the only methods that may be called
+// afterwards are Stats accessors.
 func (t *Tape) Close() error {
-	if t.be == nil {
-		return nil
+	t.discard()
+	if t.own != nil {
+		putPage(t.own, winSize)
+		t.own = nil
 	}
 	return t.be.Close()
 }
@@ -176,7 +184,7 @@ func (t *Tape) Stats() Stats {
 		Reads:     t.reads,
 		Writes:    t.writes,
 		MaxCell:   t.maxCell,
-		Size:      t.length(),
+		Size:      t.n,
 	}
 }
 
@@ -191,121 +199,166 @@ func (t *Tape) Dir() Direction { return t.dir }
 
 // Len returns the number of materialized cells (cells at or before the
 // highest cell ever written or visited).
-func (t *Tape) Len() int { return t.length() }
+func (t *Tape) Len() int { return t.n }
 
-// length is the materialized cell count, bypassing the interface on
-// the common unwrapped in-memory backend.
-func (t *Tape) length() int {
-	if f := t.fast; f != nil {
-		return len(f.cells)
+// window moves the window over cell off if it does not cover it yet,
+// and returns off's index in t.win. Moving flushes the old window
+// first. An owned window is filled with the cells the backend holds,
+// and the rest of it is Blank.
+func (t *Tape) window(off int) int {
+	if i := off - t.winOff; uint(i) < uint(len(t.win)) {
+		return i
 	}
-	return t.be.Len()
-}
-
-// readAt copies materialized cells [off, off+len(dst)) into dst. The
-// caller has clamped the range to [0, length()).
-func (t *Tape) readAt(dst []byte, off int) {
-	if len(dst) == 0 {
-		return
-	}
-	if f := t.fast; f != nil {
-		copy(dst, f.cells[off:])
-		return
-	}
-	t.be.ReadAt(dst, off)
-}
-
-// writeAt overwrites materialized cells [off, off+len(src)). The
-// caller has grown the tape to cover the range.
-func (t *Tape) writeAt(src []byte, off int) {
-	if len(src) == 0 {
-		return
-	}
-	if f := t.fast; f != nil {
-		copy(f.cells[off:], src)
-		return
-	}
-	t.be.WriteAt(src, off)
-}
-
-// indexByte finds the first delim at index >= off, or -1.
-func (t *Tape) indexByte(delim byte, off int) int {
-	if f := t.fast; f != nil {
-		if i := bytes.IndexByte(f.cells[off:], delim); i >= 0 {
-			return off + i
+	t.flush()
+	po := off &^ (winSize - 1)
+	if t.pager != nil {
+		t.win = t.pager.page(po)
+	} else {
+		if t.own == nil {
+			t.own = getPage()
 		}
-		return -1
+		t.win = t.own[:]
+		k := max(min(winSize, t.be.Len()-po), 0)
+		if k > 0 {
+			t.be.ReadAt(t.win[:k], po)
+		}
+		clear(t.win[k:])
 	}
-	return t.be.IndexByte(delim, off)
+	t.winOff = po
+	return off - po
+}
+
+// wrote records that cells [lo, hi) of the window were written.
+func (t *Tape) wrote(lo, hi int) {
+	if t.dhi <= t.dlo {
+		t.dlo, t.dhi = lo, hi
+		return
+	}
+	t.dlo, t.dhi = min(t.dlo, lo), max(t.dhi, hi)
+}
+
+// flush hands the window's writes to the backend: it grows the backend
+// over them and, unless the window is a lent page that already holds
+// them, writes them back.
+func (t *Tape) flush() {
+	if t.dhi <= t.dlo {
+		return
+	}
+	if t.dhi > t.be.Len() {
+		t.be.Grow(t.dhi)
+	}
+	if t.pager == nil {
+		t.be.WriteAt(t.win[t.dlo-t.winOff:t.dhi-t.winOff], t.dlo)
+	}
+	t.dlo, t.dhi = 0, 0
+}
+
+// discard drops the window and any writes it has not flushed. A lent
+// page holds its writes in the backend's own cells, so the backend is
+// grown over them first: it must blank them when it frees the page.
+func (t *Tape) discard() {
+	if t.pager != nil {
+		t.flush()
+	}
+	t.win, t.winOff, t.dlo, t.dhi = nil, 0, 0, 0
+}
+
+// erase discards every cell, releasing the backend's storage.
+func (t *Tape) erase() {
+	t.discard()
+	t.be.Reset()
+	t.n = 0
+}
+
+// place puts data on the empty tape. Input placement is not a head
+// operation, so it bypasses the window: one Grow and one WriteAt.
+func (t *Tape) place(data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	t.growTo(len(data))
+	t.be.Grow(len(data))
+	t.be.WriteAt(data, 0)
+}
+
+// readAt copies materialized cells [off, off+len(dst)) into dst
+// through the window. The caller has clamped the range to [0, n).
+func (t *Tape) readAt(dst []byte, off int) {
+	for len(dst) > 0 {
+		i := t.window(off)
+		k := copy(dst, t.win[i:])
+		dst, off = dst[k:], off+k
+	}
+}
+
+// writeAt overwrites materialized cells [off, off+len(src)) through
+// the window. The caller has grown the tape to cover the range.
+func (t *Tape) writeAt(src []byte, off int) {
+	for len(src) > 0 {
+		i := t.window(off)
+		k := copy(t.win[i:], src)
+		t.wrote(off, off+k)
+		src, off = src[k:], off+k
+	}
 }
 
 // growTo materializes blank cells so the tape holds n, spilling to the
-// storage backend first if n crosses the spill threshold.
+// storage backend first if n crosses the spill threshold. The backend
+// learns of the new cells when the window holding them is flushed.
 func (t *Tape) growTo(n int) {
 	if t.spillAt >= 0 && n > t.spillAt {
 		t.spill()
 	}
-	if f := t.fast; f != nil {
-		f.Grow(n)
-		return
-	}
-	t.be.Grow(n)
+	t.n = n
 }
 
 // spill migrates the cells from the in-RAM pre-spill backend to the
-// configured storage backend. The content moved is at most the spill
-// threshold plus one write, so the copy is small; it streams in pages
-// regardless.
+// configured storage backend, one window at a time. The content moved
+// is at most the spill threshold plus one write, so the copy is small.
 func (t *Tape) spill() {
 	o := t.opts
 	o.SpillThreshold = 0
 	nb := NewBackend(o)
-	old := t.be
-	if k := old.Len(); k > 0 {
-		nb.Grow(k)
-		buf := make([]byte, min(k, filePage))
-		for off := 0; off < k; off += len(buf) {
-			m := min(len(buf), k-off)
-			old.ReadAt(buf[:m], off)
-			nb.WriteAt(buf[:m], off)
+	if t.n > 0 {
+		nb.Grow(t.n)
+		for off := 0; off < t.n; off += winSize {
+			t.window(off)
+			nb.WriteAt(t.win[:min(winSize, t.n-off)], off)
 		}
 	}
-	old.Close()
-	t.be, t.fast, t.spillAt = nb, nil, -1
+	t.discard()
+	t.be.Close()
+	t.be, t.spillAt = nb, -1
+	t.pager, _ = nb.(pager)
 }
 
 // Read returns the symbol under the head. Reading past the end of the
 // materialized region returns Blank without extending the tape.
 func (t *Tape) Read() byte {
 	t.reads++
-	if f := t.fast; f != nil {
-		if t.pos < len(f.cells) {
-			return f.cells[t.pos]
-		}
+	if t.pos >= t.n {
 		return Blank
 	}
-	if t.pos < t.be.Len() {
-		return t.be.Cell(t.pos)
-	}
-	return Blank
+	i := t.window(t.pos)
+	return t.win[i]
 }
 
 // Write stores b in the cell under the head, materializing blank cells
 // as needed in one sized extension.
 func (t *Tape) Write(b byte) {
 	t.writes++
-	if t.pos >= t.length() {
+	if t.pos >= t.n {
 		t.growTo(t.pos + 1)
 	}
-	if f := t.fast; f != nil {
-		f.cells[t.pos] = b
-		return
-	}
-	t.be.SetCell(t.pos, b)
+	i := t.window(t.pos)
+	t.win[i] = b
+	t.wrote(t.pos, t.pos+1)
 }
 
 // turn registers a direction change if d differs from the current
-// direction, charging one reversal.
+// direction, charging one reversal. A reversal ends a scan, and the
+// window's writes reach the backend by the end of the scan that made
+// them: a failing disk fails that scan, however small the tape.
 func (t *Tape) turn(d Direction) error {
 	if d == t.dir {
 		return nil
@@ -313,6 +366,7 @@ func (t *Tape) turn(d Direction) error {
 	if t.hasBudget && t.reversals+1 > t.budget {
 		return fmt.Errorf("%w: tape %q at %d reversals", ErrBudget, t.name, t.reversals)
 	}
+	t.flush()
 	t.reversals++
 	t.dir = d
 	return nil
@@ -359,7 +413,7 @@ func (t *Tape) WriteMove(b byte, d Direction) error {
 
 // AtEnd reports whether the head is past the last materialized cell,
 // i.e. the current cell and everything to the right is blank.
-func (t *Tape) AtEnd() bool { return t.pos >= t.length() }
+func (t *Tape) AtEnd() bool { return t.pos >= t.n }
 
 // AtStart reports whether the head is on cell 0.
 func (t *Tape) AtStart() bool { return t.pos == 0 }
@@ -390,8 +444,8 @@ func (t *Tape) ReadBlock(n int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, n)
-	if L := t.length(); t.pos < L {
-		t.readAt(out[:min(n, L-t.pos)], t.pos)
+	if t.pos < t.n {
+		t.readAt(out[:min(n, t.n-t.pos)], t.pos)
 	}
 	t.reads += int64(n)
 	t.advanceForward(n)
@@ -410,7 +464,7 @@ func (t *Tape) WriteBlock(data []byte) error {
 		t.Write(data[0])
 		return err
 	}
-	if end := t.pos + len(data); end > t.length() {
+	if end := t.pos + len(data); end > t.n {
 		t.growTo(end)
 	}
 	t.writeAt(data, t.pos)
@@ -439,8 +493,8 @@ func (t *Tape) ReadBlockBackward(n int) ([]byte, error) {
 	out := make([]byte, k)
 	// Read the tape range [pos-k, pos) forward, then reverse into
 	// visit order. Cells at or past the materialized end stay Blank.
-	if lo := t.pos - k; lo < t.length() {
-		t.readAt(out[:min(k, t.length()-lo)], lo)
+	if lo := t.pos - k; lo < t.n {
+		t.readAt(out[:min(k, t.n-lo)], lo)
 	}
 	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 		out[i], out[j] = out[j], out[i]
@@ -494,13 +548,13 @@ func (t *Tape) Rewind() error {
 // SeekEnd moves the head forward to the first blank cell after the
 // materialized content in one forward sweep.
 func (t *Tape) SeekEnd() error {
-	if t.pos >= t.length() {
+	if t.pos >= t.n {
 		return nil
 	}
 	if err := t.turn(Forward); err != nil {
 		return err
 	}
-	t.advanceForward(t.length() - t.pos)
+	t.advanceForward(t.n - t.pos)
 	return nil
 }
 
@@ -517,7 +571,7 @@ func (t *Tape) ScanBytes() ([]byte, error) {
 		t.reads++
 		return nil, err
 	}
-	n := t.length() - t.pos
+	n := t.n - t.pos
 	out := make([]byte, n)
 	t.readAt(out, t.pos)
 	t.reads += int64(n)
@@ -541,18 +595,18 @@ func (t *Tape) ScanUntilAppend(delim byte, buf []byte) (data []byte, found bool,
 		t.reads++
 		return buf[:0], false, err
 	}
-	n := t.length() - t.pos
-	if i := t.indexByte(delim, t.pos); i >= 0 {
-		n = i - t.pos + 1
-		found = true
+	data = buf[:0]
+	for off := t.pos; off < t.n && !found; {
+		i := t.window(off)
+		seg := t.win[i:min(winSize, t.n-t.winOff)]
+		if j := bytes.IndexByte(seg, delim); j >= 0 {
+			seg, found = seg[:j+1], true
+		}
+		data = append(data, seg...)
+		off += len(seg)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	data = buf[:n]
-	t.readAt(data, t.pos)
-	t.reads += int64(n)
-	t.advanceForward(n)
+	t.reads += int64(len(data))
+	t.advanceForward(len(data))
 	return data, found, nil
 }
 
@@ -565,8 +619,20 @@ func (t *Tape) AppendBytes(data []byte) error { return t.WriteBlock(data) }
 // sweep and is charged zero reversals (a real machine pays them when it
 // actually revisits those cells).
 func (t *Tape) Truncate() {
-	if t.pos < t.length() {
+	if t.pos >= t.n {
+		return
+	}
+	// Window writes at or past the head die unflushed, blanked in place.
+	if t.dhi > t.pos {
+		lo := max(t.pos, t.dlo)
+		clear(t.win[lo-t.winOff : t.dhi-t.winOff])
+		t.dhi = lo
+	}
+	t.n = t.pos
+	if t.pos < t.be.Len() {
+		t.flush()
 		t.be.Truncate(t.pos)
+		t.discard()
 	}
 }
 
@@ -575,20 +641,26 @@ func (t *Tape) Truncate() {
 // It models switching to a fresh region of a device and is used only
 // by test helpers.
 func (t *Tape) Reset() {
-	t.be.Reset()
+	t.erase()
 	t.pos = 0
 }
 
 // Contents returns a copy of the materialized cells. The returned
 // slice is owned by the caller on every backend: mutating it never
-// changes the tape, and later tape writes never change it.
+// changes the tape, and later tape writes never change it. Like input
+// placement it is not a head operation: it flushes the window and
+// copies the tape out in one ReadAt.
 func (t *Tape) Contents() []byte {
-	out := make([]byte, t.length())
-	t.readAt(out, 0)
+	out := make([]byte, t.n)
+	t.flush()
+	// Cells past the backend's Len were never written: they stay Blank.
+	if k := min(t.n, t.be.Len()); k > 0 {
+		t.be.ReadAt(out[:k], 0)
+	}
 	return out
 }
 
 // String returns a short diagnostic description of the tape.
 func (t *Tape) String() string {
-	return fmt.Sprintf("tape %q: pos=%d dir=%s rev=%d len=%d", t.name, t.pos, t.dir, t.reversals, t.length())
+	return fmt.Sprintf("tape %q: pos=%d dir=%s rev=%d len=%d", t.name, t.pos, t.dir, t.reversals, t.n)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"extmem/internal/shard"
 	"extmem/internal/trials"
 )
 
@@ -61,5 +62,42 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if out.Row == nil || *out.Row != *in.Row {
 		t.Fatalf("round-trip Reply row = %+v, want %+v", out.Row, in.Row)
+	}
+}
+
+// Frames are encoded and read through pooled buffers. That is safe
+// only because gob copies every decoded field out of the buffer it
+// reads: a payload decoded from one frame must survive the decoding of
+// the next frames, which reuse the same buffer, unchanged.
+func TestPooledFrameBuffersDoNotAlias(t *testing.T) {
+	payload := bytes.Repeat([]byte("0110#"), 8192)
+	out := bytes.Repeat([]byte("1001#"), 8192)
+	var wire bytes.Buffer
+	for _, v := range []any{
+		Job{Sort: &shard.SortJob{Payload: payload, FanIn: 4}},
+		Reply{Done: &Done{Machine: &MachineDone{Out: out}}},
+		Job{Sort: &shard.SortJob{Payload: bytes.Repeat([]byte{'x'}, len(payload)), FanIn: 2}},
+		Reply{Done: &Done{Machine: &MachineDone{Out: bytes.Repeat([]byte{'y'}, len(out))}}},
+	} {
+		if err := writeFrame(&wire, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var job, job2 Job
+	var rep, rep2 Reply
+	for _, v := range []any{&job, &rep, &job2, &rep2} {
+		if err := readFrame(&wire, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(job.Sort.Payload, payload) {
+		t.Error("the first SortJob.Payload changed when later frames were read")
+	}
+	if !bytes.Equal(rep.Done.Machine.Out, out) {
+		t.Error("the first MachineDone.Out changed when later frames were read")
+	}
+	if job2.Sort.FanIn != 2 || !bytes.Equal(job2.Sort.Payload, bytes.Repeat([]byte{'x'}, len(payload))) ||
+		!bytes.Equal(rep2.Done.Machine.Out, bytes.Repeat([]byte{'y'}, len(out))) {
+		t.Error("the second pair of frames decoded wrong")
 	}
 }
