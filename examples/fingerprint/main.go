@@ -30,6 +30,7 @@ func main() {
 			mc := core.NewMachine(1, int64(1000+i))
 			mc.SetInput(in.Encode())
 			v, _, err := algorithms.FingerprintMultisetEquality(mc)
+			mc.Close()
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -46,6 +47,7 @@ func main() {
 
 	fmt.Println("\nBoosting (reject if ANY of 5 independent runs rejects):")
 	mc := core.NewMachine(1, 99)
+	defer mc.Close()
 	mc.SetInput(no.Encode())
 	v, err := algorithms.FingerprintRepeated(mc, 5)
 	if err != nil {

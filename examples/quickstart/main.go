@@ -26,6 +26,7 @@ func main() {
 	// An ST machine: 5 external tapes (input + 2 halves + 2 merge-sort
 	// work tapes), an internal-memory meter, deterministic randomness.
 	m := core.NewMachine(algorithms.NumDeciderTapes, 42)
+	defer m.Close()
 	m.SetInput(in.Encode())
 
 	verdict, err := algorithms.MultisetEqualityST(m)
@@ -41,6 +42,7 @@ func main() {
 
 	// The same instance under the Theorem 8(a) fingerprint: 2 scans.
 	fp := core.NewMachine(1, 42)
+	defer fp.Close()
 	fp.SetInput(in.Encode())
 	v2, params, err := algorithms.FingerprintMultisetEquality(fp)
 	if err != nil {

@@ -32,6 +32,7 @@ func main() {
 
 		m := core.NewMachine(relalg.NumQueryTapes, 1)
 		result, err := relalg.EvalST(q, db, m)
+		m.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,6 +56,7 @@ func main() {
 		In:   relalg.Select{Pred: relalg.ConstEq{Col: "tag", Const: "red"}, In: relalg.Scan{Rel: "Items"}},
 	}
 	m := core.NewMachine(relalg.NumQueryTapes, 1)
+	defer m.Close()
 	out, err := relalg.EvalST(rich, db, m)
 	if err != nil {
 		log.Fatal(err)

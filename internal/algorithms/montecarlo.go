@@ -75,6 +75,7 @@ func EstimateFingerprintErrors(ctx context.Context, m, n, nTrials int, launch tr
 	rng := trials.RNG(seed, 2)
 	in := problems.GenMultisetYes(m, n, rng)
 	mach := core.NewMachine(1, rng.Int63())
+	defer mach.Close()
 	mach.SetInput(in.Encode())
 	if _, _, err := FingerprintMultisetEquality(mach); err != nil {
 		return est, err

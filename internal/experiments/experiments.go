@@ -259,6 +259,7 @@ func E1DeterministicUpperBound(cfg Config) Result {
 		m := cfg.machine(algorithms.NumDeciderTapes, cfg.Seed)
 		m.SetInput(in.Encode())
 		v, err := algorithms.MultisetEqualityST(m)
+		m.Close()
 		if err != nil || v != core.Accept {
 			return failure("E1", "C7-UPPER", err, v)
 		}
@@ -337,6 +338,7 @@ func E3NSTVerifier(cfg Config) Result {
 		m := cfg.machine(2, cfg.Seed)
 		m.SetInput(in.Encode())
 		v, err := algorithms.DecideNST(c.p, m, in)
+		m.Close()
 		if err != nil {
 			return failure("E3", "T8B-NST", err, v)
 		}
@@ -367,12 +369,16 @@ func E4Separation(cfg Config) Result {
 		in := problems.GenMultisetYes(mSize, 12, rng)
 		det := cfg.machine(algorithms.NumDeciderTapes, cfg.Seed)
 		det.SetInput(in.Encode())
-		if _, err := algorithms.MultisetEqualityST(det); err != nil {
+		_, err := algorithms.MultisetEqualityST(det)
+		det.Close()
+		if err != nil {
 			return failure("E4", "C9-SEP", err, core.Reject)
 		}
 		fp := cfg.machine(1, cfg.Seed)
 		fp.SetInput(in.Encode())
-		if _, _, err := algorithms.FingerprintMultisetEquality(fp); err != nil {
+		_, _, err = algorithms.FingerprintMultisetEquality(fp)
+		fp.Close()
+		if err != nil {
 			return failure("E4", "C9-SEP", err, core.Reject)
 		}
 		d, f := det.Resources().Scans(), fp.Resources().Scans()
@@ -453,7 +459,9 @@ func E17SortTradeoff(cfg Config) Result {
 			m := cfg.machine(k+2, cfg.Seed)
 			m.SetInput(enc)
 			s := algorithms.Sorter{FanIn: k, RunMemoryBits: mem}
-			if err := s.SortToTape(m, 1, algorithms.WorkTapes(m, 1)); err != nil {
+			err := s.SortToTape(m, 1, algorithms.WorkTapes(m, 1))
+			m.Close()
+			if err != nil {
 				return failure("E17", "ST-TRADEOFF", err, core.Reject)
 			}
 			res := m.Resources()

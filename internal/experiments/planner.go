@@ -41,6 +41,7 @@ func E21CostPlanner(cfg Config) Result {
 	const runMem = 256
 
 	base := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
+	defer base.Close()
 	baseRel, err := relalg.Evaluator{RunMemoryBits: runMem, TapeOpts: cfg.Storage}.EvalST(cfg.ctx(), q, db, base)
 	if err != nil {
 		return failure("E21", "COST-PLAN", err, core.Reject)
@@ -68,6 +69,7 @@ func E21CostPlanner(cfg Config) Result {
 			}
 			m := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 			r, err := ev.EvalST(cfg.ctx(), q, db, m)
+			m.Close()
 			if err != nil {
 				return failure("E21", "COST-PLAN", err, core.Reject)
 			}
@@ -104,11 +106,13 @@ func E21CostPlanner(cfg Config) Result {
 	// shapes, and it also pipelines.
 	envelope := plan.Budget{MemoryBits: runMem, Tapes: 6, MaxShards: 4}
 	prep := &relalg.QueryReport{}
+	pm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
+	defer pm.Close()
 	planned, err := relalg.Evaluator{
 		Plan: plan.Auto(envelope), Seed: cfg.Seed, Report: prep,
 		Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
 		TapeOpts: cfg.Storage,
-	}.EvalST(cfg.ctx(), q, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+	}.EvalST(cfg.ctx(), q, db, pm)
 	if err != nil {
 		return failure("E21", "COST-PLAN", err, core.Reject)
 	}
@@ -136,11 +140,13 @@ func E21CostPlanner(cfg Config) Result {
 	}
 	for _, w := range widening {
 		rep := &relalg.QueryReport{}
+		m := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 		r, err := relalg.Evaluator{
 			Plan: plan.Auto(w.bud), Seed: cfg.Seed, Report: rep,
 			Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
 			TapeOpts: cfg.Storage,
-		}.EvalST(cfg.ctx(), q, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+		}.EvalST(cfg.ctx(), q, db, m)
+		m.Close()
 		if err != nil {
 			return failure("E21", "COST-PLAN", err, core.Reject)
 		}
@@ -164,19 +170,23 @@ func E21CostPlanner(cfg Config) Result {
 	pipeTotals := make([]int64, 2)
 	for i, pipeline := range []bool{false, true} {
 		rep := &relalg.QueryReport{}
+		m := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 		r, err := relalg.Evaluator{
 			Shards: 2, RunMemoryBits: runMem, Pipeline: pipeline,
 			Seed: cfg.Seed, Report: rep,
 			Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
 			TapeOpts: cfg.Storage,
-		}.EvalST(cfg.ctx(), union, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+		}.EvalST(cfg.ctx(), union, db, m)
+		m.Close()
 		if err != nil {
 			return failure("E21", "COST-PLAN", err, core.Reject)
 		}
 		pipeTotals[i] = rep.TotalSteps()
 		if i == 1 {
+			sm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 			staged, err := relalg.Evaluator{Shards: 2, RunMemoryBits: runMem, Seed: cfg.Seed, TapeOpts: cfg.Storage}.
-				EvalST(cfg.ctx(), union, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+				EvalST(cfg.ctx(), union, db, sm)
+			sm.Close()
 			if err != nil {
 				return failure("E21", "COST-PLAN", err, core.Reject)
 			}
@@ -205,11 +215,13 @@ func E21CostPlanner(cfg Config) Result {
 	if cfg.Budget != nil {
 		cfgBudget = *cfg.Budget
 	}
+	cm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
+	defer cm.Close()
 	cfgRel, err := relalg.Evaluator{
 		Plan: plan.Auto(cfgBudget), Seed: cfg.Seed,
 		Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
 		Exec: cfg.exec(), TapeOpts: cfg.Storage,
-	}.EvalST(cfg.ctx(), q, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+	}.EvalST(cfg.ctx(), q, db, cm)
 	if err != nil {
 		return failure("E21", "COST-PLAN", err, core.Reject)
 	}

@@ -41,14 +41,17 @@ func E6RelAlg(cfg Config) Result {
 		db := relalg.InstanceDB(in)
 		m := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 		r, err := relalg.EvalST(q, db, m)
+		m.Close()
 		if err != nil {
 			return failure("E6", "T11-RELALG", err, core.Reject)
 		}
+		sm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 		sharded, err := relalg.Evaluator{
 			Shards: cfg.ShardCount(), Seed: cfg.Seed,
 			Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
 			Exec: cfg.exec(), TapeOpts: cfg.Storage,
-		}.EvalST(cfg.ctx(), q, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+		}.EvalST(cfg.ctx(), q, db, sm)
+		sm.Close()
 		if err != nil {
 			return failure("E6", "T11-RELALG", err, core.Reject)
 		}
@@ -84,8 +87,10 @@ func E6RelAlg(cfg Config) Result {
 				fin = problems.GenSetNo(8, 10, trng)
 			}
 			fdb := relalg.InstanceDB(fin)
-			fr, err := relalg.Evaluator{Shards: shards, Seed: trng.Int63(), TapeOpts: cfg.Storage}.
-				EvalST(nil, q, fdb, cfg.machine(relalg.NumQueryTapes, trng.Int63()))
+			ev := relalg.Evaluator{Shards: shards, Seed: trng.Int63(), TapeOpts: cfg.Storage}
+			fm := cfg.machine(relalg.NumQueryTapes, trng.Int63())
+			defer fm.Close()
+			fr, err := ev.EvalST(nil, q, fdb, fm)
 			if err != nil {
 				return trials.Result{Err: err.Error()}
 			}

@@ -38,6 +38,7 @@ func E19ShardedQueries(cfg Config) Result {
 	// Single-machine baseline: the same engine configuration on the
 	// query machine alone (the Theorem 11 evaluator).
 	base := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
+	defer base.Close()
 	baseRel, err := relalg.Evaluator{RunMemoryBits: runMem, TapeOpts: cfg.Storage}.EvalST(cfg.ctx(), q, db, base)
 	if err != nil {
 		return failure("E19", "SHARD-QUERY", err, core.Reject)
@@ -66,6 +67,7 @@ func E19ShardedQueries(cfg Config) Result {
 			}
 			m := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 			r, err := ev.EvalST(cfg.ctx(), q, db, m)
+			m.Close()
 			if err != nil {
 				return failure("E19", "SHARD-QUERY", err, core.Reject)
 			}
@@ -141,12 +143,14 @@ func E19ShardedQueries(cfg Config) Result {
 		row(&b, "%7s %9s %9s", "shards", "output≡", "census≡")
 		for _, shards := range []int{1, 2, 4} {
 			prep := &relalg.QueryReport{}
+			m := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 			r, err := relalg.Evaluator{
 				Shards: shards, FanIn: 4, RunMemoryBits: runMem,
 				Seed: cfg.Seed, Report: prep,
 				Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
 				Exec: tc.tr.Exec(), ExecScan: tc.tr.ExecScan(), TapeOpts: cfg.Storage,
-			}.EvalST(cfg.ctx(), q, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+			}.EvalST(cfg.ctx(), q, db, m)
+			m.Close()
 			if err != nil {
 				return failure("E19", "SHARD-QUERY", err, core.Reject)
 			}
@@ -166,11 +170,13 @@ func E19ShardedQueries(cfg Config) Result {
 	// evaluation at cfg.Shards shards (and, under -transport proc/tcp,
 	// with transport-backed sort and scan attempts) must reproduce the
 	// same bytes.
+	cm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
+	defer cm.Close()
 	cfgRel, err := relalg.Evaluator{
 		Shards: cfg.ShardCount(), RunMemoryBits: runMem, Seed: cfg.Seed,
 		Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
 		Exec: cfg.exec(), ExecScan: cfg.execScan(), TapeOpts: cfg.Storage,
-	}.EvalST(cfg.ctx(), q, db, cfg.machine(relalg.NumQueryTapes, cfg.Seed))
+	}.EvalST(cfg.ctx(), q, db, cm)
 	if err != nil {
 		return failure("E19", "SHARD-QUERY", err, core.Reject)
 	}

@@ -39,6 +39,7 @@ func E18ShardedExecution(cfg Config) Result {
 
 	// Single-machine baseline: the plain PR 3 engine on one machine.
 	base := cfg.machine(baseFan, cfg.Seed)
+	defer base.Close()
 	base.SetInput(enc)
 	bs := algorithms.Sorter{FanIn: fanIn, RunMemoryBits: runMem}
 	if err := bs.SortToTape(base, 1, algorithms.WorkTapes(base, 1)); err != nil {

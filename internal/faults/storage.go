@@ -9,12 +9,11 @@ package faults
 // the tape makes into its backend, and the tape makes one per 64 KiB
 // window fill (a ReadAt) or flush (a Grow and a WriteAt), not one per
 // item; input placement, Contents, Truncate and Reset make one or two
-// more. A wrapped backend never lends its pages, so every window the
-// tape moves over it is filled and flushed through the wrapper. The failure is a panic
-// carrying a *tape.IOError (errors.Is ErrStorage) wrapping an
-// *Injected, which shard.RunStage's recovery converts to a
-// *shard.PanicError and retries; the coordinator fallback never sees
-// the wrapper, so the output bytes are identical regardless.
+// more. The failure is a panic carrying a *tape.IOError (errors.Is
+// ErrStorage) wrapping an *Injected, which shard.RunStage's recovery
+// converts to a *shard.PanicError and retries; the coordinator
+// fallback never sees the wrapper, so the output bytes are identical
+// regardless.
 
 import (
 	"sync/atomic"

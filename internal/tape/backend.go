@@ -210,6 +210,31 @@ func NewBackend(o Options) Backend {
 	return be
 }
 
+// cell, setCell and indexByte are every backend's Cell, SetCell and
+// IndexByte, written once over its ReadAt, WriteAt and Len. The Tape
+// calls none of them; they keep the Backend interface whole for
+// wrappers that forward each method.
+func cell(b Backend, i int) byte {
+	var c [1]byte
+	b.ReadAt(c[:], i)
+	return c[0]
+}
+
+func setCell(b Backend, i int, c byte) { b.WriteAt([]byte{c}, i) }
+
+func indexByte(b Backend, delim byte, off int) int {
+	var buf [4 << 10]byte
+	for off < b.Len() {
+		chunk := buf[:min(len(buf), b.Len()-off)]
+		b.ReadAt(chunk, off)
+		if i := bytes.IndexByte(chunk, delim); i >= 0 {
+			return off + i
+		}
+		off += len(chunk)
+	}
+	return -1
+}
+
 // winSize is the size of the tape window and of the mem backend's
 // pages: one backend call fills or flushes up to this many cells.
 const winSize = 64 << 10
@@ -218,9 +243,8 @@ const winSize = 64 << 10
 type page = [winSize]byte
 
 // pagePool holds zeroed pages for every tape in the process: the mem
-// backend's cells and the windows the Tape owns over the other
-// backends. Pages go back zeroed, so a page one tape frees reads
-// Blank in the next tape that takes it.
+// backend's cells and every Tape's window. Pages go back zeroed, so a
+// page one tape frees reads Blank in the next tape that takes it.
 var pagePool = sync.Pool{New: func() any { return new(page) }}
 
 func getPage() *page { return pagePool.Get().(*page) }
@@ -232,21 +256,6 @@ func putPage(p *page, used int) {
 	pagePool.Put(p)
 }
 
-// A pager is a backend whose cells sit in addressable memory. It lends
-// them to the Tape one page at a time as the window, so reads and
-// writes through the window touch the cells themselves: no fill and no
-// write-back, only a Grow when the writes pass Len. A wrapped backend
-// (Options.Wrap) hides its pager, so the wrapper sees every fill and
-// flush of a window the Tape owns.
-type pager interface {
-	// page returns cells [po, po+winSize), po a multiple of winSize,
-	// with storage materialized for all of them. Len does not change,
-	// and cells at or past Len read Blank; a Grow up to po+winSize
-	// keeps the slice valid. Any other call for another page,
-	// Truncate, Reset or Close may invalidate it.
-	page(po int) []byte
-}
-
 // memBackend keeps its cells in fixed pages from pagePool. Growth never
 // copies a cell, and Truncate, Reset and Close return every page they
 // free, zeroed, for the next tape to reuse.
@@ -255,11 +264,11 @@ type memBackend struct {
 	n     int // logical cell count
 }
 
-func (b *memBackend) Kind() Storage { return Mem }
-func (b *memBackend) Len() int      { return b.n }
-
-func (b *memBackend) Cell(i int) byte       { return b.pages[i/winSize][i%winSize] }
-func (b *memBackend) SetCell(i int, c byte) { b.pages[i/winSize][i%winSize] = c }
+func (b *memBackend) Kind() Storage                     { return Mem }
+func (b *memBackend) Len() int                          { return b.n }
+func (b *memBackend) Cell(i int) byte                   { return cell(b, i) }
+func (b *memBackend) SetCell(i int, c byte)             { setCell(b, i, c) }
+func (b *memBackend) IndexByte(delim byte, off int) int { return indexByte(b, delim, off) }
 
 func (b *memBackend) ReadAt(dst []byte, off int) {
 	for len(dst) > 0 {
@@ -275,31 +284,11 @@ func (b *memBackend) WriteAt(src []byte, off int) {
 	}
 }
 
-func (b *memBackend) IndexByte(delim byte, off int) int {
-	for off < b.n {
-		po := off &^ (winSize - 1)
-		if i := bytes.IndexByte(b.pages[po/winSize][off-po:min(winSize, b.n-po)], delim); i >= 0 {
-			return off + i
-		}
-		off = po + winSize
-	}
-	return -1
-}
-
-// cover takes pages from the pool until they hold n cells.
-func (b *memBackend) cover(n int) {
+// Grow takes pages from the pool until they hold n cells.
+func (b *memBackend) Grow(n int) {
 	for len(b.pages)*winSize < n {
 		b.pages = append(b.pages, getPage())
 	}
-}
-
-func (b *memBackend) page(po int) []byte {
-	b.cover(po + winSize)
-	return b.pages[po/winSize][:]
-}
-
-func (b *memBackend) Grow(n int) {
-	b.cover(n)
 	b.n = n
 }
 

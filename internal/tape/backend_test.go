@@ -16,10 +16,8 @@ import (
 )
 
 // backendConfigs are the storage configurations every conformance test
-// runs over: the three backends; the mem backend behind a wrapper,
-// which hides its pages so the tape owns its window and fills and
-// flushes it as it does over a file; and a spill configuration that
-// starts in RAM and migrates to the file backend mid-sequence.
+// runs over: the three backends, and a spill configuration that starts
+// in RAM and migrates to the file backend mid-sequence.
 func backendConfigs(t testing.TB) []struct {
 	Name string
 	Opts Options
@@ -29,7 +27,6 @@ func backendConfigs(t testing.TB) []struct {
 		Opts Options
 	}{
 		{"mem", Options{}},
-		{"mem-owned", Options{Wrap: func(be Backend) Backend { return struct{ Backend }{be} }}},
 		{"file", Options{Storage: File, SpillDir: t.TempDir()}},
 		{"mmap", Options{Storage: Mmap, SpillDir: t.TempDir()}},
 		{"file-spill64", Options{Storage: File, SpillDir: t.TempDir(), SpillThreshold: 64}},
@@ -505,4 +502,36 @@ func TestNewWithPanicsOnInvalidOptions(t *testing.T) {
 		}
 	}()
 	NewWith("bad", Options{SpillThreshold: 64})
+}
+
+// Cell, SetCell and IndexByte, which the Tape never calls, agree with
+// ReadAt and WriteAt on every backend, across a page boundary and past
+// the last occurrence of the delimiter.
+func TestBackendCellMethods(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, o Options) {
+		be := NewBackend(o)
+		defer be.Close()
+		n := winSize + 100
+		be.Grow(n)
+		be.WriteAt(pattern(1, n), 0)
+		be.SetCell(winSize-1, '#')
+		be.SetCell(winSize+3, '#')
+		if c := be.Cell(winSize + 3); c != '#' {
+			t.Fatalf("Cell(%d) = %q after SetCell", winSize+3, c)
+		}
+		got := make([]byte, n)
+		be.ReadAt(got, 0)
+		want := pattern(1, n)
+		want[winSize-1], want[winSize+3] = '#', '#'
+		if !bytes.Equal(got, want) {
+			t.Fatal("ReadAt disagrees with SetCell")
+		}
+		for _, c := range []struct{ off, want int }{
+			{0, winSize - 1}, {winSize - 1, winSize - 1}, {winSize, winSize + 3}, {winSize + 4, -1},
+		} {
+			if i := be.IndexByte('#', c.off); i != c.want {
+				t.Errorf("IndexByte('#', %d) = %d, want %d", c.off, i, c.want)
+			}
+		}
+	})
 }

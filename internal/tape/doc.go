@@ -55,15 +55,15 @@
 //
 // Every head operation reads and writes through one 64 KiB window, so
 // a backend sees one call per window fill or flush, never one per
-// item. Mem and Mmap lend the page under the head as the window, so
-// growth never copies a cell; over File, or over any wrapped backend,
-// the Tape owns a pooled page that one ReadAt fills and one Grow and
-// one WriteAt flush when the window moves, when the head turns, and
-// before Contents. Input placement (FromBytes, Replace) and Contents
-// are not head operations and move the whole tape in one call.
-// Truncate, Reset and Close hand freed pages back to the pool zeroed,
-// so the next tape, often the next job's, reuses them and reads
-// Blank. The window and the page size are constants: no option
+// item. The window is a pooled page the Tape owns on every backend:
+// one ReadAt fills it, and one Grow and one WriteAt flush it when the
+// window moves, when the head turns, and before Contents. The mem
+// backend keeps its cells in pooled pages of the same size, so growth
+// never copies a cell. Input placement (FromBytes, Replace) and
+// Contents are not head operations and move the whole tape in one
+// call. Truncate, Reset and Close hand freed pages back to the pool
+// zeroed, so the next tape, often the next job's, reuses them and
+// reads Blank. The window and the page size are constants: no option
 // selects them.
 //
 // The contract every backend must honor — "the backend may move the
@@ -82,9 +82,9 @@
 //     reads Blank again (the file backend ftruncates; the mem backend
 //     zeroes the dropped range and pools whole pages; the mmap
 //     backend zeroes the dropped range and keeps every mapped byte
-//     past Len zero). A lent window is dropped whenever its page may
-//     be freed or unmapped: by Truncate, Reset, Close, Replace, a
-//     spill, and a remap.
+//     past Len zero). The window is dropped whenever the cells it was
+//     filled from may change under it: by Truncate, Reset, Close,
+//     Replace and a spill.
 //   - Slices returned by Tape (ReadBlock, ReadBlockBackward,
 //     ScanBytes, Contents) are fresh copies owned by the caller on
 //     every backend, and ScanUntilAppend copies into the caller's

@@ -9,7 +9,6 @@ package tape
 // the in-memory backend; only where the bytes sleep changes.
 
 import (
-	"bytes"
 	"io"
 	"os"
 )
@@ -41,8 +40,11 @@ func newFileBackend(dir string) *fileBackend {
 	return &fileBackend{f: f}
 }
 
-func (b *fileBackend) Kind() Storage { return File }
-func (b *fileBackend) Len() int      { return b.n }
+func (b *fileBackend) Kind() Storage                     { return File }
+func (b *fileBackend) Len() int                          { return b.n }
+func (b *fileBackend) Cell(i int) byte                   { return cell(b, i) }
+func (b *fileBackend) SetCell(i int, c byte)             { setCell(b, i, c) }
+func (b *fileBackend) IndexByte(delim byte, off int) int { return indexByte(b, delim, off) }
 
 // ReadAt fills dst from the file at cell offset off, reading Blank
 // past the end of the file (Grow is sparse: it extends the logical
@@ -59,27 +61,6 @@ func (b *fileBackend) WriteAt(src []byte, off int) {
 	if _, err := b.f.WriteAt(src, int64(off)); err != nil {
 		ioPanic("pwrite", File, err)
 	}
-}
-
-func (b *fileBackend) Cell(i int) byte {
-	var c [1]byte
-	b.ReadAt(c[:], i)
-	return c[0]
-}
-
-func (b *fileBackend) SetCell(i int, c byte) { b.WriteAt([]byte{c}, i) }
-
-func (b *fileBackend) IndexByte(delim byte, off int) int {
-	var buf [4 << 10]byte
-	for off < b.n {
-		chunk := buf[:min(len(buf), b.n-off)]
-		b.ReadAt(chunk, off)
-		if i := bytes.IndexByte(chunk, delim); i >= 0 {
-			return off + i
-		}
-		off += len(chunk)
-	}
-	return -1
 }
 
 // Grow is sparse: it only raises the logical length. Reads of never-

@@ -5,25 +5,19 @@ package tape
 // mmap_unix.go is the memory-mapped file backend: cells live in a
 // shared mapping of an unlinked temp file, so every access is a plain
 // memory operation and the kernel pages the bytes in and out behind
-// the tape's back. Like the mem backend it lends the Tape its cells,
-// one 64 KiB slice of the mapping at a time, as the window. Capacity
-// grows by ftruncate + remap with doubling; the logical length n is
-// tracked here (the mapping is the capacity, not the length). The
-// invariant that makes Truncate/Grow match the in-memory backend:
-// every mapped byte at index >= n is zero once the Tape has grown the
-// backend over its window's writes, which it does before any
-// Truncate, Reset or Close.
+// the tape's back. Capacity grows by ftruncate + remap with doubling;
+// the logical length n is tracked here (the mapping is the capacity,
+// not the length). The invariant that makes Truncate/Grow match the
+// in-memory backend: every mapped byte at index >= n is zero.
 
 import (
-	"bytes"
 	"os"
 	"syscall"
 )
 
-// mmapMinCap is the smallest mapping, one window; doublings from here
-// reach 1 GiB in 14 remaps, and every capacity is a whole number of
-// windows.
-const mmapMinCap = winSize
+// mmapMinCap is the smallest mapping; doublings from here reach 1 GiB
+// in 14 remaps.
+const mmapMinCap = 64 << 10
 
 type mmapBackend struct {
 	f      *os.File
@@ -47,8 +41,11 @@ func newMmapBackend(dir string) Backend {
 	return &mmapBackend{f: f}
 }
 
-func (b *mmapBackend) Kind() Storage { return Mmap }
-func (b *mmapBackend) Len() int      { return b.n }
+func (b *mmapBackend) Kind() Storage                     { return Mmap }
+func (b *mmapBackend) Len() int                          { return b.n }
+func (b *mmapBackend) Cell(i int) byte                   { return cell(b, i) }
+func (b *mmapBackend) SetCell(i int, c byte)             { setCell(b, i, c) }
+func (b *mmapBackend) IndexByte(delim byte, off int) int { return indexByte(b, delim, off) }
 
 // ensureCap grows the mapping to hold at least need cells.
 func (b *mmapBackend) ensureCap(need int) {
@@ -82,27 +79,8 @@ func (b *mmapBackend) ensureCap(need int) {
 	b.data = data
 }
 
-func (b *mmapBackend) Cell(i int) byte       { return b.data[i] }
-func (b *mmapBackend) SetCell(i int, c byte) { b.data[i] = c }
-
 func (b *mmapBackend) ReadAt(dst []byte, off int)  { copy(dst, b.data[off:]) }
 func (b *mmapBackend) WriteAt(src []byte, off int) { copy(b.data[off:], src) }
-
-func (b *mmapBackend) IndexByte(delim byte, off int) int {
-	if i := bytes.IndexByte(b.data[off:b.n], delim); i >= 0 {
-		return off + i
-	}
-	return -1
-}
-
-// page lends one window of the mapping. A remap unmaps the slice lent
-// before, so the Tape takes a new page only after dropping the old.
-// The capacity is a whole number of windows, so a later Grow up to
-// po+winSize never remaps under the lent slice.
-func (b *mmapBackend) page(po int) []byte {
-	b.ensureCap(po + winSize)
-	return b.data[po : po+winSize]
-}
 
 func (b *mmapBackend) Grow(n int) {
 	b.ensureCap(n)

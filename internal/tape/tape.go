@@ -58,22 +58,20 @@ func (s Stats) Scans() int { return 1 + s.Reversals }
 // call New, FromBytes, or their ...With variants.
 //
 // Every head operation reads and writes through one window of winSize
-// cells. A pager backend (mem, mmap) lends its own page as the window;
-// any other backend gets a pooled page the Tape owns, filled by one
-// ReadAt when the window moves and flushed by one WriteAt when it
-// moves, when the head turns, and before Contents. The window is
-// mechanics only: nothing in it is charged.
+// cells: a pooled page the Tape owns, filled by one ReadAt when the
+// window moves and flushed by one Grow and one WriteAt when it moves,
+// when the head turns, and before Contents. The window is mechanics
+// only: nothing in it is charged.
 type Tape struct {
 	name    string
 	be      Backend
-	pager   pager // be, when it lends its pages as the window; else nil
 	opts    Options
 	spillAt int // spill when materialized size exceeds this; <0 = never
 	n       int // materialized cells; the backend's Len catches up at the next flush
 
 	win      []byte // the window: cells [winOff, winOff+winSize), or nil
 	winOff   int
-	own      *page // the window page owned over a non-pager backend; pooled
+	own      *page // the page under win; taken from the pool on first use
 	dlo, dhi int   // cells written through the window since its last flush; none when dhi <= dlo
 
 	pos       int // current head position (0-based)
@@ -112,7 +110,6 @@ func NewWith(name string, o Options) *Tape {
 		t.be = NewBackend(o)
 		t.spillAt = -1
 	}
-	t.pager, _ = t.be.(pager)
 	return t
 }
 
@@ -203,27 +200,23 @@ func (t *Tape) Len() int { return t.n }
 
 // window moves the window over cell off if it does not cover it yet,
 // and returns off's index in t.win. Moving flushes the old window
-// first. An owned window is filled with the cells the backend holds,
-// and the rest of it is Blank.
+// first. The window is filled with the cells the backend holds, and
+// the rest of it is Blank.
 func (t *Tape) window(off int) int {
 	if i := off - t.winOff; uint(i) < uint(len(t.win)) {
 		return i
 	}
 	t.flush()
 	po := off &^ (winSize - 1)
-	if t.pager != nil {
-		t.win = t.pager.page(po)
-	} else {
-		if t.own == nil {
-			t.own = getPage()
-		}
-		t.win = t.own[:]
-		k := max(min(winSize, t.be.Len()-po), 0)
-		if k > 0 {
-			t.be.ReadAt(t.win[:k], po)
-		}
-		clear(t.win[k:])
+	if t.own == nil {
+		t.own = getPage()
 	}
+	t.win = t.own[:]
+	k := max(min(winSize, t.be.Len()-po), 0)
+	if k > 0 {
+		t.be.ReadAt(t.win[:k], po)
+	}
+	clear(t.win[k:])
 	t.winOff = po
 	return off - po
 }
@@ -238,8 +231,7 @@ func (t *Tape) wrote(lo, hi int) {
 }
 
 // flush hands the window's writes to the backend: it grows the backend
-// over them and, unless the window is a lent page that already holds
-// them, writes them back.
+// over them and writes them back.
 func (t *Tape) flush() {
 	if t.dhi <= t.dlo {
 		return
@@ -247,19 +239,12 @@ func (t *Tape) flush() {
 	if t.dhi > t.be.Len() {
 		t.be.Grow(t.dhi)
 	}
-	if t.pager == nil {
-		t.be.WriteAt(t.win[t.dlo-t.winOff:t.dhi-t.winOff], t.dlo)
-	}
+	t.be.WriteAt(t.win[t.dlo-t.winOff:t.dhi-t.winOff], t.dlo)
 	t.dlo, t.dhi = 0, 0
 }
 
-// discard drops the window and any writes it has not flushed. A lent
-// page holds its writes in the backend's own cells, so the backend is
-// grown over them first: it must blank them when it frees the page.
+// discard drops the window and any writes it has not flushed.
 func (t *Tape) discard() {
-	if t.pager != nil {
-		t.flush()
-	}
 	t.win, t.winOff, t.dlo, t.dhi = nil, 0, 0, 0
 }
 
@@ -329,7 +314,6 @@ func (t *Tape) spill() {
 	t.discard()
 	t.be.Close()
 	t.be, t.spillAt = nb, -1
-	t.pager, _ = nb.(pager)
 }
 
 // Read returns the symbol under the head. Reading past the end of the

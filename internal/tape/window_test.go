@@ -2,9 +2,8 @@ package tape
 
 // window_test.go pins the tape window and the page pool on every
 // backend: items and blocks cross 64 KiB window boundaries intact, a
-// window a pager lends is never used after the backend may have freed
-// or moved its page, and a page one tape frees reads Blank in the next
-// tape that takes it.
+// window never outlives the cells it was filled from, and a page one
+// tape frees reads Blank in the next tape that takes it.
 
 import (
 	"bytes"
@@ -135,7 +134,7 @@ func TestItemsStraddleWindows(t *testing.T) {
 	})
 }
 
-// Every operation that may free or move the page under the window
+// Every operation that frees or replaces the cells under the window
 // drops the window with it: the tape's cells stay right afterwards,
 // and pages it freed read Blank in the next tape.
 func TestWindowDroppedWithItsPage(t *testing.T) {
@@ -205,9 +204,9 @@ func TestWindowDroppedWithItsPage(t *testing.T) {
 	})
 }
 
-// A spill migrates the cells out of the lent RAM pages mid-write and
-// drops the window over them; the freed pages read Blank.
-func TestSpillDropsLentWindow(t *testing.T) {
+// A spill migrates the cells out of the RAM pages mid-write and drops
+// the window over them; the freed pages read Blank.
+func TestSpillDropsWindow(t *testing.T) {
 	for _, st := range []Storage{File, Mmap} {
 		t.Run(string(st), func(t *testing.T) {
 			o := Options{Storage: st, SpillDir: t.TempDir(), SpillThreshold: winSize + 100}
@@ -220,7 +219,7 @@ func TestSpillDropsLentWindow(t *testing.T) {
 			if err := tp.Rewind(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tp.ReadBlock(winSize + 10); err != nil { // the lent window is on page 1
+			if _, err := tp.ReadBlock(winSize + 10); err != nil { // the window is on page 1
 				t.Fatal(err)
 			}
 			if err := tp.SeekEnd(); err != nil {
@@ -235,38 +234,6 @@ func TestSpillDropsLentWindow(t *testing.T) {
 			assertContents(t, tp, data, "after the spill")
 			assertBlankPages(t, Options{}, 4*winSize)
 		})
-	}
-}
-
-// Growing a mapping past its capacity remaps it, which unmaps the
-// slice lent before; the tape must take its next window from the new
-// mapping. A stale window would fault here, not just read wrong.
-func TestMmapRemapDropsLentWindow(t *testing.T) {
-	tp := NewWith("remap", Options{Storage: Mmap, SpillDir: t.TempDir()})
-	defer tp.Close()
-	first := pattern(6, winSize-10)
-	if err := tp.WriteBlock(first); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tp.ReadBlock(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.SeekEnd(); err != nil {
-		t.Fatal(err)
-	}
-	rest := pattern(7, 5*winSize) // four remaps: 1 → 2 → 4 → 8 windows
-	if err := tp.WriteBlock(rest); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tp.ScanBytes()
-	if err != nil || !bytes.Equal(got, append(first, rest...)) {
-		t.Fatalf("content across remaps: %d cells, %v", len(got), err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"extmem/internal/core"
@@ -48,16 +47,6 @@ const MaxFrame = 1 << 26 // 64 MiB
 // the connection for the handshake timeout.
 const maxHelloFrame = 1 << 10
 
-// encodeBufs and readBufs pool the frame buffers, so a stream of
-// large frames (shard payloads, sorted runs) reuses a few buffers
-// instead of allocating one per frame. Reuse is safe on both sides:
-// an io.Writer must not retain the slice it is given, and gob copies
-// every decoded field out of the buffer it reads.
-var (
-	encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	readBufs   = sync.Pool{New: func() any { return new([]byte) }}
-)
-
 // writeFrame encodes v as one length-prefixed gob frame: a 4-byte
 // big-endian payload length followed by the payload. Every frame is an
 // independent gob stream, so a reader can decode any frame without the
@@ -68,11 +57,9 @@ var (
 // syscall per frame on a pipe, and no header-only segment for TCP
 // (without it, every frame could cost two packets under TCP_NODELAY).
 func writeFrame(w io.Writer, v any) error {
-	buf := encodeBufs.Get().(*bytes.Buffer)
-	defer encodeBufs.Put(buf)
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, 4))
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return err
 	}
 	n := buf.Len() - 4
@@ -101,12 +88,7 @@ func readFrameMax(r io.Reader, v any, limit uint32) error {
 	if n > limit {
 		return fmt.Errorf("transport: frame length %d exceeds the %d-byte limit", n, limit)
 	}
-	p := readBufs.Get().(*[]byte)
-	defer readBufs.Put(p)
-	if uint32(cap(*p)) < n {
-		*p = make([]byte, n)
-	}
-	buf := (*p)[:n]
+	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			return io.ErrUnexpectedEOF

@@ -65,11 +65,11 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// Frames are encoded and read through pooled buffers. That is safe
-// only because gob copies every decoded field out of the buffer it
-// reads: a payload decoded from one frame must survive the decoding of
-// the next frames, which reuse the same buffer, unchanged.
-func TestPooledFrameBuffersDoNotAlias(t *testing.T) {
+// Frames decoded back to back are independent: gob copies every
+// decoded field out of the buffer it reads, so a payload decoded from
+// one frame survives the decoding of the next frames unchanged, and a
+// reader may reuse its frame buffer.
+func TestDecodedFramesDoNotAlias(t *testing.T) {
 	payload := bytes.Repeat([]byte("0110#"), 8192)
 	out := bytes.Repeat([]byte("1001#"), 8192)
 	var wire bytes.Buffer
