@@ -1,9 +1,12 @@
 package algorithms
 
 import (
+	"bytes"
 	"fmt"
+	"math/bits"
 
 	"extmem/internal/core"
+	"extmem/internal/memory"
 	"extmem/internal/numeric"
 	"extmem/internal/problems"
 )
@@ -45,12 +48,16 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 	mem := m.Mem()
 	var params FingerprintParams
 
-	// Scan 1: determine m and n. The tape is swept in one bulk read;
-	// the register values are re-charged per symbol exactly as the
-	// single-step loop did, via map-lookup-free meter handles. (On a
-	// mid-processing memory-budget refusal the tape counters reflect
-	// the already-completed sweep rather than a partial one; such
-	// errors abort the run, so no resource report is produced.)
+	// Scan 1: determine m and n. The tape is swept in one bulk read.
+	// After every symbol the machine holds the length of the value read
+	// so far in fp.len. Its size changes only where that length gains a
+	// bit (1, 2, 4, …), so only those symbols are charged: the meter
+	// passes through the same states, and refuses at the same one, as
+	// with a charge per symbol. A run's first charge is always made,
+	// since before it the meter may hold more than its budget. (On a
+	// mid-processing memory-budget refusal the tape counters reflect the
+	// already-completed sweep rather than a partial one; such errors
+	// abort the run, so no resource report is produced.)
 	if err := in.Rewind(); err != nil {
 		return core.Reject, params, err
 	}
@@ -60,25 +67,34 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 	}
 	count := 0
 	firstLen := -1
-	curLen := 0
 	regM := mem.Register(counterRegion("fp.m"))
 	regLen := mem.Register(counterRegion("fp.len"))
-	for _, b := range scan1 {
-		if b == problems.Separator {
-			if firstLen < 0 {
-				firstLen = curLen
-			} else if curLen != firstLen {
-				return core.Reject, params, fmt.Errorf("algorithms: fingerprint requires equal-length values (%d vs %d)", firstLen, curLen)
-			}
-			count++
-			curLen = 0
-			if err := regM.SetInt(uint64(count)); err != nil {
-				return core.Reject, params, err
-			}
-			continue
+	lenBits := 0 // fp.len's charge in bits; 0 until this run charges it
+	for rest := scan1; len(rest) > 0; {
+		curLen := bytes.IndexByte(rest, problems.Separator)
+		tail := curLen < 0 // an unterminated tail: charged, never counted
+		if tail {
+			curLen = len(rest)
 		}
-		curLen++
-		if err := regLen.SetInt(uint64(curLen)); err != nil {
+		for c := 1; c <= curLen; c <<= 1 {
+			if b := bits.Len(uint(c)); b != lenBits {
+				if err := regLen.Set(int64(b)); err != nil {
+					return core.Reject, params, err
+				}
+				lenBits = b
+			}
+		}
+		if tail {
+			break
+		}
+		rest = rest[curLen+1:]
+		if firstLen < 0 {
+			firstLen = curLen
+		} else if curLen != firstLen {
+			return core.Reject, params, fmt.Errorf("algorithms: fingerprint requires equal-length values (%d vs %d)", firstLen, curLen)
+		}
+		count++
+		if err := regM.SetInt(uint64(count)); err != nil {
 			return core.Reject, params, err
 		}
 	}
@@ -132,23 +148,30 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 	// pow ← 2·pow (mod p1); x^{e_i} mod p2 is then computed by binary
 	// exponentiation in internal memory. All registers are O(log N)
 	// bits. The backward sweep is one bulk read (symbols arrive in
-	// visit order, i.e. reversed); the e/pow registers are re-charged
-	// per symbol so the peak-memory report matches the step-by-step
-	// loop bit for bit.
+	// visit order, i.e. reversed). e and pow stay below p1, so each
+	// symbol's update is an addition and a conditional subtraction, and
+	// x^{e_i} runs in a Montgomery context for p2: no division happens
+	// per symbol or per product. The e/pow registers are charged once
+	// per item (see itemCharge), and the meter's current, peak and every
+	// region still read as with a charge per symbol, bit for bit.
 	var (
 		sumV, sumW uint64
-		e          uint64
-		pow        uint64 = 1
 		haveItem   bool
 		sepCount   int
 		itemIdx    int
 	)
+	mont := numeric.NewMont(p2)
 	regSumV := mem.Register(counterRegion("fp.sumv"))
 	regSumW := mem.Register(counterRegion("fp.sumw"))
-	regE := mem.Register(counterRegion("fp.e"))
-	regPow := mem.Register(counterRegion("fp.pow"))
-	finalize := func() error {
-		term := numeric.PowMod(params.X, e, p2)
+	ch := itemCharge{
+		mem:     mem,
+		regE:    mem.Register(counterRegion("fp.e")),
+		regPow:  mem.Register(counterRegion("fp.pow")),
+		eBits:   mem.Region(counterRegion("fp.e")),
+		powBits: mem.Region(counterRegion("fp.pow")),
+	}
+	finalize := func(e uint64) error {
+		term := mont.Pow(params.X, e)
 		if itemIdx < params.M {
 			sumV = numeric.AddMod(sumV, term, p2)
 		} else {
@@ -163,41 +186,141 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 	if err != nil {
 		return core.Reject, params, err
 	}
-	for _, b := range scan2 {
-		if b == problems.Separator {
-			if haveItem {
-				if err := finalize(); err != nil {
-					return core.Reject, params, err
-				}
+	for rest := scan2; ; {
+		n := bytes.IndexByte(rest, problems.Separator)
+		last := n < 0
+		if last {
+			n = len(rest)
+		}
+		// rest[:n] is one value, least-significant bit first, or the
+		// unterminated tail, which is charged but never summed.
+		e, err := ch.item(rest[:n], p1)
+		if err != nil {
+			return core.Reject, params, err
+		}
+		if haveItem {
+			if err := finalize(e); err != nil {
+				return core.Reject, params, err
 			}
-			sepCount++
-			itemIdx = count - sepCount
-			e = 0
-			pow = 1
-			haveItem = true
-			continue
 		}
-		bit := uint64(0)
-		if b == '1' {
-			bit = 1
+		if last {
+			break
 		}
-		if bit == 1 {
-			e = numeric.AddMod(e, pow, p1)
-		}
-		pow = numeric.AddMod(pow, pow, p1)
-		if err := regE.SetInt(e); err != nil {
-			return core.Reject, params, err
-		}
-		if err := regPow.SetInt(pow); err != nil {
-			return core.Reject, params, err
-		}
-	}
-	if haveItem {
-		if err := finalize(); err != nil {
-			return core.Reject, params, err
-		}
+		rest = rest[n+1:]
+		sepCount++
+		itemIdx = count - sepCount
+		haveItem = true
 	}
 	return verdictOf(sumV == sumW), params, nil
+}
+
+// itemCharge accumulates one value's residue and charges the fp.e and
+// fp.pow registers for it. After every symbol the machine holds e in
+// fp.e, then pow in fp.pow, starting from whatever the meter held
+// before the value: the previous value's final sizes, or a previous
+// run's. Charged per symbol, that leaves the meter at the value's
+// final sizes, with its peak raised to the highest usage any of those
+// charges reached. itemCharge computes that highest usage while it
+// reads the symbols and reproduces the meter with three charges: one
+// to the peak, two to the final sizes. If that peak is over the
+// budget, some per-symbol charge is refused, so the value is replayed
+// symbol by symbol from the untouched meter, which refuses exactly
+// that charge. TestFingerprintMatchesStepReference holds all of this
+// to a per-symbol copy of the loop.
+type itemCharge struct {
+	mem            *memory.Meter
+	regE, regPow   *memory.Register
+	eBits, powBits int64 // the sizes the meter holds for fp.e and fp.pow
+}
+
+// item returns the residue mod p of the value whose bits sym holds
+// least-significant first and charges its registers.
+func (c *itemCharge) item(sym []byte, p uint64) (uint64, error) {
+	if len(sym) == 0 {
+		return 0, nil
+	}
+	e, pow := uint64(0), uint64(1)
+	prevPow := int(c.powBits)
+	top := 0 // the highest fp.e + fp.pow the per-symbol charges reach
+	for _, b := range sym {
+		e, pow = residueStep(e, pow, p, b)
+		eb, pb := bits.Len64(e|1), bits.Len64(pow|1)
+		// Charging fp.e gives eb + prevPow, then fp.pow gives eb + pb.
+		top = max(top, eb+max(prevPow, pb))
+		prevPow = pb
+	}
+	eb, pb := int64(bits.Len64(e|1)), int64(bits.Len64(pow|1))
+	peak := int64(top)
+	base := c.mem.Current() - c.eBits - c.powBits
+	if budget, ok := c.mem.Budget(); ok && base+peak > budget {
+		if err := c.replay(sym, p); err != nil {
+			return 0, err
+		}
+	} else if err := c.settle(peak, eb, pb); err != nil {
+		return 0, err
+	}
+	c.eBits, c.powBits = eb, pb
+	return e, nil
+}
+
+// settle moves the meter from (eBits, powBits) through a state whose
+// fp.e + fp.pow is peak to (eb, pb). Every step passes only through
+// totals at most peak, so no step raises the meter's peak above it.
+func (c *itemCharge) settle(peak, eb, pb int64) error {
+	// The first symbol's charge of fp.e, beside the old fp.pow, already
+	// reaches at least 1 + powBits, so high ≥ 1.
+	high := peak - c.powBits
+	if err := c.regE.Set(high); err != nil {
+		return err
+	}
+	// From (high, powBits) to (eb, pb): shrink a register before
+	// growing the other. If fp.e would grow, eb + powBits > peak ≥
+	// eb + pb, so fp.pow shrinks first.
+	if eb <= high {
+		if err := c.regE.Set(eb); err != nil {
+			return err
+		}
+		return c.regPow.Set(pb)
+	}
+	if err := c.regPow.Set(pb); err != nil {
+		return err
+	}
+	return c.regE.Set(eb)
+}
+
+// replay charges the value's registers symbol by symbol, returning
+// the first refusal.
+func (c *itemCharge) replay(sym []byte, p uint64) error {
+	e, pow := uint64(0), uint64(1)
+	for _, b := range sym {
+		e, pow = residueStep(e, pow, p, b)
+		if err := c.regE.SetInt(e); err != nil {
+			return err
+		}
+		if err := c.regPow.SetInt(pow); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// residueStep reads the next symbol of a value, least-significant bit
+// first ('1' is a one bit, any other symbol a zero): e ← e + bit·pow
+// and pow ← 2·pow, each brought back below p by one conditional
+// subtraction. p ≤ k ≤ 2^61 (numeric.FingerprintModulus), so no sum
+// overflows.
+func residueStep(e, pow, p uint64, b byte) (uint64, uint64) {
+	var one uint64 // all ones for a one bit: no branch on random data
+	if b == '1' {
+		one = ^uint64(0)
+	}
+	if e += pow & one; e >= p {
+		e -= p
+	}
+	if pow += pow; pow >= p {
+		pow -= p
+	}
+	return e, pow
 }
 
 // FingerprintRepeated runs the Theorem 8(a) decider s times with

@@ -3,9 +3,12 @@
 // arithmetic, deterministic Miller–Rabin primality testing, random
 // prime selection below a bound, and Bertrand-postulate prime search.
 //
-// All arithmetic is exact on uint64 operands using 128-bit
-// intermediates from math/bits; no big-integer allocation happens on
-// the hot path.
+// All arithmetic is exact on uint64 operands and allocates nothing.
+// MulMod and PowMod divide a 128-bit product with math/bits.Div64.
+// Mont, a Montgomery context for one odd modulus, multiplies with two
+// 64×64→128-bit multiplications, one 64-bit one and a conditional
+// addition, and no division; IsPrime and the fingerprint's powers run
+// through it.
 package numeric
 
 import (
@@ -74,7 +77,7 @@ func IsPrime(n uint64) bool {
 	if n < 2 {
 		return false
 	}
-	for _, p := range []uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} {
+	for _, p := range millerRabinBases {
 		if n == p {
 			return true
 		}
@@ -82,22 +85,21 @@ func IsPrime(n uint64) bool {
 			return false
 		}
 	}
-	// Write n−1 = d·2^s with d odd.
-	d := n - 1
-	s := 0
-	for d&1 == 0 {
-		d >>= 1
-		s++
-	}
+	// n is odd and above 37. Write n−1 = d·2^s with d odd; every base
+	// runs in Montgomery form, where 1 and n−1 are c.one and n−c.one.
+	s := bits.TrailingZeros64(n - 1)
+	d := (n - 1) >> s
+	c := NewMont(n)
+	one, minusOne := c.one, n-c.one
 	for _, a := range millerRabinBases {
-		x := PowMod(a, d, n)
-		if x == 1 || x == n-1 {
+		x := c.exp(c.toMont(a), d)
+		if x == one || x == minusOne {
 			continue
 		}
 		composite := true
 		for i := 0; i < s-1; i++ {
-			x = MulMod(x, x, n)
-			if x == n-1 {
+			x = c.mul(x, x)
+			if x == minusOne {
 				composite = false
 				break
 			}
@@ -107,6 +109,74 @@ func IsPrime(n uint64) bool {
 		}
 	}
 	return true
+}
+
+// Mont is a Montgomery multiplication context for one odd modulus m,
+// with R = 2^64. A residue a is held as a·R mod m, so a product costs
+// one reduction of a 128-bit value by m that needs no division. It is
+// exact for every odd m < 2^64.
+type Mont struct {
+	m   uint64
+	inv uint64 // m⁻¹ mod 2^64
+	one uint64 // R mod m: 1 in Montgomery form
+	r2  uint64 // R² mod m
+}
+
+// NewMont returns the context for the odd modulus m. It panics if m
+// is even. Building it costs two divisions; its products cost none.
+func NewMont(m uint64) Mont {
+	if m&1 == 0 {
+		panic(fmt.Sprintf("numeric: Montgomery modulus %d is even", m))
+	}
+	// Newton's iteration doubles the correct low bits of m⁻¹ each
+	// step, from the 3 that m·m ≡ 1 (mod 8) gives: 5 steps reach 64.
+	inv := m
+	for range 5 {
+		inv *= 2 - m*inv
+	}
+	one := -m % m // 2^64 mod m, computed as (2^64 − m) mod m
+	return Mont{m: m, inv: inv, one: one, r2: MulMod(one, one, m)}
+}
+
+// mul returns a·b·R⁻¹ mod m for a·b < m·R, which holds whenever one
+// factor is below m. With q = lo·m⁻¹ mod 2^64 the low words of a·b
+// and q·m agree, so (a·b − q·m)/R is the difference of the high
+// words. It lies in (−m, m), and one conditional addition of m brings
+// it into [0, m) with no carry out of 64 bits, even for m ≥ 2^63.
+func (c Mont) mul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	h, _ := bits.Mul64(lo*c.inv, c.m)
+	t := hi - h
+	if hi < h {
+		t += c.m
+	}
+	return t
+}
+
+// toMont returns a·R mod m for any a < 2^64: r2 < m keeps a·r2 below
+// m·R, so no preliminary a mod m is needed.
+func (c Mont) toMont(a uint64) uint64 { return c.mul(a, c.r2) }
+
+// exp returns b^e in Montgomery form, for b in Montgomery form, by
+// right-to-left binary exponentiation. The product is formed for every
+// bit and kept only for a one bit, so the loop has no branch on the
+// exponent's bits, and the squaring chain overlaps the product chain.
+func (c Mont) exp(b, e uint64) uint64 {
+	x := c.one
+	for {
+		if y := c.mul(x, b); e&1 == 1 {
+			x = y
+		}
+		if e >>= 1; e == 0 {
+			return x
+		}
+		b = c.mul(b, b)
+	}
+}
+
+// Pow returns a^e mod m for any a; Pow(a, 0) = 1 mod m.
+func (c Mont) Pow(a, e uint64) uint64 {
+	return c.mul(c.exp(c.toMont(a), e), 1)
 }
 
 // NextPrime returns the smallest prime ≥ n, or an error if none fits

@@ -256,3 +256,91 @@ func TestQuickFermat(t *testing.T) {
 		}
 	}
 }
+
+// montModuli returns odd moduli spread over the whole uint64 range:
+// the extremes, moduli at and above 2^63 (where a reduction that kept
+// a·b + q·m in 65 bits would need its final carry), and random ones of
+// every bit length.
+func montModuli(rng *rand.Rand) []uint64 {
+	ms := []uint64{1, 3, 5, 7, 1<<32 + 15, 1<<63 - 25, 1<<63 + 1, 1<<63 + 29,
+		15_600_000_000_000_000_001, 1<<64 - 59, 1<<64 - 3, 1<<64 - 1}
+	for bitLen := 2; bitLen <= 64; bitLen++ {
+		for i := 0; i < 4; i++ {
+			m := rng.Uint64()>>(64-bitLen) | 1<<(bitLen-1) | 1
+			ms = append(ms, m)
+		}
+	}
+	return ms
+}
+
+func bigPowMod(a, e, m uint64) uint64 {
+	return new(big.Int).Exp(new(big.Int).SetUint64(a), new(big.Int).SetUint64(e), new(big.Int).SetUint64(m)).Uint64()
+}
+
+func TestMontAgainstBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, m := range montModuli(rng) {
+		c := NewMont(m)
+		bm := new(big.Int).SetUint64(m)
+		operands := []uint64{0, 1, 2, m - 1, m, m + 1, 1<<64 - 1, rng.Uint64(), rng.Uint64() % m}
+		for _, a := range operands {
+			for _, b := range operands {
+				got := c.mul(c.mul(c.toMont(a), c.toMont(b)), 1)
+				want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+				want.Mod(want, bm)
+				if got != want.Uint64() {
+					t.Fatalf("m=%d: Montgomery %d·%d = %d, want %d", m, a, b, got, want.Uint64())
+				}
+			}
+			for _, e := range []uint64{0, 1, 2, 3, m - 1, 1<<64 - 1, rng.Uint64(), rng.Uint64() >> 40} {
+				if got, want := c.Pow(a, e), bigPowMod(a, e, m); got != want {
+					t.Fatalf("Mont(%d).Pow(%d, %d) = %d, want %d", m, a, e, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestMontEdge(t *testing.T) {
+	c := NewMont(3)
+	for a := uint64(0); a < 9; a++ {
+		for e := uint64(0); e < 9; e++ {
+			if got, want := c.Pow(a, e), bigPowMod(a, e, 3); got != want {
+				t.Fatalf("Mont(3).Pow(%d, %d) = %d, want %d", a, e, got, want)
+			}
+		}
+	}
+	if got := NewMont(1<<64-1).Pow(0, 0); got != 1 {
+		t.Fatalf("0^0 mod 2^64−1 = %d, want 1", got)
+	}
+	if got := NewMont(1).Pow(5, 0); got != 0 {
+		t.Fatalf("5^0 mod 1 = %d, want 0", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewMont accepted an even modulus")
+		}
+	}()
+	NewMont(10)
+}
+
+// PowMod agrees with math/big on every nonzero modulus m, and so does
+// the Montgomery context for the odd modulus m|1.
+func FuzzPowMod(f *testing.F) {
+	f.Add(uint64(5), uint64(0), uint64(7))
+	f.Add(uint64(0), uint64(3), uint64(3))
+	f.Add(uint64(1<<64-1), uint64(1<<64-1), uint64(1<<64-1))
+	f.Add(uint64(123456789), uint64(987654321), uint64(15_600_000_000_000_000_001))
+	f.Add(uint64(2), uint64(1<<20), uint64(1<<40))
+	f.Fuzz(func(t *testing.T, a, e, m uint64) {
+		if got, want := NewMont(m|1).Pow(a, e), bigPowMod(a, e, m|1); got != want {
+			t.Fatalf("Mont(%d).Pow(%d, %d) = %d, want %d", m|1, a, e, got, want)
+		}
+		if m == 0 {
+			return
+		}
+		if got, want := PowMod(a, e, m), bigPowMod(a, e, m); got != want {
+			t.Fatalf("PowMod(%d, %d, %d) = %d, want %d", a, e, m, got, want)
+		}
+	})
+}
