@@ -9,8 +9,9 @@
 // (Theorems 11–13).
 //
 // The tape device (internal/tape) offers bulk transfer operations
-// (ReadBlock, WriteBlock, ScanBytes, ScanUntilAppend, ReadBlockBackward,
-// and O(1) Rewind/SeekEnd) next to the single-cell head primitives.
+// (ReadBlock, WriteBlock, ScanBytes, ScanUntil, CopyDelimited,
+// ReadBlockBackward, and O(1) Rewind/SeekEnd) next to the single-cell
+// head primitives.
 // Bulk ops are performance sugar only: reversal, step, read and write
 // accounting is identical to the equivalent sequence of single-cell
 // steps, so every resource report — the (r, s, t) quantities the

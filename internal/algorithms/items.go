@@ -33,20 +33,24 @@ import (
 // An ItemReader is the one way to read '#'-terminated items from a
 // tape, head moving forward. Each item Next returns is buffered in
 // internal memory, charged to one meter region through a Register (no
-// per-item map lookup), and read into one buffer the reader reuses for
-// every item, so a loop over a stream allocates only when an item
-// outgrows every earlier one.
+// per-item map lookup), and handed out as a read-only view of the
+// tape's window (tape.Tape.ScanUntil): an item that straddles two
+// windows is copied into one buffer the reader reuses, so a loop over a
+// stream copies and allocates almost nothing.
 //
-// The item Next returns, and the Record holding it, alias that buffer:
-// they stay valid until the reader's next Next or CopyItems call.
-// Anything kept longer (a dedup predecessor, a run-formation buffer)
-// must be copied out first.
+// The item Next returns, and the Record holding it, are valid until the
+// next operation on the reader's tape, and must not be written to.
+// Every caller reads one tape while it writes another, so an item
+// stays valid while its bytes are compared or written elsewhere;
+// anything kept across the next read (a dedup predecessor, a
+// run-formation buffer) must be copied out first.
 type ItemReader struct {
 	tp     *tape.Tape
 	mem    *memory.Meter
 	region string
 	reg    *memory.Register
 	rec    []byte // the last item read, followed by its separator
+	buf    []byte // holds an item that straddles two windows
 }
 
 // NewItemReader returns a reader of tp's items that charges each
@@ -70,14 +74,15 @@ func (r *ItemReader) Next() (item []byte, ok bool, err error) {
 	if err := r.reg.Set(0); err != nil {
 		return nil, false, err
 	}
-	found, err := r.scan()
+	rec, found, err := r.tp.ScanUntil(problems.Separator, &r.buf)
 	if err != nil {
 		return nil, false, err
 	}
 	if !found {
 		return nil, false, fmt.Errorf("algorithms: item on tape %q not terminated by %q", r.tp.Name(), problems.Separator)
 	}
-	item = r.rec[:len(r.rec)-1]
+	r.rec = rec
+	item = rec[:len(rec)-1]
 	// The buffer grew one symbol at a time; its peak is its final size.
 	if err := r.reg.Set(int64(len(item))); err != nil {
 		return nil, false, err
@@ -88,35 +93,24 @@ func (r *ItemReader) Next() (item []byte, ok bool, err error) {
 // Record returns the item the last successful Next returned, followed
 // by its separator: WriteBlock(Record()) writes the item exactly as
 // WriteItem does, counters and refused turns included, in one call.
+// Like the item, it is valid until the next operation on the reader's
+// tape.
 func (r *ItemReader) Record() []byte { return r.rec }
 
-// CopyItems copies up to count items to dst, record by record through
-// the reader's buffer, and returns the number copied (less than count
-// if the tape ran out). It charges nothing to the meter: a copy moves
-// each symbol straight from tape to tape with O(1) internal memory.
-// Tape accounting is one ScanUntilAppend plus one WriteBlock per item.
+// CopyItems copies up to count items to dst, which must be another
+// tape, and returns the number copied (less than count if the tape ran
+// out). A whole run moves in one tape.Tape.CopyDelimited call, straight
+// from this tape's window into dst's; it charges nothing to the meter,
+// since a copy moves each symbol from tape to tape with O(1) internal
+// memory. Tape accounting is exactly that of one ScanUntil plus one
+// WriteBlock per item, refused turns included. After CopyItems the
+// last item Next returned is no longer valid.
 func (r *ItemReader) CopyItems(dst *tape.Tape, count int) (int, error) {
-	copied := 0
-	for copied < count && !r.tp.AtEnd() {
-		found, err := r.scan()
-		if err != nil {
-			return copied, err
-		}
-		if err := dst.WriteBlock(r.rec); err != nil {
-			return copied, err
-		}
-		if !found {
-			return copied, fmt.Errorf("algorithms: unterminated item while copying from %q", r.tp.Name())
-		}
-		copied++
+	n, partial, err := r.tp.CopyDelimited(dst, problems.Separator, count)
+	if err == nil && partial {
+		err = fmt.Errorf("algorithms: unterminated item while copying from %q", r.tp.Name())
 	}
-	return copied, nil
-}
-
-// scan reads up to and including the next separator into the buffer.
-func (r *ItemReader) scan() (found bool, err error) {
-	r.rec, found, err = r.tp.ScanUntilAppend(problems.Separator, r.rec)
-	return found, err
+	return n, err
 }
 
 // WriteItem writes item followed by the separator at the head of tp,

@@ -37,6 +37,7 @@ import (
 
 	"extmem/internal/core"
 	"extmem/internal/memory"
+	"extmem/internal/problems"
 	"extmem/internal/tape"
 )
 
@@ -355,6 +356,7 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 		// by the input) spares it the copies of growing.
 		arena    = make([]byte, 0, min(budget, int64(st.src.Len())))
 		run      [][]byte // the run's items, slices of arena
+		stage    []byte   // the sorted run's records, written one fill at a time
 		planner  = RunPlanner{Budget: budget}
 		runCount = 0
 		prepared = make([]bool, st.k)
@@ -369,10 +371,8 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 			prepared[runCount%st.k] = true
 		}
 		sortItems(run)
-		for _, it := range run {
-			if err := WriteItem(lane, it); err != nil {
-				return err
-			}
+		if err := writeRun(lane, run, false, &stage); err != nil {
+			return err
 		}
 		runCount++
 		arena, run = arena[:0], run[:0]
@@ -404,7 +404,7 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 		if err := buf.Set(int64(len(arena) + len(item))); err != nil {
 			return false, 0, 0, err
 		}
-		// The reader reuses its buffer, so the item is copied out.
+		// The item is a view valid until the next read, so it is copied out.
 		arena = append(arena, item...)
 		run = append(run, arena[len(arena)-len(item):len(arena):len(arena)])
 	}
@@ -417,15 +417,8 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 		if err := rewindTruncateTape(st.src); err != nil {
 			return false, 0, 0, err
 		}
-		var prev []byte
-		for i, it := range run {
-			if dedup && i > 0 && Compare(it, prev) == 0 {
-				continue
-			}
-			if err := WriteItem(st.src, it); err != nil {
-				return false, 0, 0, err
-			}
-			prev = it
+		if err := writeRun(st.src, run, dedup, &stage); err != nil {
+			return false, 0, 0, err
 		}
 		mem.Free(itemRegion("sort.runbuf"))
 		return true, total, 0, st.src.Rewind()
@@ -520,7 +513,7 @@ func (st *sortState) merge(runLen, active int, dedup bool) error {
 // index on ties (which for fan-in 2 reproduces the legacy merge's
 // read/write order exactly).
 func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
-	items := make([][]byte, active) // each lane's item, aliasing its reader
+	items := make([][]byte, active) // each lane's item, a view valid until that lane's next read
 	have := make([]bool, active)
 	seen := make([]int, active)
 
@@ -539,7 +532,7 @@ func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
 		return nil
 	}
 
-	var prev []byte // copied out: the lane's reader reuses its buffer
+	var prev []byte // copied out: the lane's item is a view
 	havePrev := false
 	prevReg := st.mem.Register(itemRegion("sort.dedupprev"))
 	emit := func(i int) error {
@@ -591,6 +584,44 @@ func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
 		}
 		st.tree.replay(w, less)
 	}
+}
+
+// runStageCells caps the staging buffer writeRun fills: a 1 GiB sort
+// forms runs of several MiB, and staging a whole one would double the
+// run buffer in RAM.
+const runStageCells = 64 << 10
+
+// writeRun writes a sorted run's items to tp, each followed by the
+// separator, dropping adjacent duplicates when dedup is set. The
+// records are staged in *stage, reused across runs, and leave in one
+// WriteBlock per fill of at most runStageCells cells; an item too large
+// for the stage leaves on its own. WriteBlock(a) then WriteBlock(b) is
+// accounted exactly as WriteBlock(a+b), and a refused turn writes the
+// first cell either way, so this is counted exactly as one WriteItem
+// per item.
+func writeRun(tp *tape.Tape, run [][]byte, dedup bool, stage *[]byte) error {
+	buf := (*stage)[:0]
+	for i, it := range run {
+		if dedup && i > 0 && Compare(it, run[i-1]) == 0 {
+			continue
+		}
+		if len(buf)+len(it)+1 > runStageCells {
+			if err := tp.WriteBlock(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+			if len(it)+1 > runStageCells {
+				if err := WriteItem(tp, it); err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		buf = append(buf, it...)
+		buf = append(buf, problems.Separator)
+	}
+	*stage = buf[:0]
+	return tp.WriteBlock(buf)
 }
 
 // sortItems sorts a run buffer in internal memory (free in the ST

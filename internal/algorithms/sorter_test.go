@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"extmem/internal/core"
@@ -48,8 +49,8 @@ func TestSorterMatchesReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		inputs = append(inputs, randomItems(rng.Intn(200), 8, rng))
 	}
-	// Items alias the reader's reused buffer, so whatever the engine
-	// keeps must be copied out: variable-length items (up to 40
+	// Items are views valid until the reader's next read, so whatever
+	// the engine keeps must be copied out: variable-length items (up to 40
 	// symbols) drawn from a pool of 12, so duplicates are heavy and
 	// every run of the 256- and 4096-bit budgets holds several items.
 	pool := randomItems(12, 40, rand.New(rand.NewSource(16)))
@@ -555,4 +556,62 @@ func TestRunPlannerRule(t *testing.T) {
 	if p.RunLen != 0 {
 		t.Fatalf("unfilled budget fixed runLen %d", p.RunLen)
 	}
+}
+
+// Sorts on many goroutines share the tape page pool, and each reads
+// its items as views of pages it owns: every sort must still produce
+// its own sorted output while the others take, fill and return pages.
+// CI runs this test under -race.
+func TestConcurrentSortsSharePagePool(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := tape.Options{}
+			if g%2 == 1 {
+				o = tape.Options{Storage: tape.File, SpillDir: t.TempDir(), SpillThreshold: 64 << 10}
+			}
+			rng := rand.New(rand.NewSource(int64(g)))
+			for round := range 2 {
+				if err := poolSort(o, rng, Sorter{FanIn: 2 + (g+round)%7, RunMemoryBits: refRunBudgets[(g+round)%5], Dedup: g%3 == 0}); err != nil {
+					errs <- fmt.Errorf("goroutine %d round %d: %w", g, round, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// poolSort sorts an input whose items straddle the tape window and
+// checks the output against an in-memory sort.
+func poolSort(o tape.Options, rng *rand.Rand, s Sorter) error {
+	input := genSortInput(rng, 70<<10, 3, 20)
+	items := strings.SplitAfter(string(input), "#")
+	items = items[:len(items)-1]
+	sort.Strings(items)
+	if s.Dedup {
+		items = uniqSorted(items)
+	}
+	k := s.fanIn()
+	m := core.NewMachineOpts(1+k, 1, o)
+	defer m.Close()
+	m.SetInput(input)
+	work := make([]int, k)
+	for i := range work {
+		work[i] = 1 + i
+	}
+	if err := s.Sort(m, 0, work); err != nil {
+		return err
+	}
+	if got := string(m.Tape(0).Contents()); got != strings.Join(items, "") {
+		return fmt.Errorf("%+v: the output differs from the in-memory sort", s)
+	}
+	return nil
 }

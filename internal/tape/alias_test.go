@@ -6,12 +6,13 @@ import (
 )
 
 // TestReturnedSlicesAreOwnedByCaller enforces the ownership contract
-// documented on ReadBlock, ReadBlockBackward, ScanBytes, Contents and
-// the delimiter scan ScanUntilAppend (given no buffer): the returned
-// slice is a fresh copy on every backend.
+// documented on ReadBlock, ReadBlockBackward, ScanBytes and Contents:
+// the returned slice is a fresh copy on every backend.
 // Mutating it must never reach the tape, and writing to the tape must
 // never reach a previously returned slice — the mem backend could
 // cheaply alias its slice, so this is a mutation test, not a tautology.
+// ScanUntil is the one exception; its subtest states its contract
+// (testScanUntilViews).
 func TestReturnedSlicesAreOwnedByCaller(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, o Options) {
 		seed := []byte("abcdefgh")
@@ -19,13 +20,6 @@ func TestReturnedSlicesAreOwnedByCaller(t *testing.T) {
 			"Contents": func(tp *Tape) []byte { return tp.Contents() },
 			"ScanBytes": func(tp *Tape) []byte {
 				got, err := tp.ScanBytes()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return got
-			},
-			"ScanUntil": func(tp *Tape) []byte {
-				got, _, err := tp.ScanUntilAppend('#', nil) // absent: sweeps the whole tape
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,5 +72,85 @@ func TestReturnedSlicesAreOwnedByCaller(t *testing.T) {
 				}
 			})
 		}
+		t.Run("ScanUntil", func(t *testing.T) { testScanUntilViews(t, o) })
 	})
+}
+
+// testScanUntilViews states ScanUntil's contract: bytes that lie in one
+// window come back as a view of the window, not a copy, so a later
+// write to those cells on the same tape shows through it. A view is
+// valid until the tape's next operation: operations on other tapes,
+// which take and return pages of the same pool, leave it intact. Bytes
+// that straddle two windows come back in the caller's buffer, which the
+// caller owns like any copy.
+func testScanUntilViews(t *testing.T, o Options) {
+	data := append(pattern(1, winSize-8), "#xy#"...)
+	data = append(data, pattern(2, 9)...) // straddles into the second window
+	data = append(data, '#')
+	tp := FromBytesWith("views", data, o)
+	defer tp.Close()
+	var buf []byte
+	if _, _, err := tp.ScanUntil('#', &buf); err != nil {
+		t.Fatal(err)
+	}
+	view, found, err := tp.ScanUntil('#', &buf)
+	if err != nil || !found || string(view) != "xy#" {
+		t.Fatalf("view = (%q, %v, %v), want xy#", view, found, err)
+	}
+	if buf != nil {
+		t.Fatalf("a view within one window filled the buffer: %q", buf)
+	}
+
+	// Other tapes take, fill, free and zero pooled pages.
+	for i := range 4 {
+		other := FromBytesWith("other", pattern(i, 3*winSize), o)
+		if _, err := other.ScanBytes(); err != nil {
+			t.Fatal(err)
+		}
+		if err := other.WriteBlock(pattern(i+1, winSize)); err != nil {
+			t.Fatal(err)
+		}
+		other.Close()
+	}
+	if string(view) != "xy#" {
+		t.Fatalf("operations on other tapes changed the view to %q", view)
+	}
+
+	// A view is not a copy: a write to its cells shows through.
+	if err := tp.MoveBackwardN(3); err != nil {
+		t.Fatal(err)
+	}
+	tp.Write('Z')
+	if string(view) != "Zy#" {
+		t.Fatalf("after a write to its first cell the view reads %q, want Zy#", view)
+	}
+
+	// The straddling record is copied into the caller's buffer.
+	if _, err := tp.ReadBlock(3); err != nil {
+		t.Fatal(err)
+	}
+	held, found, err := tp.ScanUntil('#', &buf)
+	want := append(pattern(2, 9), '#')
+	if err != nil || !found || !bytes.Equal(held, want) {
+		t.Fatalf("straddling record = (%q, %v, %v), want %q", held, found, err, want)
+	}
+	if len(buf) == 0 || &buf[0] != &held[0] {
+		t.Fatal("a straddling record was not returned in the caller's buffer")
+	}
+	for i := range held {
+		held[i] = '!'
+	}
+	if got := tp.Contents(); !bytes.Equal(got[winSize-4:], want) {
+		t.Fatalf("mutating the buffer changed the tape: %q", got[winSize-4:])
+	}
+	copy(held, want)
+	if err := tp.MoveBackwardN(len(want)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.WriteBlock(bytes.Repeat([]byte{'Q'}, len(want))); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(held, want) {
+		t.Fatalf("writing to the tape changed the buffer: %q", held)
+	}
 }

@@ -136,6 +136,25 @@ func (f *flatTape) writeBlock(data []byte) error {
 	return nil
 }
 
+// copyDelimited is count rounds of a delimiter scan on f followed by a
+// block write of the bytes read on dst.
+func (f *flatTape) copyDelimited(dst *flatTape, delim byte, count int) (n int, partial bool, err error) {
+	for n < count && f.pos < len(f.cells) {
+		rec, found, err := f.readForward(f.rest(), func(b byte) bool { return b == delim })
+		if err != nil {
+			return n, false, err
+		}
+		if err := dst.writeBlock(rec); err != nil {
+			return n, false, err
+		}
+		if !found {
+			return n, true, nil
+		}
+		n++
+	}
+	return n, false, nil
+}
+
 func (f *flatTape) readBackward(n int) ([]byte, error) {
 	var out []byte
 	for i := 0; i < n; i++ {
@@ -173,20 +192,29 @@ func never(byte) bool { return false }
 // runBackendLockstep decodes ops as an operation sequence and applies
 // it, one operation at a time, to a tape on every backend and to the
 // flatTape reference, failing on the first divergence in returned
-// bytes, error class, head position, direction or Stats. Contents are
-// compared after an operation whose code byte is 0xF0 or above, and at
-// the end: comparing them after every operation would move every
-// window, which would hide a window that stays dirty across
+// bytes, error class, head position, direction or Stats. Each tape has
+// a destination tape on the same backend, which CopyDelimited writes
+// and a few operations of its own turn, truncate and budget. Contents
+// are compared after an operation whose code byte is 0xF0 or above,
+// and at the end: comparing them after every operation would move
+// every window, which would hide a window that stays dirty across
 // operations.
 func runBackendLockstep(t *testing.T, ops []byte) {
 	t.Helper()
 	configs := backendConfigs(t)
 	tapes := make([]*Tape, len(configs))
+	dsts := make([]*Tape, len(configs))
+	dstOf := map[*Tape]*Tape{}
+	bufOf := map[*Tape]*[]byte{} // each tape's ScanUntil buffer, reused
 	for i, c := range configs {
 		tapes[i] = NewWith("lockstep", c.Opts)
+		dsts[i] = NewWith("lockstep-dst", c.Opts)
 		defer tapes[i].Close()
+		defer dsts[i].Close()
+		dstOf[tapes[i]] = dsts[i]
+		bufOf[tapes[i]] = new([]byte)
 	}
-	ref := newFlatTape()
+	ref, refDst := newFlatTape(), newFlatTape()
 
 	pos := 0
 	arg := func() byte {
@@ -199,22 +227,28 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 	}
 	check := func(op int, name string, contents bool) {
 		t.Helper()
-		for i, tp := range tapes {
-			cfg := configs[i].Name
-			if tp.Pos() != ref.pos || tp.Dir() != ref.dir {
-				t.Fatalf("op %d (%s) on %s: head (%d,%v) diverges from the reference (%d,%v)",
-					op, name, cfg, tp.Pos(), tp.Dir(), ref.pos, ref.dir)
-			}
-			if tp.Stats() != ref.stats() {
-				t.Fatalf("op %d (%s) on %s: stats %+v diverge from the reference %+v",
-					op, name, cfg, tp.Stats(), ref.stats())
-			}
-			if !contents {
-				continue
-			}
-			if got := tp.Contents(); !bytes.Equal(got, ref.cells) {
-				t.Fatalf("op %d (%s) on %s: contents (%d cells) diverge from the reference (%d cells)",
-					op, name, cfg, len(got), len(ref.cells))
+		for _, side := range []struct {
+			tapes []*Tape
+			ref   *flatTape
+		}{{tapes, ref}, {dsts, refDst}} {
+			ref := side.ref
+			for i, tp := range side.tapes {
+				cfg := configs[i].Name + " " + tp.Name()
+				if tp.Pos() != ref.pos || tp.Dir() != ref.dir {
+					t.Fatalf("op %d (%s) on %s: head (%d,%v) diverges from the reference (%d,%v)",
+						op, name, cfg, tp.Pos(), tp.Dir(), ref.pos, ref.dir)
+				}
+				if tp.Stats() != ref.stats() {
+					t.Fatalf("op %d (%s) on %s: stats %+v diverge from the reference %+v",
+						op, name, cfg, tp.Stats(), ref.stats())
+				}
+				if !contents {
+					continue
+				}
+				if got := tp.Contents(); !bytes.Equal(got, ref.cells) {
+					t.Fatalf("op %d (%s) on %s: contents (%d cells) diverge from the reference (%d cells)",
+						op, name, cfg, len(got), len(ref.cells))
+				}
 			}
 		}
 	}
@@ -239,7 +273,7 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 				}
 			}
 		}
-		switch opc % 16 {
+		switch opc % 18 {
 		case 0:
 			want = []byte{ref.read()}
 			each("Read", func(tp *Tape) ([]byte, bool, error) {
@@ -312,8 +346,8 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 		case 10:
 			delim := arg()
 			want, wantFound, wantErr = ref.readForward(ref.rest(), func(b byte) bool { return b == delim })
-			each("ScanUntilAppend", func(tp *Tape) ([]byte, bool, error) {
-				return tp.ScanUntilAppend(delim, nil)
+			each("ScanUntil", func(tp *Tape) ([]byte, bool, error) {
+				return tp.ScanUntil(delim, bufOf[tp])
 			})
 		case 11:
 			ref.cells = ref.cells[:min(ref.pos, len(ref.cells))]
@@ -351,6 +385,38 @@ func runBackendLockstep(t *testing.T, ops []byte) {
 				data, err := tp.ReadBlock(n)
 				return data, false, err
 			})
+		case 16:
+			delim, count := arg(), int(arg())
+			if refDst.pos+ref.rest() > maxLockstepCells {
+				break // the destination would grow past the bound
+			}
+			n, partial, err := ref.copyDelimited(refDst, delim, count)
+			want, wantFound, wantErr = []byte{byte(n)}, partial, err
+			each("CopyDelimited", func(tp *Tape) ([]byte, bool, error) {
+				n, partial, err := tp.CopyDelimited(dstOf[tp], delim, count)
+				return []byte{byte(n)}, partial, err
+			})
+		case 17:
+			switch arg() % 3 {
+			case 0:
+				wantErr = refDst.moveBackward(refDst.pos)
+				each("DstRewind", func(tp *Tape) ([]byte, bool, error) {
+					return nil, false, dstOf[tp].Rewind()
+				})
+			case 1:
+				refDst.cells = refDst.cells[:min(refDst.pos, len(refDst.cells))]
+				each("DstTruncate", func(tp *Tape) ([]byte, bool, error) {
+					dstOf[tp].Truncate()
+					return nil, false, nil
+				})
+			case 2:
+				budget := int(arg())%4 - 1
+				refDst.budget = budget
+				each("DstSetBudget", func(tp *Tape) ([]byte, bool, error) {
+					dstOf[tp].SetBudget(budget)
+					return nil, false, nil
+				})
+			}
 		}
 		check(op, name, opc >= 0xF0)
 	}
@@ -386,7 +452,37 @@ func lockstepCorpus() map[string][]byte {
 			7,         // Rewind
 			15, 17, 5, // big ReadBlock back across the pages
 			7,       // Rewind
-			10, '#', // ScanUntilAppend with no delimiter: sweep to the end
+			10, '#', // ScanUntil with no delimiter: sweep to the end
+		},
+		"copy-delimited": {
+			4, 17, 3, 42, // WriteBlock of 2^17+3 cells, a '#' every 256
+			7,          // Rewind
+			16, '#', 3, // CopyDelimited of 3 items
+			17, 0, // DstRewind: the next copy turns the destination
+			16, '#', 255, // 255 items: the copy crosses the window boundary
+			10, '#', // ScanUntil with the reused buffer
+			16, 0, 255, // Blank as the delimiter: copy on to the end, an unterminated tail last
+			17, 1, // DstTruncate at the end
+			7, 9, // Rewind, ScanBytes
+		},
+		"scan-straddle": {
+			4, 17, 3, 42, // WriteBlock of 2^17+3 cells, a Blank every 256
+			7,          // Rewind
+			16, 0, 255, // 255 items delimited by Blank
+			16, 0, 1, // one more: the head stops 5 cells before the window boundary
+			10, 0, // ScanUntil: the item straddles the boundary
+			10, 0, // and the next one lies in the second window
+		},
+		"copy-refused": {
+			4, 4, 0, 35, // WriteBlock of 16 cells, '#' first
+			7,     // Rewind: the source now moves backward
+			14, 1, // SetBudget 0
+			16, '#', 2, // CopyDelimited: the source's turn is refused
+			14, 0, // SetBudget unlimited
+			16, '#', 1, // one item
+			17, 2, 2, // DstSetBudget 1
+			17, 0, // DstRewind: spends the destination's reversal
+			16, '#', 2, // the destination's turn is refused after the first read
 		},
 		"truncate-regrow": {
 			4, 10, 0, 9, // WriteBlock of 1 KiB

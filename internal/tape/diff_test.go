@@ -63,6 +63,25 @@ func (r stepRef) ScanUntil(delim byte) ([]byte, bool, error) {
 	return out, false, nil
 }
 
+// CopyDelimited is count rounds of ScanUntil on the source followed by
+// WriteBlock of the bytes read on dst.
+func (r stepRef) CopyDelimited(dst stepRef, delim byte, count int) (n int, partial bool, err error) {
+	for n < count && !r.t.AtEnd() {
+		rec, found, err := r.ScanUntil(delim)
+		if err != nil {
+			return n, false, err
+		}
+		if err := dst.WriteBlock(rec); err != nil {
+			return n, false, err
+		}
+		if !found {
+			return n, true, nil
+		}
+		n++
+	}
+	return n, false, nil
+}
+
 func (r stepRef) WriteBlock(data []byte) error {
 	for _, b := range data {
 		if err := r.t.WriteMove(b, Forward); err != nil {
@@ -156,19 +175,22 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 		}
 		bulk := FromBytesWith("bulk", initial, o)
 		step := FromBytesWith("step", initial, o)
+		// The copy destinations: CopyDelimited writes another tape.
+		bulkDst, stepDst := NewWith("bulkDst", o), NewWith("stepDst", o)
 		if rng.Intn(3) == 0 {
 			// A tight budget forces ErrBudget on some turns.
 			budget := rng.Intn(6)
-			bulk.SetBudget(budget)
-			step.SetBudget(budget)
+			for _, tp := range []*Tape{bulk, step, bulkDst, stepDst} {
+				tp.SetBudget(budget)
+			}
 		}
 		ref := stepRef{step}
-		var scanBuf []byte // reused across ScanUntilAppend ops
+		var scanBuf []byte // reused across ScanUntil ops
 
 		for op := 0; op < opsPerTrial; op++ {
 			name := ""
 			var errB, errS error
-			switch rng.Intn(13) {
+			switch rng.Intn(14) {
 			case 0:
 				name = "Rewind"
 				errB, errS = bulk.Rewind(), ref.Rewind()
@@ -184,17 +206,18 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 					t.Fatalf("trial %d op %d: ScanBytes %q vs %q", trial, op, gotB, gotS)
 				}
 			case 3:
-				name = "ScanUntilAppend(nil)"
+				name = "ScanUntil(fresh)"
 				delim := byte('#')
 				if rng.Intn(2) == 0 {
 					delim = byte(rng.Intn(4)) // include Blank and rare symbols
 				}
+				var buf []byte
 				var gotB, gotS []byte
 				var foundB, foundS bool
-				gotB, foundB, errB = bulk.ScanUntilAppend(delim, nil)
+				gotB, foundB, errB = bulk.ScanUntil(delim, &buf)
 				gotS, foundS, errS = ref.ScanUntil(delim)
 				if !bytes.Equal(gotB, gotS) || foundB != foundS {
-					t.Fatalf("trial %d op %d: ScanUntilAppend(nil) (%q,%v) vs (%q,%v)", trial, op, gotB, foundB, gotS, foundS)
+					t.Fatalf("trial %d op %d: ScanUntil(fresh) (%q,%v) vs (%q,%v)", trial, op, gotB, foundB, gotS, foundS)
 				}
 			case 4:
 				name = "WriteBlock"
@@ -246,27 +269,48 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 				bulk.Truncate()
 				step.Truncate()
 			case 12:
-				name = "ScanUntilAppend"
+				name = "ScanUntil"
 				delim := byte('#')
 				if rng.Intn(2) == 0 {
 					delim = byte(rng.Intn(4))
 				}
 				var gotB, gotS []byte
 				var foundB, foundS bool
-				gotB, foundB, errB = bulk.ScanUntilAppend(delim, scanBuf)
-				scanBuf = gotB[:0]
+				gotB, foundB, errB = bulk.ScanUntil(delim, &scanBuf)
 				gotS, foundS, errS = ref.ScanUntil(delim)
 				if !bytes.Equal(gotB, gotS) || foundB != foundS {
-					t.Fatalf("trial %d op %d: ScanUntilAppend (%q,%v) vs (%q,%v)", trial, op, gotB, foundB, gotS, foundS)
+					t.Fatalf("trial %d op %d: ScanUntil (%q,%v) vs (%q,%v)", trial, op, gotB, foundB, gotS, foundS)
 				}
+			case 13:
+				name = "CopyDelimited"
+				delim := byte('#')
+				if rng.Intn(3) == 0 {
+					delim = byte(rng.Intn(4))
+				}
+				if rng.Intn(3) == 0 {
+					// Turn the destination backward, so the copy must turn it again.
+					errB, errS = bulkDst.Rewind(), stepRef{stepDst}.Rewind()
+					if !sameErr(errB, errS) {
+						t.Fatalf("trial %d op %d: destination Rewind: bulk %v, step %v", trial, op, errB, errS)
+					}
+				}
+				count := rng.Intn(4)
+				nB, partialB, eB := bulk.CopyDelimited(bulkDst, delim, count)
+				nS, partialS, eS := ref.CopyDelimited(stepRef{stepDst}, delim, count)
+				if nB != nS || partialB != partialS {
+					t.Fatalf("trial %d op %d: CopyDelimited (%d,%v) vs (%d,%v)", trial, op, nB, partialB, nS, partialS)
+				}
+				errB, errS = eB, eS
 			}
 			if !sameErr(errB, errS) {
 				t.Fatalf("trial %d op %d (%s): errors diverge: bulk %v, step %v", trial, op, name, errB, errS)
 			}
 			diffState(t, trial, op, name, bulk, step)
+			diffState(t, trial, op, name, bulkDst, stepDst)
 		}
-		bulk.Close()
-		step.Close()
+		for _, tp := range []*Tape{bulk, step, bulkDst, stepDst} {
+			tp.Close()
+		}
 	}
 }
 
@@ -393,6 +437,42 @@ func testBulkBudgetExhaustion(t *testing.T, o Options) {
 		t.Fatalf("WriteBlock budget: bulk %v, step %v", errB, errS)
 	}
 	diffState(t, 0, 0, "WriteBlock/budget", bulk, step)
+
+	bulk, step = mkBack()
+	var buf []byte
+	_, _, errB = bulk.ScanUntil('d', &buf)
+	_, _, errS = stepRef{step}.ScanUntil('d')
+	if !errors.Is(errB, ErrBudget) || !sameErr(errB, errS) {
+		t.Fatalf("ScanUntil budget: bulk %v, step %v", errB, errS)
+	}
+	diffState(t, 0, 0, "ScanUntil/budget", bulk, step)
+
+	// CopyDelimited refused at its first item by the source's turn: the
+	// source pays the first read, the destination is never touched.
+	bulk, step = mkBack()
+	bulkDst, stepDst := NewWith("bulkDst", o), NewWith("stepDst", o)
+	_, _, errB = bulk.CopyDelimited(bulkDst, 'd', 2)
+	_, _, errS = stepRef{step}.CopyDelimited(stepRef{stepDst}, 'd', 2)
+	if !errors.Is(errB, ErrBudget) || !sameErr(errB, errS) {
+		t.Fatalf("CopyDelimited source budget: bulk %v, step %v", errB, errS)
+	}
+	diffState(t, 0, 0, "CopyDelimited/source-budget", bulk, step)
+	diffState(t, 0, 0, "CopyDelimited/source-budget", bulkDst, stepDst)
+
+	// ... and by the destination's turn: the first item is read, and
+	// its write writes one cell before the refused turn.
+	bulk, step = FromBytesWith("bulk", []byte("ab#cd#"), o), FromBytesWith("step", []byte("ab#cd#"), o)
+	bulkDst, stepDst = mkBack()
+	_, _, errB = bulk.CopyDelimited(bulkDst, '#', 2)
+	_, _, errS = stepRef{step}.CopyDelimited(stepRef{stepDst}, '#', 2)
+	if !errors.Is(errB, ErrBudget) || !sameErr(errB, errS) {
+		t.Fatalf("CopyDelimited destination budget: bulk %v, step %v", errB, errS)
+	}
+	diffState(t, 0, 0, "CopyDelimited/destination-budget", bulk, step)
+	diffState(t, 0, 0, "CopyDelimited/destination-budget", bulkDst, stepDst)
+	if got := string(bulkDst.Contents()); got != "abad" {
+		t.Fatalf("refused copy left the destination %q, want %q", got, "abad")
+	}
 }
 
 // TestBulkLeftEnd pins the left-end semantics of the backward bulk

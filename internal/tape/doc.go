@@ -25,8 +25,11 @@
 //
 // In addition to the single-cell primitives (Move, Read, Write), the
 // package offers bulk operations that sweep a whole direction in one
-// call: ReadBlock, WriteBlock, ScanBytes, ScanUntilAppend, AppendBytes,
-// ReadBlockBackward, MoveBackwardN, Rewind and SeekEnd. Bulk ops are
+// call: ReadBlock, WriteBlock, ScanBytes, ScanUntil, CopyDelimited,
+// AppendBytes, ReadBlockBackward, MoveBackwardN, Rewind and SeekEnd.
+// CopyDelimited moves up to count delimiter-terminated items from one
+// tape's window straight into another's, accounted as one ScanUntil
+// and one WriteBlock per item. Bulk ops are
 // performance sugar only — each is defined as, and accounted exactly
 // like, the equivalent sequence of single-cell steps: reversal,
 // step, read and write counters, MaxCell, Size, the head position,
@@ -87,9 +90,13 @@
 //     Replace and a spill.
 //   - Slices returned by Tape (ReadBlock, ReadBlockBackward,
 //     ScanBytes, Contents) are fresh copies owned by the caller on
-//     every backend, and ScanUntilAppend copies into the caller's
-//     buffer — mutation never reaches the tape and tape writes never
-//     reach a returned slice (alias_test.go).
+//     every backend — mutation never reaches the tape and tape writes
+//     never reach a returned slice (alias_test.go). ScanUntil is the
+//     one exception: bytes that lie in one window come back as a
+//     read-only view of it, valid until the tape's next operation, and
+//     only bytes that straddle two windows are copied, into the
+//     caller's buffer. A view or a copy covers only cells the head has
+//     just read and been charged for, so neither gives look-ahead.
 //   - Spill files are created unlinked (os.CreateTemp + immediate
 //     Remove), so the directory never holds an entry and any exit —
 //     Close, SIGINT or SIGKILL — reclaims the inode.

@@ -563,35 +563,105 @@ func (t *Tape) ScanBytes() ([]byte, error) {
 	return out, nil
 }
 
-// ScanUntilAppend reads forward until just past the first occurrence of
+// ScanUntil reads forward until just past the first occurrence of
 // delim and returns the bytes read, including the delimiter. If the
 // materialized region ends before a delimiter is found, the bytes up
 // to the end are returned with found = false and the head rests on the
-// first blank cell. The bytes are copied into buf[:0], which grows
-// only when they exceed its capacity, so a loop that reads many items
-// can reuse one buffer; the result never aliases the cell storage.
-func (t *Tape) ScanUntilAppend(delim byte, buf []byte) (data []byte, found bool, err error) {
+// first blank cell.
+//
+// When the bytes lie in one window, data is a read-only view of the
+// window: it is valid until the tape's next operation, and the caller
+// must not write to it. When they straddle windows they are copied
+// into *buf, which grows only when they exceed its capacity, so a loop
+// that reads many items can reuse one buffer. Either way data covers
+// only the cells the head has just read and been charged for.
+func (t *Tape) ScanUntil(delim byte, buf *[]byte) (data []byte, found bool, err error) {
 	if t.AtEnd() {
-		return buf[:0], false, nil
+		return nil, false, nil
 	}
 	if err := t.turn(Forward); err != nil {
 		// The first ReadMove reads the cell before the refused turn.
 		t.reads++
-		return buf[:0], false, err
+		return nil, false, err
 	}
-	data = buf[:0]
-	for off := t.pos; off < t.n && !found; {
-		i := t.window(off)
-		seg := t.win[i:min(winSize, t.n-t.winOff)]
-		if j := bytes.IndexByte(seg, delim); j >= 0 {
-			seg, found = seg[:j+1], true
+	i := t.window(t.pos)
+	end := min(winSize, t.n-t.winOff) // the segment's end in the window
+	if j := bytes.IndexByte(t.win[i:end], delim); j >= 0 {
+		data, found = t.win[i:i+j+1:i+j+1], true
+	} else if t.winOff+end == t.n {
+		data = t.win[i:end:end]
+	} else {
+		data = append((*buf)[:0], t.win[i:end]...)
+		for off := t.winOff + end; off < t.n && !found; {
+			i := t.window(off)
+			seg := t.win[i:min(winSize, t.n-t.winOff)]
+			if j := bytes.IndexByte(seg, delim); j >= 0 {
+				seg, found = seg[:j+1], true
+			}
+			data = append(data, seg...)
+			off += len(seg)
 		}
-		data = append(data, seg...)
-		off += len(seg)
+		*buf = data
 	}
 	t.reads += int64(len(data))
 	t.advanceForward(len(data))
 	return data, found, nil
+}
+
+// CopyDelimited copies up to count delim-terminated items from t's
+// head to dst's head, both moving forward, straight from t's window
+// into dst's, and returns the number of items copied (fewer than count
+// if t ran out). If t ends inside an item, that item's bytes are
+// copied too and partial is true. It is accounted exactly as count
+// rounds of ScanUntil on t followed by a WriteBlock of the bytes read
+// on dst, a refused turn on either tape included, and it copies only
+// cells the head has read and been charged for. dst must be another
+// tape.
+func (t *Tape) CopyDelimited(dst *Tape, delim byte, count int) (n int, partial bool, err error) {
+	if dst == t {
+		panic("tape: CopyDelimited onto its own tape")
+	}
+	if count <= 0 || t.AtEnd() {
+		return 0, false, nil
+	}
+	if err := t.turn(Forward); err != nil {
+		// The first ReadMove reads the cell before the refused turn.
+		t.reads++
+		return 0, false, err
+	}
+	if err := dst.turn(Forward); err != nil {
+		// The first item was read before its write met the refused
+		// turn, which wrote the item's first cell.
+		var buf []byte
+		rec, _, _ := t.ScanUntil(delim, &buf)
+		dst.Write(rec[0])
+		return 0, false, err
+	}
+	for n < count && t.pos < t.n {
+		i := t.window(t.pos)
+		seg := t.win[i:min(winSize, t.n-t.winOff)]
+		k := 0 // cells of seg to copy
+		for n < count {
+			j := bytes.IndexByte(seg[k:], delim)
+			if j < 0 {
+				// The item runs on past the segment: copy what it has.
+				k = len(seg)
+				break
+			}
+			k += j + 1
+			n++
+		}
+		if end := dst.pos + k; end > dst.n {
+			dst.growTo(end)
+		}
+		dst.writeAt(seg[:k], dst.pos)
+		dst.writes += int64(k)
+		dst.advanceForward(k)
+		partial = seg[k-1] != delim
+		t.reads += int64(k)
+		t.advanceForward(k)
+	}
+	return n, partial, nil
 }
 
 // AppendBytes writes data starting at the current head position,

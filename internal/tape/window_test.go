@@ -60,7 +60,8 @@ func assertContents(t *testing.T, tp *Tape, want []byte, when string) {
 }
 
 // Items and blocks that straddle window boundaries, and an item longer
-// than two windows, read back exactly as written.
+// than two windows, read back exactly as written, and item copies stop
+// on a delimiter next to a window boundary.
 func TestItemsStraddleWindows(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, o Options) {
 		lens := []int{winSize - 3, 2, 5, 2*winSize + 9, winSize, 1, winSize - 1}
@@ -81,13 +82,11 @@ func TestItemsStraddleWindows(t *testing.T) {
 		}
 		var buf []byte
 		for i, n := range lens {
-			var found bool
-			var err error
-			buf, found, err = tp.ScanUntilAppend('#', buf)
+			got, found, err := tp.ScanUntil('#', &buf)
 			if err != nil || !found {
 				t.Fatalf("item %d: found=%v err=%v", i, found, err)
 			}
-			if !bytes.Equal(buf, append(pattern(i, n), '#')) {
+			if !bytes.Equal(got, append(pattern(i, n), '#')) {
 				t.Fatalf("item %d (%d cells) read back wrong", i, n)
 			}
 		}
@@ -131,6 +130,48 @@ func TestItemsStraddleWindows(t *testing.T) {
 			}
 		}
 		assertContents(t, tp, want, "after single-cell writes")
+
+		// CopyDelimited stops exactly on its last item's delimiter, one
+		// cell before, at and after a window boundary, and then copies
+		// an unterminated tail up to the tape end. The records end at
+		// cells winSize-1, winSize and winSize+1; then come one short
+		// item and a tail with no delimiter.
+		var src []byte
+		var ends []int
+		for _, n := range []int{winSize - 2, 0, 0, 5} {
+			src = append(append(src, pattern(n, n)...), '#')
+			ends = append(ends, len(src))
+		}
+		src = append(src, pattern(9, 7)...)
+		for k := 1; k <= 3; k++ {
+			in, out := FromBytesWith("in", src, o), NewWith("out", o)
+			n, partial, err := in.CopyDelimited(out, '#', k)
+			if err != nil || n != k || partial {
+				t.Fatalf("count %d: copied (%d, %v, %v)", k, n, partial, err)
+			}
+			if in.Pos() != ends[k-1] || out.Pos() != ends[k-1] || out.Stats().Writes != int64(ends[k-1]) {
+				t.Fatalf("count %d: heads at %d and %d after %d writes, want %d", k, in.Pos(), out.Pos(), out.Stats().Writes, ends[k-1])
+			}
+			assertContents(t, out, src[:ends[k-1]], fmt.Sprintf("count %d", k))
+			n, partial, err = in.CopyDelimited(out, '#', len(src))
+			if err != nil || n != len(ends)-k || !partial || !in.AtEnd() {
+				t.Fatalf("count %d, then the rest: copied (%d, %v, %v), source at end %v", k, n, partial, err, in.AtEnd())
+			}
+			assertContents(t, out, src, fmt.Sprintf("count %d, then the rest", k))
+			in.Close()
+			out.Close()
+		}
+		// ScanUntil reads the same records, and the tail with found = false.
+		in := FromBytesWith("in", src, o)
+		defer in.Close()
+		prev := 0
+		for i, end := range append(ends, len(src)) {
+			got, found, err := in.ScanUntil('#', &buf)
+			if err != nil || found != (i < len(ends)) || !bytes.Equal(got, src[prev:end]) {
+				t.Fatalf("record %d: (%d cells, %v, %v), want cells [%d, %d)", i, len(got), found, err, prev, end)
+			}
+			prev = end
+		}
 	})
 }
 
