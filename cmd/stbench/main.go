@@ -22,48 +22,14 @@
 //	        [-format text|json|csv]
 //	stbench -serve host:port
 //
-// -storage selects where tape cells live (internal/tape backends):
-// mem is the in-RAM default, file buffers cells in unlinked temp
-// files, mmap memory-maps them. Like -shards it is pure execution
-// shape — the backend may move the bytes' home, never a count — so
-// stdout is byte-identical at any -storage. -spill-dir places the
-// temp files (default: the system temp directory); they are unlinked
-// at creation, so no spill file survives any exit, SIGINT included.
-// -spill-threshold keeps a file/mmap tape in RAM until it first
-// exceeds that many cells — small scratch tapes never touch the disk;
-// both flags require -storage file or mmap (exit 2 otherwise).
-//
-// -budget hands the experiments a cost-based planner envelope
-// (internal/plan): BITS of run-formation memory, -budget-tapes tapes
-// and up to -budget-shards shard machines per operator stage. The
-// planner picks each stage's execution shape inside that envelope —
-// another execution choice, so stdout stays byte-identical with or
-// without it; E21 verifies the configured envelope's evaluation
-// reproduces the single-machine bytes.
-//
-// -transport proc runs shard attempts in worker processes: stbench
-// re-executes itself under the hidden stworker subcommand, ships each
-// trial-range or sort assignment over the worker's stdin as
-// length-prefixed gob frames, and streams the rows back over stdout
-// (internal/transport). Trial rows and sorted ranges are pure
-// functions of (seed, index), so stdout is byte-identical to
-// -transport inproc; a dead worker takes the same retry → fallback
-// path as an injected panic. Fleets whose trial bodies have no wire
-// form (and chaos-wrapped fleets, whose strikes live in the
-// coordinator's injector) keep running in-process.
-//
-// -transport tcp ships the same frames over TCP to long-lived workers
-// instead of spawned processes: -workers names them (host:port,...,
-// required), shard attempts are assigned round-robin by shard index,
-// and a retry moves to the next worker in the ring. Each connection
-// opens with a handshake carrying the frame-protocol version and the
-// workload-registry fingerprint, so a mismatched build is a typed
-// error before any job ships. Network death is process death — a
-// refused dial, a dropped connection or a stall past the attempt
-// deadline takes the same retry → fallback path, so stdout stays
-// byte-identical. Start a worker with `stbench -serve host:port`
-// (Ctrl-C stops it); the equivalent hidden form is
-// `stbench stworker -listen host:port`.
+// The execution flags -parallel, -shards, -transport, -workers,
+// -budget, -budget-tapes, -budget-shards, -storage, -spill-dir,
+// -spill-threshold and -serve are shared with strun and documented in
+// internal/cliflags. Each is pure execution shape, so stdout is
+// byte-identical at any of their values. Under -budget, E21 verifies
+// the configured envelope's evaluation reproduces the single-machine
+// bytes; under -transport, fleets whose trial bodies have no wire form
+// keep running in-process.
 //
 // Formats: text (the human report), json (one JSON object per
 // experiment per line), csv (one record per experiment). The json and
@@ -84,40 +50,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"syscall"
 	"time"
 
+	"extmem/internal/cliflags"
 	"extmem/internal/experiments"
 	"extmem/internal/faults"
-	"extmem/internal/plan"
 	"extmem/internal/shard"
-	"extmem/internal/tape"
 	"extmem/internal/transport"
 )
-
-// budgetEnvelope validates the -budget flag family and builds the
-// planner envelope, or nil when -budget is absent. The memory bound
-// arrives as a float so NaN can be rejected by name: the negated form
-// catches it (NaN fails every ordered comparison and would sail
-// through `bits <= 0`), alongside zero, negatives and infinities.
-func budgetEnvelope(set bool, bits float64, tapes, shards int) (*plan.Budget, error) {
-	if !set {
-		return nil, nil
-	}
-	if !(bits > 0) || math.IsInf(bits, 0) {
-		return nil, fmt.Errorf("-budget must be a positive finite bit count (got %g)", bits)
-	}
-	b := plan.Budget{MemoryBits: int64(bits), Tapes: tapes, MaxShards: shards}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
 
 func main() {
 	if transport.IsWorker(os.Args) {
@@ -164,72 +108,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "root seed for all experiments (per-trial seeds derive from it)")
 	only := fs.String("only", "", "run a single experiment by id (e.g. E12)")
 	trials := fs.Int("trials", 0, "Monte-Carlo fleet size per experiment side (0 = per-experiment default)")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "trial-fleet worker goroutines per shard (never changes the output)")
-	shards := fs.Int("shards", 1, "trial-fleet shards, each with its own worker pool (never changes the output)")
 	format := fs.String("format", "text", "output format: text, json or csv")
-	transportMode := fs.String("transport", "inproc", "shard transport: inproc (shard goroutines), proc (worker processes) or tcp (the -workers TCP workers); never changes the output")
 	chaos := fs.String("chaos", "", "inject a recoverable fault plan: flaky (first-attempt panics) or delay (stragglers); never changes the output")
 	chaosRate := fs.Float64("chaos-rate", 0.02, "fraction of fault sites struck by the -chaos plan (site 0 always strikes)")
-	budget := fs.Float64("budget", 0, "cost-based planner envelope: run-formation memory in bits (never changes the output)")
-	budgetTapes := fs.Int("budget-tapes", 6, "planner envelope: tapes per shard machine (requires -budget)")
-	budgetShards := fs.Int("budget-shards", 4, "planner envelope: shard-fleet ceiling (requires -budget)")
-	storage := fs.String("storage", "mem", "tape storage backend: mem, file or mmap (never changes the output)")
-	spillDir := fs.String("spill-dir", "", "directory for file/mmap tape spill files (requires -storage file or mmap; default: system temp dir)")
-	spillThreshold := fs.Int("spill-threshold", 0, "cells a file/mmap tape holds in RAM before spilling to its backend (requires -storage file or mmap; 0 = spill from the start)")
-	workers := fs.String("workers", "", "comma-separated TCP worker addresses host:port,... (requires -transport tcp)")
-	serve := fs.String("serve", "", "serve shard jobs over TCP on this host:port instead of running experiments (conflicts with -transport and -workers)")
+	ex := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["serve"] {
-		// A worker host runs nothing but the serve loop: the experiment
-		// flags describe a run it will never make, and the transport
-		// flags describe the coordinator's side of the wire.
-		if set["transport"] || set["workers"] {
-			fmt.Fprintln(stderr, "stbench: -serve conflicts with -transport and -workers")
-			return 2
-		}
-		if err := transport.ListenAndServe(ctx, *serve, stderr); err != nil {
-			fmt.Fprintln(stderr, "stbench:", err)
-			return 1
-		}
-		return 0
+	if code, served := ex.Serve(ctx); served {
+		return code
 	}
 	if *trials < 0 {
 		fmt.Fprintf(stderr, "stbench: -trials must be >= 0 (got %d)\n", *trials)
 		return 2
 	}
-	if *parallel < 1 {
-		fmt.Fprintf(stderr, "stbench: -parallel must be >= 1 (got %d)\n", *parallel)
+	if err := ex.Resolve(); err != nil {
+		fmt.Fprintln(stderr, "stbench:", err)
 		return 2
-	}
-	if *shards < 1 {
-		fmt.Fprintf(stderr, "stbench: -shards must be >= 1 (got %d)\n", *shards)
-		return 2
-	}
-	switch *transportMode {
-	case "inproc", "proc", "tcp":
-	default:
-		fmt.Fprintf(stderr, "stbench: unknown -transport %q (want inproc, proc or tcp)\n", *transportMode)
-		return 2
-	}
-	if *transportMode == "tcp" && !set["workers"] {
-		fmt.Fprintln(stderr, "stbench: -transport tcp requires -workers")
-		return 2
-	}
-	if set["workers"] && *transportMode != "tcp" {
-		fmt.Fprintln(stderr, "stbench: -workers requires -transport tcp")
-		return 2
-	}
-	var workerAddrs []string
-	if *transportMode == "tcp" {
-		var err error
-		if workerAddrs, err = transport.ParseWorkers(*workers); err != nil {
-			fmt.Fprintln(stderr, "stbench:", err)
-			return 2
-		}
 	}
 	// The negated form catches NaN too, which fails every ordered
 	// comparison and would sail through `rate < 0 || rate > 1`.
@@ -237,35 +132,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "stbench: -chaos-rate must be in [0, 1] (got %g)\n", *chaosRate)
 		return 2
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if !set["chaos"] && set["chaos-rate"] {
 		fmt.Fprintln(stderr, "stbench: -chaos-rate requires -chaos")
-		return 2
-	}
-	if !set["budget"] && (set["budget-tapes"] || set["budget-shards"]) {
-		fmt.Fprintln(stderr, "stbench: -budget-tapes and -budget-shards require -budget")
-		return 2
-	}
-	storageKind, err := tape.ParseStorage(*storage)
-	if err != nil {
-		fmt.Fprintln(stderr, "stbench:", err)
-		return 2
-	}
-	if set["spill-dir"] && storageKind == tape.Mem {
-		fmt.Fprintln(stderr, "stbench: -spill-dir requires -storage file or mmap")
-		return 2
-	}
-	if set["spill-threshold"] && storageKind == tape.Mem {
-		fmt.Fprintln(stderr, "stbench: -spill-threshold requires -storage file or mmap")
-		return 2
-	}
-	topts := tape.Options{Storage: storageKind, SpillDir: *spillDir, SpillThreshold: *spillThreshold}
-	if err := topts.Validate(); err != nil {
-		fmt.Fprintln(stderr, "stbench:", err)
-		return 2
-	}
-	envelope, err := budgetEnvelope(set["budget"], *budget, *budgetTapes, *budgetShards)
-	if err != nil {
-		fmt.Fprintln(stderr, "stbench:", err)
 		return 2
 	}
 	faultPlan, retry, err := chaosPlan(*chaos, *seed, *chaosRate)
@@ -274,15 +144,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg := experiments.Config{
-		Seed: *seed, Trials: *trials, Parallel: *parallel, Shards: *shards,
-		Ctx: ctx, Faults: faultPlan, Retry: retry, Budget: envelope,
-		Storage: topts,
-	}
-	switch *transportMode {
-	case "proc":
-		cfg.Transport = &transport.Proc{Stderr: stderr}
-	case "tcp":
-		cfg.Transport = &transport.TCP{Workers: workerAddrs, DialTimeout: 5 * time.Second}
+		Seed: *seed, Trials: *trials, Parallel: ex.Parallel, Shards: ex.Shards,
+		Ctx: ctx, Faults: faultPlan, Retry: retry, Budget: ex.Budget,
+		Storage: ex.Tape, Transport: ex.Transport,
 	}
 
 	runners := experiments.Runners()

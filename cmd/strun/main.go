@@ -25,19 +25,11 @@
 // stderr.
 //
 // -budget BITS (with -budget-tapes and -budget-shards) replaces the
-// fixed -shards shape with the cost-based planner (internal/plan):
-// each operator stage runs at the shape minimizing its predicted
-// critical path inside the envelope, with the merge-free pipelined
-// handoff between stages. The planner moves only the execution
-// shape, so stdout is byte-identical to any fixed shape. It applies
-// to -algo relalg alone.
-//
-// -storage selects the tape storage backend (mem, file or mmap) for
-// every machine of the run, with -spill-dir placing the file/mmap
-// backends' unlinked temp files and -spill-threshold keeping small
-// tapes in RAM until they first exceed that many cells; like -shards
-// none of them changes stdout — the backend may move the bytes' home,
-// never a count. Both spill flags require -storage file or mmap.
+// fixed -shards shape with the cost-based planner; it applies to -algo
+// relalg alone. The execution flags -parallel, -shards, -transport,
+// -workers, -budget, -budget-tapes, -budget-shards, -storage,
+// -spill-dir, -spill-threshold and -serve are shared with stbench and
+// documented in internal/cliflags; none of them changes stdout.
 //
 // With -trials > 1 and -algo fingerprint, strun runs a Monte-Carlo
 // fleet of independent fingerprint trials on the same instance across
@@ -48,24 +40,12 @@
 // global trial index alone, so the rows are byte-identical at any
 // -parallel and any -shards value.
 //
-// -transport proc ships each shard's work to a worker process — strun
-// re-executed under the hidden stworker subcommand — over
-// length-prefixed gob frames (internal/transport): fleet shards carry
-// the fingerprint workload by wire form, relalg operator sorts carry
-// self-contained sort jobs. stdout is byte-identical to the in-process
-// transport, and a dead worker retries and falls back exactly like an
-// injected panic. It applies to fleet mode and -algo relalg; a
-// single-machine run has no shards to ship, so -transport proc there
-// is a flag error rather than a silent no-op.
-//
-// -transport tcp ships the same frames to long-lived TCP workers
-// named by -workers host:port,... (required, and mutual: -workers
-// requires -transport tcp). Connections open with a version +
-// workload-registry handshake, shard attempts are assigned
-// round-robin by shard index, and network death — refused dial,
-// dropped connection, stalled peer — is process death: the same
-// retry → fallback path, the same stdout. Start a worker with
-// `strun -serve host:port` (Ctrl-C stops it).
+// -transport proc or tcp ships each shard's work to worker processes
+// or TCP workers: fleet shards carry the fingerprint workload by wire
+// form, relalg operator sorts and scans carry self-contained machine
+// jobs. It applies to fleet mode and -algo relalg; a single-machine run
+// has no shards to ship, so -transport proc or tcp there is a flag
+// error rather than a silent no-op.
 package main
 
 import (
@@ -74,15 +54,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
-	"time"
 
 	"extmem/internal/algorithms"
+	"extmem/internal/cliflags"
 	"extmem/internal/core"
 	"extmem/internal/plan"
 	"extmem/internal/problems"
@@ -115,10 +93,11 @@ var knownAlgos = []string{
 	"sort", "relalg",
 }
 
-// validate rejects malformed flag combinations with a one-line error
-// before any machine runs, so misuse exits 2 instead of panicking (or
-// failing obscurely) downstream.
-func validate(algo, format, transportMode string, trialsN, parallel, shards int) error {
+// validate rejects malformed strun flag combinations with a one-line
+// error before any machine runs, so misuse exits 2 instead of
+// panicking (or failing obscurely) downstream. It runs before the
+// shared execution flags are checked.
+func validate(algo, format, transportName string, trialsN int) error {
 	ok := false
 	for _, a := range knownAlgos {
 		if algo == a {
@@ -134,45 +113,15 @@ func validate(algo, format, transportMode string, trialsN, parallel, shards int)
 	default:
 		return fmt.Errorf("unknown -format %q (want text, json or csv)", format)
 	}
-	switch transportMode {
-	case "inproc", "proc", "tcp":
-	default:
-		return fmt.Errorf("unknown -transport %q (want inproc, proc or tcp)", transportMode)
-	}
 	if trialsN < 1 {
 		return fmt.Errorf("-trials must be >= 1 (got %d)", trialsN)
 	}
-	if parallel < 1 {
-		return fmt.Errorf("-parallel must be >= 1 (got %d)", parallel)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1 (got %d)", shards)
-	}
 	// A single-machine run has no shards to ship; degrading silently to
 	// the in-process engine would make the flag a lie.
-	if transportMode != "inproc" && trialsN == 1 && algo != "relalg" {
-		return fmt.Errorf("-transport %s applies to fleet mode (-trials > 1) or -algo relalg", transportMode)
+	if (transportName == "proc" || transportName == "tcp") && trialsN == 1 && algo != "relalg" {
+		return fmt.Errorf("-transport %s applies to fleet mode (-trials > 1) or -algo relalg", transportName)
 	}
 	return nil
-}
-
-// budgetEnvelope validates the -budget flag family and builds the
-// planner envelope, or nil when -budget is absent. The memory bound
-// arrives as a float so NaN can be rejected by name: the negated form
-// catches it (NaN fails every ordered comparison and would sail
-// through `bits <= 0`), alongside zero, negatives and infinities.
-func budgetEnvelope(set bool, bits float64, tapes, shards int) (*plan.Budget, error) {
-	if !set {
-		return nil, nil
-	}
-	if !(bits > 0) || math.IsInf(bits, 0) {
-		return nil, fmt.Errorf("-budget must be a positive finite bit count (got %g)", bits)
-	}
-	b := plan.Budget{MemoryBits: int64(bits), Tapes: tapes, MaxShards: shards}
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	return &b, nil
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
@@ -185,94 +134,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "random seed")
 	input := fs.String("input", "", "explicit instance v1#…vm#v'1#…v'm# (overrides -m/-n)")
 	trialsN := fs.Int("trials", 1, "fingerprint only: fleet size of independent trials")
-	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "fleet worker goroutines per shard (never changes the rows)")
-	shards := fs.Int("shards", 1, "fleet shards (fingerprint fleets) or sort shards (relalg); never changes stdout")
 	format := fs.String("format", "text", "fleet row format: text, json or csv")
-	transportMode := fs.String("transport", "inproc", "shard transport: inproc (shard goroutines), proc (worker processes) or tcp (the -workers TCP workers); never changes stdout")
-	budget := fs.Float64("budget", 0, "relalg only: cost-based planner envelope, run-formation memory in bits (never changes stdout)")
-	budgetTapes := fs.Int("budget-tapes", 6, "planner envelope: tapes per shard machine (requires -budget)")
-	budgetShards := fs.Int("budget-shards", 4, "planner envelope: shard-fleet ceiling (requires -budget)")
-	storage := fs.String("storage", "mem", "tape storage backend: mem, file or mmap (never changes stdout)")
-	spillDir := fs.String("spill-dir", "", "directory for file/mmap tape spill files (requires -storage file or mmap; default: system temp dir)")
-	spillThreshold := fs.Int("spill-threshold", 0, "cells a file/mmap tape holds in RAM before spilling to its backend (requires -storage file or mmap; 0 = spill from the start)")
-	workers := fs.String("workers", "", "comma-separated TCP worker addresses host:port,... (requires -transport tcp)")
-	serve := fs.String("serve", "", "serve shard jobs over TCP on this host:port instead of running an algorithm (conflicts with -transport and -workers)")
+	ex := cliflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["serve"] {
-		// A worker host runs nothing but the serve loop: the algorithm
-		// flags describe a run it will never make, and the transport
-		// flags describe the coordinator's side of the wire.
-		if set["transport"] || set["workers"] {
-			fmt.Fprintln(stderr, "strun: -serve conflicts with -transport and -workers")
-			return 2
-		}
-		if err := transport.ListenAndServe(ctx, *serve, stderr); err != nil {
-			fmt.Fprintln(stderr, "strun:", err)
-			return 1
-		}
-		return 0
+	if code, served := ex.Serve(ctx); served {
+		return code
 	}
-	if err := validate(*algo, *format, *transportMode, *trialsN, *parallel, *shards); err != nil {
+	if err := validate(*algo, *format, ex.TransportName(), *trialsN); err != nil {
 		fmt.Fprintln(stderr, "strun:", err)
 		return 2
 	}
-	if *transportMode == "tcp" && !set["workers"] {
-		fmt.Fprintln(stderr, "strun: -transport tcp requires -workers")
+	if err := ex.Resolve(); err != nil {
+		fmt.Fprintln(stderr, "strun:", err)
 		return 2
 	}
-	if set["workers"] && *transportMode != "tcp" {
-		fmt.Fprintln(stderr, "strun: -workers requires -transport tcp")
-		return 2
-	}
-	var workerAddrs []string
-	if *transportMode == "tcp" {
-		var err error
-		if workerAddrs, err = transport.ParseWorkers(*workers); err != nil {
-			fmt.Fprintln(stderr, "strun:", err)
-			return 2
-		}
-	}
-	if !set["budget"] && (set["budget-tapes"] || set["budget-shards"]) {
-		fmt.Fprintln(stderr, "strun: -budget-tapes and -budget-shards require -budget")
-		return 2
-	}
-	if set["budget"] && *algo != "relalg" {
+	if ex.Budget != nil && *algo != "relalg" {
 		fmt.Fprintf(stderr, "strun: -budget applies to -algo relalg (got %q)\n", *algo)
 		return 2
-	}
-	envelope, err := budgetEnvelope(set["budget"], *budget, *budgetTapes, *budgetShards)
-	if err != nil {
-		fmt.Fprintln(stderr, "strun:", err)
-		return 2
-	}
-	storageKind, err := tape.ParseStorage(*storage)
-	if err != nil {
-		fmt.Fprintln(stderr, "strun:", err)
-		return 2
-	}
-	if set["spill-dir"] && storageKind == tape.Mem {
-		fmt.Fprintln(stderr, "strun: -spill-dir requires -storage file or mmap")
-		return 2
-	}
-	if set["spill-threshold"] && storageKind == tape.Mem {
-		fmt.Fprintln(stderr, "strun: -spill-threshold requires -storage file or mmap")
-		return 2
-	}
-	topts := tape.Options{Storage: storageKind, SpillDir: *spillDir, SpillThreshold: *spillThreshold}
-	if err := topts.Validate(); err != nil {
-		fmt.Fprintln(stderr, "strun:", err)
-		return 2
-	}
-	var tr transport.Transport
-	switch *transportMode {
-	case "proc":
-		tr = &transport.Proc{Stderr: stderr}
-	case "tcp":
-		tr = &transport.TCP{Workers: workerAddrs, DialTimeout: 5 * time.Second}
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
@@ -285,14 +165,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *algo != "fingerprint" {
 			return fail(stderr, fmt.Errorf("-trials > 1 is only supported for -algo fingerprint (got %q)", *algo))
 		}
-		return runFleet(ctx, in, *trialsN, *shards, *parallel, *seed, *format, tr, stdout, stderr)
+		return runFleet(ctx, in, *trialsN, *seed, *format, ex, stdout, stderr)
 	}
 	if *algo == "relalg" {
-		return runQuery(ctx, in, *shards, *seed, envelope, tr, topts, stdout, stderr)
+		return runQuery(ctx, in, *seed, ex, stdout, stderr)
 	}
 
 	fmt.Fprintf(stdout, "instance: m=%d, N=%d\n", in.M(), in.Size())
-	verdict, res, err := runAlgo(*algo, in, *seed, topts, stdout)
+	verdict, res, err := runAlgo(*algo, in, *seed, ex.Tape, stdout)
 	if err != nil {
 		return fail(stderr, err)
 	}
@@ -315,7 +195,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // encoder error cancels the fleet (workers drain, exit 1);
 // SIGINT/SIGTERM cancels it too, flushing the encoder and a
 // partial-results footer before exiting 130.
-func runFleet(ctx context.Context, in problems.Instance, n, shards, parallel int, seed int64, format string, tr transport.Transport, stdout, stderr io.Writer) int {
+func runFleet(ctx context.Context, in problems.Instance, n int, seed int64, format string, ex *cliflags.Flags, stdout, stderr io.Writer) int {
 	enc, err := trials.NewEncoder(format, stdout)
 	if err != nil {
 		return fail(stderr, err)
@@ -328,8 +208,8 @@ func runFleet(ctx context.Context, in problems.Instance, n, shards, parallel int
 		rows   int
 	)
 	fleet := shard.Fleet{
-		Plan:     shard.Plan{Shards: shards, Trials: n},
-		Parallel: parallel,
+		Plan:     shard.Plan{Shards: ex.Shards, Trials: n},
+		Parallel: ex.Parallel,
 		Seed:     seed,
 		OnResult: func(r trials.Result) {
 			if encErr != nil {
@@ -342,8 +222,8 @@ func runFleet(ctx context.Context, in problems.Instance, n, shards, parallel int
 			rows++
 		},
 	}
-	if tr != nil {
-		fleet.Attempt = tr.Attempt()
+	if ex.Transport != nil {
+		fleet.Attempt = ex.Transport.Attempt()
 	}
 	_, sum, err := fleet.Run(trials.WithWorkload(fleetCtx, w), trial)
 	if ctx.Err() != nil {
@@ -373,26 +253,22 @@ func runFleet(ctx context.Context, in problems.Instance, n, shards, parallel int
 // database through the sharded relational evaluator. Only the
 // shard-invariant verdict lines go to stdout; the execution census
 // (one SortReport per operator sort, rolled up) goes to stderr.
-// Like fleet mode (shard.Plan.ShardCount), -shards values below 1
-// mean 1 — the evaluator's zero value would select the unsharded
-// engine, which records no census at all. A -budget envelope hands
-// shape selection to the cost-based planner instead of the fixed
-// -shards count; stdout cannot tell the difference.
-func runQuery(ctx context.Context, in problems.Instance, shards int, seed int64, envelope *plan.Budget, tr transport.Transport, topts tape.Options, stdout, stderr io.Writer) int {
-	if shards < 1 {
-		shards = 1
-	}
+// -shards is at least 1 (the evaluator's zero value would select the
+// unsharded engine, which records no census at all). A -budget
+// envelope hands shape selection to the cost-based planner instead of
+// the fixed -shards count; stdout cannot tell the difference.
+func runQuery(ctx context.Context, in problems.Instance, seed int64, ex *cliflags.Flags, stdout, stderr io.Writer) int {
 	db := relalg.InstanceDB(in)
 	rep := &relalg.QueryReport{}
-	ev := relalg.Evaluator{Shards: shards, Seed: seed, Report: rep, TapeOpts: topts}
-	if envelope != nil {
-		ev.Plan = plan.Auto(*envelope)
+	ev := relalg.Evaluator{Shards: ex.Shards, Seed: seed, Report: rep, TapeOpts: ex.Tape}
+	if ex.Budget != nil {
+		ev.Plan = plan.Auto(*ex.Budget)
 	}
-	if tr != nil {
-		ev.Exec = tr.Exec()
-		ev.ExecScan = tr.ExecScan()
+	if ex.Transport != nil {
+		ev.Exec = ex.Transport.Exec()
+		ev.ExecScan = ex.Transport.ExecScan()
 	}
-	m := core.NewMachineOpts(relalg.NumQueryTapes, seed, topts)
+	m := core.NewMachineOpts(relalg.NumQueryTapes, seed, ex.Tape)
 	defer m.Close()
 	r, err := ev.EvalST(ctx, relalg.SymmetricDifference("R1", "R2"), db, m)
 	if err != nil {

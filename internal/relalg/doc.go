@@ -54,6 +54,13 @@
 // its attempts through shard.RunStage, the one retry →
 // coordinator-fallback loop, recording its census in a
 // shard.SortReport (ScanReport embeds one).
+// With Pipeline (or a planner) set, a Union's children hand their
+// per-shard sorted runs straight to the union's merge instead of
+// merging, concatenating and re-distributing them. Both walks share
+// one operator body: evalTape leaves each operator's output on a tape
+// and reports whether it is already sorted and deduplicated, and the
+// staged walk sorts what is not while the pipelined walk hands it
+// over as runs.
 // Evaluator.Sorted and Evaluator.EqualSet expose the machine-backed
 // counterparts of Relation.Sorted and Relation.EqualSet on the same
 // path. Experiment E19 tables the resulting shards × fan-in frontier;

@@ -18,8 +18,17 @@ package relalg
 // A sorted, deduplicated item sequence is canonical, so the pipelined
 // result is byte-identical to the staged one; only the census moves.
 // The handoff is opt-in (Pipeline, or a planner via Plan) and only
-// active on the sharded path, so the zero evaluator and the PR 5
+// active on the sharded path, so the zero evaluator and the staged
 // sharded path keep their historical accounting bit for bit.
+//
+// Both walks share one operator body, evalTape (stream.go): it leaves
+// an operator's output on a tape and reports whether that tape is
+// already sorted and deduplicated. The staged eval sorts what is not;
+// evalRuns hands a sorted tape over as one run and an unsorted one as
+// the runs of a keep-runs sort. Only the operators whose runs are
+// built differently have a case of their own here: Union forwards its
+// children's runs, Diff skips its combine, and Rename and the joins
+// forward or expand.
 
 import "fmt"
 
@@ -34,7 +43,11 @@ func (c *evalCtx) pipelined() bool {
 // returning the result as per-shard sorted run payloads (duplicates
 // possible within and across runs — the consuming merge dedups) plus
 // the schema. The concatenation of a sort of the runs' union is
-// exactly the relation eval would have left on a tape.
+// exactly the relation eval would have left on a tape. Only the
+// operators whose runs are built differently have a case here; any
+// other is evaluated onto its tape by evalTape and handed over as one
+// run when that tape is already sorted, as its shard-sorted runs
+// otherwise.
 func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 	switch e := e.(type) {
 	case Union:
@@ -53,75 +66,6 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 		}
 		return append(lRuns, rRuns...), ls, nil
 
-	case Scan:
-		r, ok := c.db[e.Rel]
-		if !ok {
-			return nil, nil, fmt.Errorf("relalg: unknown relation %q", e.Rel)
-		}
-		idx, err := c.acquire()
-		if err != nil {
-			return nil, nil, err
-		}
-		defer c.release(idx)
-		if err := writeRelationTape(c.m, idx, r); err != nil {
-			return nil, nil, err
-		}
-		runs, err := c.sortKeepRuns(idx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return runs, r.Schema, nil
-
-	case Select:
-		// A selection of a sorted, deduplicated input is itself sorted
-		// and deduplicated: hand it over as a single run.
-		in, schema, err := c.eval(e.In)
-		if err != nil {
-			return nil, nil, err
-		}
-		dst, err := c.acquire()
-		if err != nil {
-			return nil, nil, err
-		}
-		defer c.release(dst)
-		if err := c.filterScan(in, dst, schema, e.Pred); err != nil {
-			return nil, nil, err
-		}
-		c.release(in)
-		return [][]byte{c.m.Tape(dst).Contents()}, schema, nil
-
-	case Project:
-		in, schema, err := c.eval(e.In)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx := make([]int, len(e.Cols))
-		for i, col := range e.Cols {
-			if idx[i] = schema.Col(col); idx[i] < 0 {
-				return nil, nil, fmt.Errorf("relalg: unknown column %q", col)
-			}
-		}
-		dst, err := c.acquire()
-		if err != nil {
-			return nil, nil, err
-		}
-		defer c.release(dst)
-		if err := c.rewriteScan(in, dst, func(t Tuple) (Tuple, bool) {
-			nt := make(Tuple, len(idx))
-			for i, j := range idx {
-				nt[i] = t[j]
-			}
-			return nt, true
-		}); err != nil {
-			return nil, nil, err
-		}
-		c.release(in)
-		runs, err := c.sortKeepRuns(dst)
-		if err != nil {
-			return nil, nil, err
-		}
-		return runs, Schema(e.Cols), nil
-
 	case Diff:
 		// The sharded anti-merge's per-shard outputs are sorted and
 		// disjoint — already runs; skip its combine too.
@@ -139,27 +83,6 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 		c.release(l)
 		c.release(r)
 		return runs, ls, nil
-
-	case Product:
-		l, ls, r, rs, err := c.evalPair(e.L, e.R)
-		if err != nil {
-			return nil, nil, err
-		}
-		dst, err := c.acquire()
-		if err != nil {
-			return nil, nil, err
-		}
-		defer c.release(dst)
-		if err := c.scanOp(ScanOpProduct, l, r, dst); err != nil {
-			return nil, nil, err
-		}
-		c.release(l)
-		c.release(r)
-		runs, err := c.sortKeepRuns(dst)
-		if err != nil {
-			return nil, nil, err
-		}
-		return runs, productSchema(e, ls, rs), nil
 
 	case Rename:
 		runs, schema, err := c.evalRuns(e.In)
@@ -180,10 +103,17 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 			return nil, nil, err
 		}
 		return c.evalRuns(ex)
-
-	default:
-		return nil, nil, fmt.Errorf("relalg: unknown expression %T", e)
 	}
+	idx, schema, sorted, err := c.evalTape(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer c.release(idx)
+	if sorted {
+		return [][]byte{c.m.Tape(idx).Contents()}, schema, nil
+	}
+	runs, err := c.sortKeepRuns(idx)
+	return runs, schema, err
 }
 
 // sortKeepRuns runs the merge-free half of an operator sort: the

@@ -41,17 +41,20 @@ type ScanReport struct {
 	shard.SortReport
 }
 
-// scanOp routes the difference's anti-merge (op = ScanOpDiff) or the
-// product's paired scan (ScanOpProduct): shard machines on the sharded
-// path, the coordinator's own scan otherwise.
-func (c *evalCtx) scanOp(op string, l, r, dst int) error {
-	switch {
-	case c.ev.sharded():
-		return c.shardedScan(op, l, r, dst)
-	case op == ScanOpDiff:
-		return c.antiMerge(l, r, dst)
+// scanOp is the difference's anti-merge (op = ScanOpDiff) or the
+// product's paired scan (ScanOpProduct) from tapes l and r onto dst:
+// on shard machines on the sharded path, the coordinator's own scan
+// otherwise.
+func (c *evalCtx) scanOp(op string) func(l, r, dst int) error {
+	return func(l, r, dst int) error {
+		switch {
+		case c.ev.sharded():
+			return c.shardedScan(op, l, r, dst)
+		case op == ScanOpDiff:
+			return antiMergeTapes(c.m, l, r, dst)
+		}
+		return c.product(l, r, dst)
 	}
-	return c.product(l, r, dst)
 }
 
 // shardedScan runs one operator scan (op = ScanOpDiff or ScanOpProduct)

@@ -2,12 +2,16 @@ package relalg
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"extmem/internal/core"
+	"extmem/internal/plan"
 	"extmem/internal/problems"
 	"extmem/internal/shard"
 )
@@ -334,30 +338,88 @@ func TestShardedScanPartitionMatchesSort(t *testing.T) {
 	}
 }
 
-// The zero Evaluator is the historical single-machine EvalST, bit for
-// bit: identical result and identical resource report.
-func TestZeroEvaluatorBitwiseIdentical(t *testing.T) {
+// censusPlans are queryPlans plus nested plans whose census depends on
+// what the parent operator does with a child's tape: a Rename, a
+// Select, a Project, a Diff, a Product, a nested Union and a SemiJoin
+// each feeding a Union.
+func censusPlans() []Expr {
+	r1, r2 := Scan{Rel: "R1"}, Scan{Rel: "R2"}
+	y := []string{"y"}
+	return append(queryPlans(),
+		Union{L: Rename{Cols: y, In: r1}, R: Rename{Cols: y, In: r2}},
+		Union{L: Select{Pred: Not{P: ConstEq{Col: "x", Const: "00000"}}, In: r1}, R: r2},
+		Union{L: Project{Cols: []string{"x"}, In: r1}, R: Diff{L: r2, R: r1}},
+		Union{L: Union{L: Product{L: r1, R: r2}, R: Product{L: r2, R: r1}}, R: Product{L: r1, R: r1}},
+		Union{L: SemiJoin{L: r1, R: r2, OnL: "x", OnR: "x"}, R: r2},
+	)
+}
+
+// censusDigests are the first 16 hex digits of the SHA-256 of each
+// census rendering (see TestEvaluatorCensusPerOperator), one per plan
+// of censusPlans, recorded before the staged and pipelined operator
+// walks shared one evalTape.
+var censusDigests = map[string][]string{
+	"zero": {
+		"13fcc69e81517317", "396528114c7da7de", "49cbce1cd86c6753", "f228084f81ea849e",
+		"1a7b18c45cb917f9", "a0674cc970c7398c", "d90a3c8e3d1e8623", "1a7b18c45cb917f9",
+		"252ae0ca1f86574e", "13041eaa53d6f995", "b07366df20cebd78", "5d9d032489f67ecc",
+	},
+	"shards2": {
+		"507e66d44d5bea8e", "9511b73f72f57974", "6b6912219d2b45b0", "d19b8f9ab336c052",
+		"0d6a5d60085f8ac9", "565957ccad957aea", "174f0496ac4995cb", "0d6a5d60085f8ac9",
+		"a329e4dfd2f6a9da", "9d3cfab86cc89a8b", "680750f1dc7d5aa1", "9b61bbedc7691a14",
+	},
+	"shards2-pipeline": {
+		"798508fcc7d6539c", "9511b73f72f57974", "6b6912219d2b45b0", "d19b8f9ab336c052",
+		"5f266cb2144a013d", "565957ccad957aea", "174f0496ac4995cb", "5f266cb2144a013d",
+		"8b8137ba33baa0cb", "edd616b371107373", "5cec3ef6bea51300", "83d5d877fe43280a",
+	},
+	"shards3-fanin8-mem128-pipeline": {
+		"e3e3f1a42fa794e4", "590f9f8b3edbb42f", "22b3cac3d9f6e926", "f2cec6ff09bf2a31",
+		"ee51389f0bb11601", "c4eafa970abcf1bc", "f359feebdf73fab1", "ee51389f0bb11601",
+		"458ec45d06f56712", "6cd1a2e4018a1c50", "cfae18e80aa91018", "1349050b2762acda",
+	},
+	"planned": {
+		"73987fc3bfe77aea", "651f6f3965de147e", "d46b5b650e88bf44", "7adf37982de9f8e5",
+		"a048e6d7f21071b8", "247ac50b1ba678a4", "fdf91a1921105b88", "a048e6d7f21071b8",
+		"af2f2b7814f120ca", "ae9d1c8020b80f4e", "b30368c9474faf6b", "eacaceb4e66947d0",
+	},
+}
+
+// Every execution shape's per-stage census is pinned: each plan's
+// QueryReport (every sort, merge and scan stage, with its per-shard
+// and per-tape reports) and the query machine's own Resources must
+// equal the recorded values. Byte-identity alone would not catch an
+// extra sort, a tape acquired in another order or a stage moved
+// between the coordinator and the fleet.
+func TestEvaluatorCensusPerOperator(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
-	for trial := 0; trial < 4; trial++ {
-		in := problems.GenSetNo(20, 8, rng)
-		db := InstanceDB(in)
-		for _, q := range queryPlans() {
-			m1 := core.NewMachine(NumQueryTapes, 1)
-			r1, err := EvalST(q, db, m1)
-			if err != nil {
-				t.Fatal(err)
+	a, b := problems.GenSetYes(24, 5, rng), problems.GenSetYes(24, 5, rng)
+	db := InstanceDB(problems.Instance{V: a.V, W: append(b.V, a.V[:6]...)})
+	shapes := []struct {
+		name string
+		ev   Evaluator
+	}{
+		{"zero", Evaluator{}},
+		{"shards2", Evaluator{Shards: 2}},
+		{"shards2-pipeline", Evaluator{Shards: 2, Pipeline: true}},
+		{"shards3-fanin8-mem128-pipeline", Evaluator{Shards: 3, FanIn: 8, RunMemoryBits: 128, Pipeline: true}},
+		{"planned", Evaluator{Plan: plan.Auto(plan.Budget{MemoryBits: 256, Tapes: 6, MaxShards: 4})}},
+	}
+	for _, sh := range shapes {
+		want := censusDigests[sh.name]
+		for i, q := range censusPlans() {
+			rep := &QueryReport{}
+			ev := sh.ev
+			ev.Report = rep
+			m := core.NewMachine(NumQueryTapes, 1)
+			if _, err := ev.EvalST(nil, q, db, m); err != nil {
+				t.Fatalf("%s %v: %v", sh.name, q, err)
 			}
-			m2 := core.NewMachine(NumQueryTapes, 1)
-			r2, err := Evaluator{}.EvalST(nil, q, db, m2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(r1.Tuples, r2.Tuples) {
-				t.Fatalf("%v: zero-Evaluator result differs", q)
-			}
-			if !reflect.DeepEqual(m1.Resources(), m2.Resources()) {
-				t.Fatalf("%v: zero-Evaluator resources differ:\n%v\nvs\n%v",
-					q, m1.Resources(), m2.Resources())
+			sum := sha256.Sum256(fmt.Appendf(nil, "%+v\n%+v", *rep, m.Resources()))
+			got := hex.EncodeToString(sum[:8])
+			if i >= len(want) || got != want[i] {
+				t.Errorf("%s plan %d %v: census digest %s, recorded %v", sh.name, i, q, got, want)
 			}
 		}
 	}

@@ -71,55 +71,64 @@ func EvalST(e Expr, db DB, m *core.Machine) (*Relation, error) {
 }
 
 // eval returns the tape index holding the (deduplicated) result and
-// its schema.
+// its schema: the operator's tape, sorted and deduplicated unless
+// evalTape left it so already.
 func (c *evalCtx) eval(e Expr) (int, Schema, error) {
+	idx, schema, sorted, err := c.evalTape(e)
+	if err != nil || sorted {
+		return idx, schema, err
+	}
+	return idx, schema, c.sortDedup(idx)
+}
+
+// evalTape evaluates one operator onto a tape and reports whether its
+// items are already sorted and deduplicated. A selection of a sorted
+// input, an anti-merge of two, a rename and a pipelined union's merge
+// are; a relation's tuples, a projection, a concatenation and a
+// product's pairs are not, and the caller decides how they get sorted:
+// eval sorts the tape, evalRuns hands it over as shard-sorted runs.
+func (c *evalCtx) evalTape(e Expr) (int, Schema, bool, error) {
 	switch e := e.(type) {
 	case Scan:
 		r, ok := c.db[e.Rel]
 		if !ok {
-			return 0, nil, fmt.Errorf("relalg: unknown relation %q", e.Rel)
+			return 0, nil, false, fmt.Errorf("relalg: unknown relation %q", e.Rel)
 		}
 		idx, err := c.acquire()
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
-		if err := writeRelationTape(c.m, idx, r); err != nil {
-			return 0, nil, err
-		}
-		if err := c.sortDedup(idx); err != nil {
-			return 0, nil, err
-		}
-		return idx, r.Schema, nil
+		return idx, r.Schema, false, writeRelationTape(c.m, idx, r)
 
 	case Select:
 		in, schema, err := c.eval(e.In)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
 		dst, err := c.acquire()
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
 		if err := c.filterScan(in, dst, schema, e.Pred); err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
 		c.release(in)
-		return dst, schema, nil
+		return dst, schema, true, nil
 
 	case Project:
 		in, schema, err := c.eval(e.In)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
 		idx := make([]int, len(e.Cols))
 		for i, col := range e.Cols {
 			if idx[i] = schema.Col(col); idx[i] < 0 {
-				return 0, nil, fmt.Errorf("relalg: unknown column %q", col)
+				return 0, nil, false, fmt.Errorf("relalg: unknown column %q", col)
 			}
 		}
 		dst, err := c.acquire()
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
 		if err := c.rewriteScan(in, dst, func(t Tuple) (Tuple, bool) {
 			nt := make(Tuple, len(idx))
@@ -128,112 +137,57 @@ func (c *evalCtx) eval(e Expr) (int, Schema, error) {
 			}
 			return nt, true
 		}); err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
 		c.release(in)
-		if err := c.sortDedup(dst); err != nil {
-			return 0, nil, err
-		}
-		return dst, Schema(e.Cols), nil
+		return dst, Schema(e.Cols), false, nil
 
 	case Union:
 		if c.pipelined() {
 			runs, schema, err := c.evalRuns(e)
 			if err != nil {
-				return 0, nil, err
+				return 0, nil, false, err
 			}
 			dst, err := c.acquire()
 			if err != nil {
-				return 0, nil, err
+				return 0, nil, false, err
 			}
-			if err := c.mergeRuns(runs, dst); err != nil {
-				return 0, nil, err
-			}
-			return dst, schema, nil
+			return dst, schema, true, c.mergeRuns(runs, dst)
 		}
-		l, ls, r, rs, err := c.evalPair(e.L, e.R)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ls.Equal(rs) {
-			return 0, nil, fmt.Errorf("%w: %v vs %v", ErrSchema, ls, rs)
-		}
-		dst, err := c.acquire()
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := c.concat(l, r, dst); err != nil {
-			return 0, nil, err
-		}
-		c.release(l)
-		c.release(r)
-		if err := c.sortDedup(dst); err != nil {
-			return 0, nil, err
-		}
-		return dst, ls, nil
+		dst, ls, _, err := c.binary(e.L, e.R, true, func(l, r, dst int) error { return concatTapes(c.m, l, r, dst) })
+		return dst, ls, false, err
 
 	case Diff:
-		l, ls, r, rs, err := c.evalPair(e.L, e.R)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !ls.Equal(rs) {
-			return 0, nil, fmt.Errorf("%w: %v vs %v", ErrSchema, ls, rs)
-		}
-		dst, err := c.acquire()
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := c.scanOp(ScanOpDiff, l, r, dst); err != nil {
-			return 0, nil, err
-		}
-		c.release(l)
-		c.release(r)
-		return dst, ls, nil
+		dst, ls, _, err := c.binary(e.L, e.R, true, c.scanOp(ScanOpDiff))
+		return dst, ls, true, err
 
 	case Product:
-		l, ls, r, rs, err := c.evalPair(e.L, e.R)
-		if err != nil {
-			return 0, nil, err
-		}
-		dst, err := c.acquire()
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := c.scanOp(ScanOpProduct, l, r, dst); err != nil {
-			return 0, nil, err
-		}
-		c.release(l)
-		c.release(r)
-		// Concatenated variable-length fields need not be in item
-		// order; restore the sorted-and-deduplicated invariant.
-		if err := c.sortDedup(dst); err != nil {
-			return 0, nil, err
-		}
-		return dst, productSchema(e, ls, rs), nil
+		// Concatenated variable-length fields need not be in item order.
+		dst, ls, rs, err := c.binary(e.L, e.R, false, c.scanOp(ScanOpProduct))
+		return dst, productSchema(e, ls, rs), false, err
 
 	case Rename:
 		in, schema, err := c.eval(e.In)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
 		if len(e.Cols) != len(schema) {
-			return 0, nil, fmt.Errorf("%w: rename arity %d vs %d", ErrSchema, len(e.Cols), len(schema))
+			return 0, nil, false, fmt.Errorf("%w: rename arity %d vs %d", ErrSchema, len(e.Cols), len(schema))
 		}
-		return in, Schema(e.Cols), nil
+		return in, Schema(e.Cols), true, nil
 
 	case EquiJoin:
-		return c.eval(e.expand())
+		return c.evalTape(e.expand())
 
 	case SemiJoin:
 		ex, err := e.expand(c.db)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, false, err
 		}
-		return c.eval(ex)
+		return c.evalTape(ex)
 
 	default:
-		return 0, nil, fmt.Errorf("relalg: unknown expression %T", e)
+		return 0, nil, false, fmt.Errorf("relalg: unknown expression %T", e)
 	}
 }
 
@@ -247,6 +201,29 @@ func (c *evalCtx) evalPair(l, r Expr) (int, Schema, int, Schema, error) {
 		return 0, nil, 0, nil, err
 	}
 	return li, ls, ri, rs, nil
+}
+
+// binary evaluates both operands (with matching schemas when same is
+// set) and runs op from their tapes onto a fresh one, releasing the
+// operands' tapes.
+func (c *evalCtx) binary(l, r Expr, same bool, op func(l, r, dst int) error) (int, Schema, Schema, error) {
+	li, ls, ri, rs, err := c.evalPair(l, r)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if same && !ls.Equal(rs) {
+		return 0, nil, nil, fmt.Errorf("%w: %v vs %v", ErrSchema, ls, rs)
+	}
+	dst, err := c.acquire()
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if err := op(li, ri, dst); err != nil {
+		return 0, nil, nil, err
+	}
+	c.release(li)
+	c.release(ri)
+	return dst, ls, rs, nil
 }
 
 // sortDedupFanIn is the merge fan-in sortDedup aims for: the two
@@ -354,12 +331,10 @@ func (c *evalCtx) rewriteScan(src, dst int, fn func(Tuple) (Tuple, bool)) error 
 	}
 }
 
-// concat writes src1's then src2's items to dst. Every tape holds
+// concatTapes writes src1's then src2's items to dst. Every tape holds
 // '#'-terminated items only, so each side is one whole-tape sweep:
 // a bulk read of src and a bulk write to dst, with the same counter
 // totals as an item-by-item copy.
-func (c *evalCtx) concat(src1, src2, dst int) error { return concatTapes(c.m, src1, src2, dst) }
-
 func concatTapes(m *core.Machine, src1, src2, dst int) error {
 	td := m.Tape(dst)
 	if err := rewindTruncate(td); err != nil {
@@ -400,11 +375,8 @@ func sweepItems(m *core.Machine, src int, td *tape.Tape) error {
 	return td.WriteBlock(data)
 }
 
-// antiMerge emits items of l absent from r; both inputs are sorted
-// and deduplicated.
-func (c *evalCtx) antiMerge(l, r, dst int) error { return antiMergeTapes(c.m, l, r, dst) }
-
-// antiMergeTapes runs the anti-merge on any machine — the coordinator's
+// antiMergeTapes emits items of l absent from r; both inputs are
+// sorted and deduplicated. It runs on any machine — the coordinator's
 // query machine or a shard-local machine streaming one contiguous left
 // range against the broadcast right side. Both item streams go through
 // ItemReaders, and a kept l item is written as its reader's record, so

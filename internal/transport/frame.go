@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -77,6 +78,35 @@ func writeFrame(w io.Writer, v any) error {
 // rejected before any allocation. Arbitrary input bytes yield an
 // error, never a panic — the FuzzTransportFrame target enforces this.
 func readFrame(r io.Reader, v any) error { return readFrameMax(r, v, MaxFrame) }
+
+// readReplies decodes a worker's reply stream: row frames, each handed
+// to onRow, then the Done frame. A row frame with no onRow to take it,
+// an empty frame or a Done carrying the worker's error ends the stream
+// with an error.
+func readReplies(r io.Reader, onRow func(trials.Result) error) (*Done, error) {
+	for {
+		var rep Reply
+		if err := readFrame(r, &rep); err != nil {
+			return nil, fmt.Errorf("reading reply: %w", err)
+		}
+		switch {
+		case rep.Row != nil:
+			if onRow == nil {
+				return nil, errors.New("unexpected row frame")
+			}
+			if err := onRow(*rep.Row); err != nil {
+				return nil, err
+			}
+		case rep.Done != nil:
+			if rep.Done.Err != "" {
+				return nil, fmt.Errorf("worker reported: %s", rep.Done.Err)
+			}
+			return rep.Done, nil
+		default:
+			return nil, errors.New("empty reply frame")
+		}
+	}
+}
 
 // readFrameMax is readFrame with the length cap limit.
 func readFrameMax(r io.Reader, v any, limit uint32) error {
@@ -155,7 +185,9 @@ type MachineDone struct {
 // exercised against the real thing. The zero value is no fault.
 type WorkerFault struct {
 	// Stall sleeps before the job executes — the straggler fault; pair
-	// it with Proc.Deadline to exercise the deadline → retry path.
+	// it with a Deadline to exercise the deadline → retry path. On a
+	// serve worker the sleep ends early, without running the job, when
+	// the coordinator hangs up.
 	Stall time.Duration
 
 	// Exit terminates the worker after it has streamed ExitAfter row

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -143,32 +142,14 @@ func (p *Proc) runJob(ctx context.Context, job Job, onRow func(trials.Result) er
 	if err := stdin.Close(); err != nil {
 		return fail(fmt.Errorf("closing job stream: %w", err))
 	}
-	br := bufio.NewReader(stdout)
-	for {
-		var rep Reply
-		if err := readFrame(br, &rep); err != nil {
-			return fail(fmt.Errorf("reading reply: %w", err))
-		}
-		switch {
-		case rep.Row != nil:
-			if onRow == nil {
-				return fail(errors.New("unexpected row frame"))
-			}
-			if err := onRow(*rep.Row); err != nil {
-				return fail(err)
-			}
-		case rep.Done != nil:
-			if rep.Done.Err != "" {
-				return fail(fmt.Errorf("worker reported: %s", rep.Done.Err))
-			}
-			if err := cmd.Wait(); err != nil {
-				return nil, fmt.Errorf("worker exit after done: %w", err)
-			}
-			return rep.Done, nil
-		default:
-			return fail(errors.New("empty reply frame"))
-		}
+	done, err := readReplies(bufio.NewReader(stdout), onRow)
+	if err != nil {
+		return fail(err)
 	}
+	if err := cmd.Wait(); err != nil {
+		return nil, fmt.Errorf("worker exit after done: %w", err)
+	}
+	return done, nil
 }
 
 // run adapts runJob to the shared runner seam (seams.go); a pipe

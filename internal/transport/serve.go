@@ -79,13 +79,16 @@ func Serve(ctx context.Context, ln net.Listener, stderr io.Writer) error {
 				mu.Unlock()
 				conn.Close()
 			}()
-			handleConn(conn, stderr)
+			handleConn(ctx, conn, stderr)
 		}()
 	}
 }
 
 // handleConn runs one connection: handshake, one job, reply stream.
-func handleConn(conn net.Conn, stderr io.Writer) {
+// The job's context ends when the serve loop stops or the peer hangs
+// up: the coordinator sends nothing after the job frame, so a read on
+// the connection returns only when it closes.
+func handleConn(ctx context.Context, conn net.Conn, stderr io.Writer) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReader(conn)
 	var hello Hello
@@ -110,21 +113,20 @@ func handleConn(conn net.Conn, stderr io.Writer) {
 		return
 	}
 	conn.SetDeadline(time.Time{})
-	out := bufio.NewWriter(conn)
-	send := func(rep Reply) error {
-		if err := writeFrame(out, rep); err != nil {
-			return err
-		}
-		return out.Flush()
-	}
-	corrupt := func() {
-		out.Write([]byte{0xff, 0xff, 0xff, 0xff})
-		out.Flush()
-	}
+	jobCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	hungUp := make(chan struct{})
+	go func() {
+		defer close(hungUp)
+		io.Copy(io.Discard, br)
+		cancel()
+	}()
 	// Termination orders are connection death here: the peer sees the
 	// reset mid-stream, the serve loop lives on to take the retry.
 	die := func(*WorkerFault) { conn.Close() }
-	serveJob(job, send, corrupt, die, stderr)
+	serveJob(jobCtx, job, bufio.NewWriter(conn), die, stderr)
+	conn.Close() // ends the hang-up watcher's read
+	<-hungUp
 }
 
 // ListenAndServe listens on addr and serves shard jobs until ctx is

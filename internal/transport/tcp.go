@@ -167,28 +167,11 @@ func (p *TCP) run(ctx context.Context, sh, attempt int, job Job, onRow func(tria
 	if err := writeFrame(conn, job); err != nil {
 		return nil, fmt.Errorf("sending job to %s: %w", addr, err)
 	}
-	for {
-		var rep Reply
-		if err := readFrame(br, &rep); err != nil {
-			return nil, fmt.Errorf("reading reply from %s: %w", addr, err)
-		}
-		switch {
-		case rep.Row != nil:
-			if onRow == nil {
-				return nil, fmt.Errorf("worker %s: unexpected row frame", addr)
-			}
-			if err := onRow(*rep.Row); err != nil {
-				return nil, err
-			}
-		case rep.Done != nil:
-			if rep.Done.Err != "" {
-				return nil, fmt.Errorf("worker %s reported: %s", addr, rep.Done.Err)
-			}
-			return rep.Done, nil
-		default:
-			return nil, fmt.Errorf("worker %s: empty reply frame", addr)
-		}
+	done, err := readReplies(br, onRow)
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: %w", addr, err)
 	}
+	return done, nil
 }
 
 func (p *TCP) fault(sh, attempt int) *WorkerFault {

@@ -272,6 +272,51 @@ func TestTCPConnectionDeathRecovers(t *testing.T) {
 	}
 }
 
+// A stalled job ends with its connection: the attempt still fails over
+// at the coordinator's deadline, and the serve loop's stop returns at
+// once instead of waiting out the stall of the job nobody reads.
+func TestTCPStallEndsWithItsConnection(t *testing.T) {
+	const n = 8
+	w, fn := algorithms.FingerprintValueWorkload(4, 10)
+	ctx := trials.WithWorkload(context.Background(), w)
+	want, _, err := shard.Fleet{
+		Plan: shard.Plan{Shards: 1, Trials: n}, Parallel: 1, Seed: 3,
+	}.Run(ctx, fn)
+	if err != nil {
+		t.Fatalf("baseline fleet: %v", err)
+	}
+	tr, stop, err := transport.LocalWorkers(1)
+	if err != nil {
+		t.Fatalf("LocalWorkers: %v", err)
+	}
+	tr.Deadline = 100 * time.Millisecond
+	tr.Fault = func(sh, attempt int) *transport.WorkerFault {
+		if attempt == 1 {
+			return &transport.WorkerFault{Stall: 10 * time.Second}
+		}
+		return nil
+	}
+	got, sum, err := shard.Fleet{
+		Plan: shard.Plan{Shards: 1, Trials: n}, Parallel: 1, Seed: 3,
+		Retry:   shard.RetryPolicy{MaxAttempts: 2},
+		Attempt: tr.Attempt(),
+	}.Run(ctx, fn)
+	start := time.Now()
+	stop()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("stopping the workers took %v: the stalled job outlived its connection", d)
+	}
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("recovered rows differ from the baseline")
+	}
+	if sum.Retries != 1 || sum.Fallbacks != 0 || sum.Recovered != 1 {
+		t.Errorf("census (retries=%d falls=%d rec=%d), want (1 0 1)", sum.Retries, sum.Fallbacks, sum.Recovered)
+	}
+}
+
 // Sort-side connection death: retried, then absorbed by the
 // coordinator; bytes and the successful attempts' reports never move,
 // and a dead connection is an error, not a panic, so Recovered stays

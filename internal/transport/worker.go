@@ -81,11 +81,41 @@ func MaybeWorker() {
 // worth reporting travel in frames or the exit code; stderr is for
 // human diagnostics only.
 func Main(stdin io.Reader, stdout, stderr io.Writer) int {
-	in := bufio.NewReader(stdin)
-	out := bufio.NewWriter(stdout)
 	var job Job
-	if err := readFrame(in, &job); err != nil {
+	if err := readFrame(bufio.NewReader(stdin), &job); err != nil {
 		fmt.Fprintln(stderr, "stworker: reading job:", err)
+		return 1
+	}
+	// The pipe worker's job is never cancelled from inside: a
+	// coordinator that gives up kills the process instead.
+	return serveJob(context.Background(), job, bufio.NewWriter(stdout), pipeDie, stderr)
+}
+
+// serveJob executes one decoded job against a reply stream out — the
+// shared body of the pipe worker (Main) and the TCP serve loop's
+// per-connection handler. ctx is the job's life: a Stall order waits
+// on it and returns without running the job once it ends. die executes
+// a mid-stream termination order: process death on pipes, where the
+// worker owns its process; connection death in serve mode, where one
+// process hosts many connections. In serve mode die returns and the
+// next send fails on the closed connection, which ends the job without
+// a Done frame — the same mid-job death the coordinator sees from a
+// dead process.
+func serveJob(ctx context.Context, job Job, out *bufio.Writer, die func(*WorkerFault), stderr io.Writer) int {
+	if f := job.Fault; f != nil && f.Stall > 0 {
+		stall := time.NewTimer(f.Stall)
+		defer stall.Stop()
+		select {
+		case <-stall.C:
+		case <-ctx.Done():
+			return 1
+		}
+	}
+	if f := job.Fault; f != nil && f.Corrupt {
+		// A length prefix past every limit: the coordinator must treat
+		// it as a malformed frame, never as an allocation order.
+		out.Write([]byte{0xff, 0xff, 0xff, 0xff})
+		out.Flush()
 		return 1
 	}
 	send := func(rep Reply) error {
@@ -93,31 +123,6 @@ func Main(stdin io.Reader, stdout, stderr io.Writer) int {
 			return err
 		}
 		return out.Flush()
-	}
-	corrupt := func() {
-		// A length prefix past every limit: the coordinator must treat
-		// it as a malformed frame, never as an allocation order.
-		out.Write([]byte{0xff, 0xff, 0xff, 0xff})
-		out.Flush()
-	}
-	return serveJob(job, send, corrupt, pipeDie, stderr)
-}
-
-// serveJob executes one decoded job against a reply stream — the
-// shared body of the pipe worker (Main) and the TCP serve loop's
-// per-connection handler. die executes a mid-stream termination order:
-// process death on pipes, where the worker owns its process;
-// connection death in serve mode, where one process hosts many
-// connections. In serve mode die returns and the next send fails on
-// the closed connection, which ends the job without a Done frame —
-// the same mid-job death the coordinator sees from a dead process.
-func serveJob(job Job, send func(Reply) error, corrupt func(), die func(*WorkerFault), stderr io.Writer) int {
-	if f := job.Fault; f != nil && f.Stall > 0 {
-		time.Sleep(f.Stall)
-	}
-	if f := job.Fault; f != nil && f.Corrupt {
-		corrupt()
-		return 1
 	}
 	switch {
 	case job.Trial != nil:

@@ -84,13 +84,20 @@ func TestEngineContextCancellation(t *testing.T) {
 }
 
 // A panic in one worker stops its siblings: the fleet abandons the
-// remaining trial budget instead of grinding through it.
+// remaining trial budget instead of grinding through it. Each sibling
+// trial takes a fixed 100 µs, so a descheduled panicking worker still
+// stops them long before they claim 2^16 trials, while a stop that
+// never comes claims all 2^17 within a few seconds.
 func TestEnginePanicStopsSiblings(t *testing.T) {
 	var claimed atomic.Int64
-	_, _, err := Engine{Trials: 1 << 20, Parallel: 4}.Run(nil, func(i int, _ *rand.Rand) Result {
+	_, _, err := Engine{Trials: 1 << 17, Parallel: 4}.Run(nil, func(i int, _ *rand.Rand) Result {
 		claimed.Add(1)
 		if i == 0 {
 			panic("first trial dies")
+		}
+		// Spin rather than sleep: a sleep this short overshoots by up
+		// to a millisecond, which would stretch a failing run to a minute.
+		for start := time.Now(); time.Since(start) < 100*time.Microsecond; {
 		}
 		return Result{Trial: i}
 	})

@@ -222,13 +222,15 @@ func (e Engine) Run(ctx context.Context, fn Func) ([]Result, Summary, error) {
 			done    = make([]bool, n)
 			emitted int
 		)
+		// fail stops the siblings before it queues on mu, which every
+		// sibling takes once per trial.
 		fail := func(err error) {
+			stop.Store(true)
 			mu.Lock()
 			if hardErr == nil {
 				hardErr = err
 			}
 			mu.Unlock()
-			stop.Store(true)
 		}
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
