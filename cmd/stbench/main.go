@@ -18,7 +18,7 @@
 //	        [-transport inproc|proc|tcp] [-workers host:port,...]
 //	        [-chaos flaky|delay] [-chaos-rate F]
 //	        [-budget BITS] [-budget-tapes N] [-budget-shards N]
-//	        [-storage mem|file|mmap] [-spill-dir DIR] [-spill-threshold N]
+//	        [-storage mem|file] [-spill-dir DIR] [-spill-threshold N]
 //	        [-format text|json|csv]
 //	stbench -serve host:port
 //

@@ -234,7 +234,8 @@ func TestFlagAndAlgoErrors(t *testing.T) {
 		{"bad worker address", []string{"-algo", "relalg", "-transport", "tcp", "-workers", "localhost"}, 2, "bad worker address"},
 		{"serve with transport", []string{"-serve", "127.0.0.1:0", "-transport", "proc"}, 2, "-serve conflicts"},
 		{"serve with workers", []string{"-serve", "127.0.0.1:0", "-workers", "127.0.0.1:9051"}, 2, "-serve conflicts"},
-		{"spill threshold without storage", []string{"-spill-threshold", "64"}, 2, "-spill-threshold requires -storage file or mmap"},
+		{"mmap storage", []string{"-storage", "mmap"}, 2, `unknown storage "mmap"`},
+		{"spill threshold without storage", []string{"-spill-threshold", "64"}, 2, "-spill-threshold requires -storage file"},
 		{"negative spill threshold", []string{"-storage", "file", "-spill-threshold", "-1"}, 2, "negative SpillThreshold"},
 		{"zero budget", []string{"-algo", "relalg", "-budget", "0"}, 2, "-budget must be a positive finite bit count"},
 		{"negative budget", []string{"-algo", "relalg", "-budget", "-256"}, 2, "-budget must be a positive finite bit count"},

@@ -24,18 +24,17 @@
 // algorithms.Sorter{FanIn, RunMemoryBits, Dedup}: memory-budgeted run
 // formation (runs of ⌊s/itemBits⌋ items instead of single items),
 // loser-tree merges of k runs per pass over up to t−2 work tapes
-// (⌈log_k⌉ passes instead of ⌈log₂⌉), the counting pre-pass folded
-// into the first sweep, and an optional dedup-on-output hook that
-// relalg's set semantics use in place of a separate scan + copy-back.
+// (⌈log_k⌉ passes instead of ⌈log₂⌉), the item count taken during the
+// first sweep, and an optional dedup-on-output hook that relalg's set
+// semantics use in place of a separate scan + copy-back.
 // All engine state is charged to the memory meter, so measured
 // resources trace the model's r-vs-(s, t) trade-off (experiment E17).
 // Fan-in assignments: the equality deciders sort four-way over tapes
 // 3–6; relalg.sortDedup uses its two scratch tapes plus up to two
 // free pool tapes; SortLasVegasAuto and the E5 fleet derive fan-in
-// t−2 from the machine's tape count. algorithms.MergeSort remains the
-// fan-in-2, zero-run-memory legacy wrapper with bitwise-identical
-// resource reports (asserted against the historical implementation in
-// sorter_test.go).
+// t−2 from the machine's tape count. Sorter.Sort is the engine's only
+// entry; the zero Sorter is the plain 2-way balanced tape merge with
+// single-item runs.
 //
 // Monte-Carlo trial fleets — error-rate estimation for the Theorem
 // 8(a) fingerprint, Las Vegas repetition, adversary probing, and the

@@ -169,35 +169,6 @@ func equalUniqueItemStreams(m *core.Machine, ta, tb *tape.Tape) (bool, error) {
 	}
 }
 
-// isSortedStream reads the items of tp forward and reports whether
-// they are in ascending order, buffering one previous item.
-func isSortedStream(m *core.Machine, tp *tape.Tape) (bool, error) {
-	mem := m.Mem()
-	defer mem.Free(itemRegion("sorted.cur"))
-	defer mem.Free(itemRegion("sorted.prev"))
-	rd := NewItemReader(tp, mem, itemRegion("sorted.cur"))
-	prevReg := mem.Register(itemRegion("sorted.prev"))
-	var prev []byte
-	havePrev := false
-	for {
-		it, ok, err := rd.Next()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return true, nil
-		}
-		if havePrev && Compare(prev, it) > 0 {
-			return false, nil
-		}
-		prev = append(prev[:0], it...)
-		if err := prevReg.Set(int64(len(prev))); err != nil {
-			return false, err
-		}
-		havePrev = true
-	}
-}
-
 // MultisetEqualityST is the deterministic MULTISET-EQUALITY decider of
 // Corollary 7: split the input halves onto two tapes, sort both with
 // the external merge sort, and compare the sorted streams in one

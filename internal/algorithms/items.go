@@ -116,7 +116,7 @@ func (r *ItemReader) CopyItems(dst *tape.Tape, count int) (int, error) {
 // WriteItem writes item followed by the separator at the head of tp,
 // moving forward.
 func WriteItem(tp *tape.Tape, item []byte) error {
-	if err := tp.AppendBytes(item); err != nil {
+	if err := tp.WriteBlock(item); err != nil {
 		return err
 	}
 	return tp.WriteMove(problems.Separator, tape.Forward)
@@ -129,7 +129,7 @@ func Compare(a, b []byte) int { return bytes.Compare(a, b) }
 
 // chunkCells is the block size of the chunked whole-tape sweeps
 // (CountItems, CopyTape): large enough to amortize per-call cost,
-// small enough that file- and mmap-backed tapes are swept with O(1)
+// small enough that file-backed tapes are swept with O(1)
 // internal buffering instead of pulling the whole tape into RAM.
 const chunkCells = 64 << 10
 

@@ -88,7 +88,6 @@ func TestItemReaderMatchesStepReads(t *testing.T) {
 	}{
 		{"mem", tape.Options{}},
 		{"file", tape.Options{Storage: tape.File, SpillDir: t.TempDir()}},
-		{"mmap", tape.Options{Storage: tape.Mmap, SpillDir: t.TempDir()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(16))

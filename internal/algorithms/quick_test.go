@@ -9,8 +9,9 @@ import (
 	"extmem/internal/problems"
 )
 
-// Property: the tape merge sort agrees with Go's sort on arbitrary
-// random item multisets (including empty items and duplicates).
+// Property: the 2-way tape merge sort agrees with Go's sort on
+// arbitrary random item multisets (including empty items and
+// duplicates).
 func TestQuickMergeSortMatchesReference(t *testing.T) {
 	f := func(seed int64, szRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -31,7 +32,7 @@ func TestQuickMergeSortMatchesReference(t *testing.T) {
 				return false
 			}
 		}
-		if err := MergeSort(m, 0, 1, 2); err != nil {
+		if err := binarySort(m, 0, 1, 2); err != nil {
 			return false
 		}
 		var got []string

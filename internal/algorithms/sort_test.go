@@ -45,10 +45,16 @@ func dumpItems(t *testing.T, m *core.Machine, idx int) []string {
 	}
 }
 
+// binarySort sorts tape src in place with the 2-way merge engine over
+// work tapes auxA and auxB — the balanced tape merge sort of Corollary 7.
+func binarySort(m *core.Machine, src, auxA, auxB int) error {
+	return Sorter{FanIn: 2}.Sort(m, src, []int{auxA, auxB})
+}
+
 func TestMergeSortBasic(t *testing.T) {
 	m := core.NewMachine(3, 1)
 	loadItems(t, m, 0, []string{"110", "001", "010", "111", "000"})
-	if err := MergeSort(m, 0, 1, 2); err != nil {
+	if err := binarySort(m, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	got := dumpItems(t, m, 0)
@@ -60,7 +66,7 @@ func TestMergeSortBasic(t *testing.T) {
 
 func TestMergeSortEmptyAndSingle(t *testing.T) {
 	m := core.NewMachine(3, 1)
-	if err := MergeSort(m, 0, 1, 2); err != nil {
+	if err := binarySort(m, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := dumpItems(t, m, 0); len(got) != 0 {
@@ -68,7 +74,7 @@ func TestMergeSortEmptyAndSingle(t *testing.T) {
 	}
 	m2 := core.NewMachine(3, 1)
 	loadItems(t, m2, 0, []string{"101"})
-	if err := MergeSort(m2, 0, 1, 2); err != nil {
+	if err := binarySort(m2, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got := dumpItems(t, m2, 0); len(got) != 1 || got[0] != "101" {
@@ -79,7 +85,7 @@ func TestMergeSortEmptyAndSingle(t *testing.T) {
 func TestMergeSortDuplicates(t *testing.T) {
 	m := core.NewMachine(3, 1)
 	loadItems(t, m, 0, []string{"01", "01", "00", "01", "00"})
-	if err := MergeSort(m, 0, 1, 2); err != nil {
+	if err := binarySort(m, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	got := dumpItems(t, m, 0)
@@ -104,7 +110,7 @@ func TestMergeSortRandom(t *testing.T) {
 		}
 		m := core.NewMachine(3, int64(trial))
 		loadItems(t, m, 0, items)
-		if err := MergeSort(m, 0, 1, 2); err != nil {
+		if err := binarySort(m, 0, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 		got := dumpItems(t, m, 0)
@@ -138,7 +144,7 @@ func TestMergeSortReversalsLogarithmic(t *testing.T) {
 		}
 		m := core.NewMachine(3, 7)
 		loadItems(t, m, 0, items)
-		if err := MergeSort(m, 0, 1, 2); err != nil {
+		if err := binarySort(m, 0, 1, 2); err != nil {
 			t.Fatal(err)
 		}
 		rev := m.Resources().Reversals
@@ -151,7 +157,7 @@ func TestMergeSortReversalsLogarithmic(t *testing.T) {
 
 func TestMergeSortDistinctTapesRequired(t *testing.T) {
 	m := core.NewMachine(3, 1)
-	if err := MergeSort(m, 0, 0, 1); err == nil {
+	if err := binarySort(m, 0, 0, 1); err == nil {
 		t.Fatal("duplicate tape indices accepted")
 	}
 }
@@ -165,7 +171,7 @@ func TestSortToTapeLeavesInputIntact(t *testing.T) {
 		enc = append(enc, problems.Separator)
 	}
 	m.SetInput(enc)
-	if err := SortToTape(m, 1, 2, 3); err != nil {
+	if err := (Sorter{FanIn: 2}).SortToTape(m, 1, []int{2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	got := dumpItems(t, m, 1)

@@ -2,10 +2,9 @@ package algorithms
 
 // sorter.go implements the configurable k-way external merge-sort
 // engine behind Corollary 7. The classic 2-way balanced tape merge
-// (MergeSort in sort.go) spends ⌈log₂ m⌉ passes with one buffered item
-// per side; the paper's ST(r, s, t) model is exactly about trading
-// head reversals r against internal memory s and tapes t, and the
-// engine exposes both levers:
+// spends ⌈log₂ m⌉ passes with one buffered item per side; the paper's
+// ST(r, s, t) model is exactly about trading head reversals r against
+// internal memory s and tapes t, and the engine exposes both levers:
 //
 //   - Run formation (the s lever): an internal-memory buffer of
 //     RunMemoryBits, charged to the machine's meter, turns the input
@@ -16,9 +15,9 @@ package algorithms
 //     a time through a tournament (loser) tree over k work tapes, so
 //     ⌈log_k⌉ passes replace ⌈log₂⌉.
 //
-// The counting pre-pass of the legacy sort is folded into the engine's
-// first sweep (formation counts as it buffers; a zero-memory engine
-// counts during its first distribution), and an optional dedup hook
+// The item count is taken during the engine's first sweep (formation
+// counts as it buffers; a zero-memory engine counts during its first
+// distribution), so no pass only counts, and an optional dedup hook
 // drops adjacent duplicates while the final pass is being written, so
 // set-semantics callers need no extra scan + copy-back.
 //
@@ -86,14 +85,12 @@ func (p *RunPlanner) Next(itemBits int64) bool {
 // Las Vegas sorter). It is a constant — independent of the input size
 // N — so every ST(·, O(1), O(1)) classification built on the sort is
 // unchanged; it is merely a bigger constant than the two item buffers
-// of the legacy 2-way merge, bought back as ~log₂(runLen) fewer
-// passes.
+// of a plain 2-way merge, bought back as ~log₂(runLen) fewer passes.
 const DefaultRunMemoryBits = 4096
 
 // Sorter is the configurable k-way external merge-sort engine. The
-// zero value behaves like the legacy 2-way merge with single-item
-// initial runs (minus its counting pre-pass, which the engine folds
-// into the first distribution sweep).
+// zero value is the 2-way balanced tape merge with single-item initial
+// runs: ⌈log₂ m⌉ passes, O(log N) reversals, two item buffers.
 type Sorter struct {
 	// FanIn is the number of runs merged per pass (and the number of
 	// work tapes used); values below 2 mean 2.
@@ -133,15 +130,6 @@ func WorkTapes(m *core.Machine, dst int) []int {
 		}
 	}
 	return work
-}
-
-// Sort sorts the '#'-terminated items on tape src in ascending order,
-// in place, merging FanIn runs per pass over the given work tapes (at
-// least FanIn of them; extras are ignored). Total head reversals are
-// O(log_k(m/runLen)) passes × O(k) reversals, with all buffers charged
-// to the machine's meter.
-func (s Sorter) Sort(m *core.Machine, src int, work []int) error {
-	return s.sort(m, src, work, false)
 }
 
 // SortToTape copies the machine's input tape (tape 0) onto dst in one
@@ -205,11 +193,12 @@ func MergeTapes(m *core.Machine, dst int, srcs []int, dedup bool) error {
 	return st.merge(math.MaxInt, k, dedup)
 }
 
-// sort runs the engine. countPrepass selects the legacy accounting
-// mode used by the MergeSort wrapper: a dedicated CountItems scan
-// before the first pass, exactly as the historical implementation did,
-// so accounting-sensitive callers see bitwise-identical resources.
-func (s Sorter) sort(m *core.Machine, src int, work []int, countPrepass bool) error {
+// Sort sorts the '#'-terminated items on tape src in ascending order,
+// in place, merging FanIn runs per pass over the given work tapes (at
+// least FanIn of them; extras are ignored). Total head reversals are
+// O(log_k(m/runLen)) passes × O(k) reversals, with all buffers charged
+// to the machine's meter.
+func (s Sorter) Sort(m *core.Machine, src int, work []int) error {
 	k := s.fanIn()
 	if len(work) < k {
 		return fmt.Errorf("algorithms: Sorter fan-in %d needs %d work tapes, got %d", k, k, len(work))
@@ -237,19 +226,7 @@ func (s Sorter) sort(m *core.Machine, src int, work []int, countPrepass bool) er
 	total := -1 // -1: unknown, counted during the first sweep
 	runLen := 1
 	onLanes := false
-
-	switch {
-	case countPrepass:
-		// Legacy mode: dedicated counting scan, single-item runs.
-		n, err := CountItems(st.src, st.mem, "sort.count")
-		if err != nil {
-			return err
-		}
-		if n <= 1 {
-			return st.src.Rewind()
-		}
-		total = n
-	case s.RunMemoryBits > 0:
+	if s.RunMemoryBits > 0 {
 		done, n, rl, err := st.formRuns(s.RunMemoryBits, s.Dedup)
 		if err != nil {
 			return err
@@ -261,8 +238,7 @@ func (s Sorter) sort(m *core.Machine, src int, work []int, countPrepass bool) er
 	}
 
 	// The loser tree's internal nodes (lane indices) are machine
-	// state; a 2-way merge needs none (the comparison is direct), which
-	// keeps the legacy wrapper's accounting unchanged.
+	// state; a 2-way merge needs none (the comparison is direct).
 	if k > 2 {
 		if err := st.mem.Set(counterRegion("sort.tree"), int64((k-1)*bitsFor(k))); err != nil {
 			return err
@@ -434,9 +410,9 @@ func (st *sortState) formRuns(budget int64, dedup bool) (done bool, total, runLe
 
 // distribute copies runs of runLen items from src round-robin onto the
 // lanes. total < 0 means the item count is still unknown: lanes are
-// prepared lazily and the copied items are counted (this folds the
-// legacy counting pre-pass into the first distribution). The returned
-// count is the number of items moved.
+// prepared lazily and the copied items are counted, so the sort needs
+// no separate counting pass. The returned count is the number of items
+// moved.
 func (st *sortState) distribute(runLen, total int) (int, error) {
 	if err := st.src.Rewind(); err != nil {
 		return 0, err
@@ -510,8 +486,7 @@ func (st *sortState) merge(runLen, active int, dedup bool) error {
 
 // mergeGroup merges one run (up to runLen items) from each of the
 // active lanes onto src via the loser tree, preferring the lowest lane
-// index on ties (which for fan-in 2 reproduces the legacy merge's
-// read/write order exactly).
+// index on ties.
 func (st *sortState) mergeGroup(runLen, active int, dedup bool) error {
 	items := make([][]byte, active) // each lane's item, a view valid until that lane's next read
 	have := make([]bool, active)

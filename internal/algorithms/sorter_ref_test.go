@@ -137,7 +137,7 @@ func refMergeTapes(m *core.Machine, dst int, srcs []int, dedup bool) error {
 	return st.merge(math.MaxInt, k, dedup)
 }
 
-func refSort(s Sorter, m *core.Machine, src int, work []int, countPrepass bool) error {
+func refSort(s Sorter, m *core.Machine, src int, work []int) error {
 	k := s.fanIn()
 	if len(work) < k {
 		return fmt.Errorf("algorithms: Sorter fan-in %d needs %d work tapes, got %d", k, k, len(work))
@@ -166,18 +166,7 @@ func refSort(s Sorter, m *core.Machine, src int, work []int, countPrepass bool) 
 	runLen := 1
 	onLanes := false
 
-	switch {
-	case countPrepass:
-		// Legacy mode: dedicated counting scan, single-item runs.
-		n, err := CountItems(st.src, st.mem, "sort.count")
-		if err != nil {
-			return err
-		}
-		if n <= 1 {
-			return st.src.Rewind()
-		}
-		total = n
-	case s.RunMemoryBits > 0:
+	if s.RunMemoryBits > 0 {
 		done, n, rl, err := st.formRuns(s.RunMemoryBits, s.Dedup)
 		if err != nil {
 			return err
@@ -189,8 +178,7 @@ func refSort(s Sorter, m *core.Machine, src int, work []int, countPrepass bool) 
 	}
 
 	// The loser tree's internal nodes (lane indices) are machine
-	// state; a 2-way merge needs none (the comparison is direct), which
-	// keeps the legacy wrapper's accounting unchanged.
+	// state; a 2-way merge needs none (the comparison is direct).
 	if k > 2 {
 		if err := st.mem.Set(counterRegion("sort.tree"), int64((k-1)*bitsFor(k))); err != nil {
 			return err
@@ -505,7 +493,7 @@ func (st *refSortState) mergeGroup(runLen, active int, dedup bool) error {
 
 func refDeciderSort(m *core.Machine, src int) error {
 	return refSort(Sorter{FanIn: deciderFanIn, RunMemoryBits: DefaultRunMemoryBits},
-		m, src, []int{tapeAuxA, tapeAuxB, tapeAuxC, tapeAuxD}, false)
+		m, src, []int{tapeAuxA, tapeAuxB, tapeAuxC, tapeAuxD})
 }
 
 func refSplitHalves(m *core.Machine, dstV, dstW int) error {
@@ -799,15 +787,11 @@ func (r sortRun) run(sort func(Sorter, *core.Machine, int, []int) error) sortOut
 
 func engineSort(s Sorter, m *core.Machine, src int, work []int) error { return s.Sort(m, src, work) }
 
-func referenceSort(s Sorter, m *core.Machine, src int, work []int) error {
-	return refSort(s, m, src, work, false)
-}
-
 // matchSortReference runs the engine and the reference on r and fails
 // on any difference. It returns the reference's outcome.
 func matchSortReference(t testing.TB, r sortRun) sortOutcome {
 	t.Helper()
-	got, want := r.run(engineSort), r.run(referenceSort)
+	got, want := r.run(engineSort), r.run(refSort)
 	if d := outcomeDiff(got, want); d != "" {
 		t.Fatalf("%v: %s", r, d)
 	}
@@ -911,33 +895,17 @@ func TestSorterMatchesStepReference(t *testing.T) {
 		}
 	})
 	t.Run("backends", func(t *testing.T) {
-		for _, st := range []tape.Storage{tape.File, tape.Mmap} {
-			o := tape.Options{Storage: st, SpillDir: t.TempDir()}
-			for i, s := range []Sorter{{FanIn: 2}, {FanIn: 4, RunMemoryBits: 4096, Dedup: true}, {FanIn: 8, RunMemoryBits: 1 << 16}, {FanIn: 3, RunMemoryBits: 37, Dedup: true}} {
-				r := none
-				r.input, r.s, r.opts = big, s, o
-				matchSortReference(t, r)
-				r.input, r.laneBudget = small, i%3
-				matchSortReference(t, r)
-			}
+		o := tape.Options{Storage: tape.File, SpillDir: t.TempDir()}
+		for i, s := range []Sorter{{FanIn: 2}, {FanIn: 4, RunMemoryBits: 4096, Dedup: true}, {FanIn: 8, RunMemoryBits: 1 << 16}, {FanIn: 3, RunMemoryBits: 37, Dedup: true}} {
 			r := none
-			r.input, r.s, r.opts = small, Sorter{FanIn: 4, RunMemoryBits: 256, Dedup: true}, o
-			matchSortBudgets(t, r)
+			r.input, r.s, r.opts = big, s, o
+			matchSortReference(t, r)
+			r.input, r.laneBudget = small, i%3
+			matchSortReference(t, r)
 		}
-	})
-	t.Run("count-prepass", func(t *testing.T) {
-		// MergeSort's legacy mode: a counting scan, then single-item runs.
-		for _, in := range [][]byte{small, big, unterminated} {
-			for _, k := range []int{2, 5} {
-				r := none
-				r.input, r.s = in, Sorter{FanIn: k}
-				got := r.run(func(s Sorter, m *core.Machine, src int, work []int) error { return s.sort(m, src, work, true) })
-				want := r.run(func(s Sorter, m *core.Machine, src int, work []int) error { return refSort(s, m, src, work, true) })
-				if d := outcomeDiff(got, want); d != "" {
-					t.Fatalf("%v, count pre-pass: %s", r, d)
-				}
-			}
-		}
+		r := none
+		r.input, r.s, r.opts = small, Sorter{FanIn: 4, RunMemoryBits: 256, Dedup: true}, o
+		matchSortBudgets(t, r)
 	})
 	t.Run("MergeTapes", testMergeTapesMatchesStepReference)
 	t.Run("deciders", testDecidersMatchStepReference)
@@ -1074,11 +1042,8 @@ func FuzzSorterKernel(f *testing.F) {
 			laneBudget: -1,
 			srcBudget:  -1,
 		}
-		switch (flags >> 1) % 3 {
-		case 1:
+		if flags&2 != 0 {
 			r.opts = tape.Options{Storage: tape.File, SpillDir: t.TempDir()}
-		case 2:
-			r.opts = tape.Options{Storage: tape.Mmap, SpillDir: t.TempDir()}
 		}
 		switch b := int(flags>>3) % 4; (flags >> 5) % 3 {
 		case 1:
@@ -1087,7 +1052,7 @@ func FuzzSorterKernel(f *testing.F) {
 			r.srcBudget = b
 		}
 		if slack != 0 {
-			peak := r.run(referenceSort).Peak
+			peak := r.run(refSort).Peak
 			r.mem = max(peak+int64(slack%10), 0)
 		}
 		matchSortReference(t, r)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -39,10 +38,9 @@ func uniqSorted(items []string) []string {
 	return out
 }
 
-// The k-way engine must agree with the stdlib sort and with the legacy
-// 2-way merge for every fan-in, run-formation budget and dedup
-// setting, on random item multisets including empty items and
-// duplicates.
+// The k-way engine must agree with the stdlib sort for every fan-in
+// (the 2-way merge included), run-formation budget and dedup setting,
+// on random item multisets including empty items and duplicates.
 func TestSorterMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	var inputs [][]string
@@ -64,17 +62,6 @@ func TestSorterMatchesReference(t *testing.T) {
 		want := append([]string(nil), items...)
 		sort.Strings(want)
 		wantDedup := uniqSorted(items)
-
-		// Legacy cross-check on the same instance.
-		lm := core.NewMachine(3, 1)
-		loadItems(t, lm, 0, items)
-		if err := MergeSort(lm, 0, 1, 2); err != nil {
-			t.Fatal(err)
-		}
-		if got := dumpItems(t, lm, 0); strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Fatalf("legacy MergeSort = %v, want %v", got, want)
-		}
-
 		for _, k := range []int{2, 3, 4, 8} {
 			for _, mem := range []int64{0, 37, 256, 4096} {
 				for _, dedup := range []bool{false, true} {
@@ -99,39 +86,6 @@ func TestSorterMatchesReference(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// MergeSort is documented as the bitwise-accounting-compatible wrapper
-// around the engine: its resource report — reversals, steps, reads,
-// writes, peak memory, per tape — must be identical to the historical
-// 2-way implementation, which is preserved verbatim below.
-func TestMergeSortLegacyAccountingUnchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for trial := 0; trial < 40; trial++ {
-		items := randomItems(rng.Intn(120), 6, rng)
-
-		mNew := core.NewMachine(3, 1)
-		loadItems(t, mNew, 0, items)
-		if err := MergeSort(mNew, 0, 1, 2); err != nil {
-			t.Fatal(err)
-		}
-		mOld := core.NewMachine(3, 1)
-		loadItems(t, mOld, 0, items)
-		if err := legacyMergeSort(mOld, 0, 1, 2); err != nil {
-			t.Fatal(err)
-		}
-
-		if got, want := string(mNew.Tape(0).Contents()), string(mOld.Tape(0).Contents()); got != want {
-			t.Fatalf("output differs: %q vs legacy %q", got, want)
-		}
-		rNew, rOld := mNew.Resources(), mOld.Resources()
-		if !reflect.DeepEqual(rNew, rOld) {
-			t.Fatalf("resource report differs from the legacy implementation:\nnew:    %+v\nlegacy: %+v", rNew, rOld)
-		}
-		if cur := mNew.Mem().Current(); cur != 0 {
-			t.Fatalf("MergeSort left %d bits charged (regions %v)", cur, mNew.Mem().Regions())
 		}
 	}
 }
@@ -302,154 +256,6 @@ func TestSorterDedupAcrossRuns(t *testing.T) {
 	}
 	if got := dumpItems(t, m, 0); len(got) != 1 || got[0] != "01" {
 		t.Fatalf("dedup = %v, want [01]", got)
-	}
-}
-
-// legacyMergeSort is the pre-engine 2-way balanced tape merge sort,
-// kept verbatim as the accounting reference for
-// TestMergeSortLegacyAccountingUnchanged.
-func legacyMergeSort(m *core.Machine, src, auxA, auxB int) error {
-	if src == auxA || src == auxB || auxA == auxB {
-		return fmt.Errorf("algorithms: MergeSort needs three distinct tapes, got %d, %d, %d", src, auxA, auxB)
-	}
-	ts := m.Tape(src)
-	ta := m.Tape(auxA)
-	tb := m.Tape(auxB)
-	mem := m.Mem()
-
-	if err := ts.Rewind(); err != nil {
-		return err
-	}
-	total, err := CountItems(ts, mem, "sort.count")
-	if err != nil {
-		return err
-	}
-	if total <= 1 {
-		return ts.Rewind()
-	}
-
-	for runLen := 1; runLen < total; runLen *= 2 {
-		if err := chargeCounter(mem, "sort.runlen", uint64(runLen)); err != nil {
-			return err
-		}
-		if err := ts.Rewind(); err != nil {
-			return err
-		}
-		if err := ta.Rewind(); err != nil {
-			return err
-		}
-		ta.Truncate()
-		if err := tb.Rewind(); err != nil {
-			return err
-		}
-		tb.Truncate()
-		toA := true
-		in := NewItemReader(ts, mem, "sort.copy")
-		for !ts.AtEnd() {
-			dst := ta
-			if !toA {
-				dst = tb
-			}
-			if _, err := in.CopyItems(dst, runLen); err != nil {
-				return err
-			}
-			toA = !toA
-		}
-
-		if err := ts.Rewind(); err != nil {
-			return err
-		}
-		ts.Truncate()
-		if err := ta.Rewind(); err != nil {
-			return err
-		}
-		if err := tb.Rewind(); err != nil {
-			return err
-		}
-		for !ta.AtEnd() || !tb.AtEnd() {
-			if err := legacyMergeRuns(ta, tb, ts, runLen, m); err != nil {
-				return err
-			}
-		}
-	}
-	mem.Free(counterRegion("sort.runlen"))
-	mem.Free(itemRegion("sort.a"))
-	mem.Free(itemRegion("sort.b"))
-	return ts.Rewind()
-}
-
-func legacyMergeRuns(ta, tb, dst *tape.Tape, runLen int, m *core.Machine) error {
-	mem := m.Mem()
-	ra := NewItemReader(ta, mem, itemRegion("sort.a"))
-	rb := NewItemReader(tb, mem, itemRegion("sort.b"))
-	var (
-		bufA, bufB []byte
-		haveA      bool
-		haveB      bool
-		seenA      int
-		seenB      int
-	)
-	loadA := func() error {
-		if haveA || seenA >= runLen || ta.AtEnd() {
-			return nil
-		}
-		item, ok, err := ra.Next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			bufA, haveA = item, true
-			seenA++
-		}
-		return nil
-	}
-	loadB := func() error {
-		if haveB || seenB >= runLen || tb.AtEnd() {
-			return nil
-		}
-		item, ok, err := rb.Next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			bufB, haveB = item, true
-			seenB++
-		}
-		return nil
-	}
-	for {
-		if err := loadA(); err != nil {
-			return err
-		}
-		if err := loadB(); err != nil {
-			return err
-		}
-		switch {
-		case haveA && haveB:
-			if Compare(bufA, bufB) <= 0 {
-				if err := WriteItem(dst, bufA); err != nil {
-					return err
-				}
-				haveA = false
-			} else {
-				if err := WriteItem(dst, bufB); err != nil {
-					return err
-				}
-				haveB = false
-			}
-		case haveA:
-			if err := WriteItem(dst, bufA); err != nil {
-				return err
-			}
-			haveA = false
-		case haveB:
-			if err := WriteItem(dst, bufB); err != nil {
-				return err
-			}
-			haveB = false
-		default:
-			return nil
-		}
 	}
 }
 

@@ -7,21 +7,21 @@
 //	[-parallel N] [-shards N]
 //	[-transport inproc|proc|tcp] [-workers host:port,...]
 //	[-budget BITS] [-budget-tapes N] [-budget-shards N]
-//	[-storage mem|file|mmap] [-spill-dir DIR] [-spill-threshold N]
+//	[-storage mem|file] [-spill-dir DIR] [-spill-threshold N]
 //	-serve host:port
 //
 // -parallel is the worker goroutines per shard, -shards the shard
 // machines of every fleet and operator stage (internal/shard).
 //
 // -storage selects where tape cells live (internal/tape backends): mem
-// is the in-RAM default, file buffers cells in unlinked temp files,
-// mmap memory-maps them. Like -shards it is pure execution shape — the
-// backend may move the bytes' home, never a count. -spill-dir places
-// the temp files (default: the system temp directory); they are
-// unlinked at creation, so no spill file survives any exit, SIGINT
-// included. -spill-threshold keeps a file/mmap tape in RAM until it
-// first exceeds that many cells — small scratch tapes never touch the
-// disk. Both spill flags require -storage file or mmap.
+// is the in-RAM default, file keeps cells in unlinked temp files. Like
+// -shards it is pure execution shape — the backend may move the bytes'
+// home, never a count. -spill-dir places the temp files (default: the
+// system temp directory); they are unlinked at creation, so no spill
+// file survives any exit, SIGINT included. -spill-threshold keeps a
+// file tape in RAM until it first exceeds that many cells — small
+// scratch tapes never touch the disk. Both spill flags require
+// -storage file.
 //
 // -budget hands the run a cost-based planner envelope (internal/plan):
 // BITS of run-formation memory, -budget-tapes tapes and up to
@@ -102,9 +102,9 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.budget, "budget", 0, "cost-based planner envelope: run-formation memory in bits (never changes stdout)")
 	fs.IntVar(&f.budgetTapes, "budget-tapes", 6, "planner envelope: tapes per shard machine (requires -budget)")
 	fs.IntVar(&f.budgetShards, "budget-shards", 4, "planner envelope: shard-fleet ceiling (requires -budget)")
-	fs.StringVar(&f.storage, "storage", "mem", "tape storage backend: mem, file or mmap (never changes stdout)")
-	fs.StringVar(&f.spillDir, "spill-dir", "", "directory for file/mmap tape spill files (requires -storage file or mmap; default: system temp dir)")
-	fs.IntVar(&f.spillThreshold, "spill-threshold", 0, "cells a file/mmap tape holds in RAM before spilling to its backend (requires -storage file or mmap; 0 = spill from the start)")
+	fs.StringVar(&f.storage, "storage", "mem", "tape storage backend: mem or file (never changes stdout)")
+	fs.StringVar(&f.spillDir, "spill-dir", "", "directory for file tape spill files (requires -storage file; default: system temp dir)")
+	fs.IntVar(&f.spillThreshold, "spill-threshold", 0, "cells a file tape holds in RAM before spilling to its file (requires -storage file; 0 = spill from the start)")
 	return f
 }
 
@@ -180,7 +180,7 @@ func (f *Flags) Resolve() error {
 	}
 	for _, name := range []string{"spill-dir", "spill-threshold"} {
 		if f.set(name) && storage == tape.Mem {
-			return fmt.Errorf("-%s requires -storage file or mmap", name)
+			return fmt.Errorf("-%s requires -storage file", name)
 		}
 	}
 	f.Tape = tape.Options{Storage: storage, SpillDir: f.spillDir, SpillThreshold: f.spillThreshold}

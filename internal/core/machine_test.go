@@ -57,7 +57,7 @@ func TestResourcesAggregation(t *testing.T) {
 	if err := m.Tape(0).Rewind(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Tape(1).AppendBytes([]byte("xy")); err != nil {
+	if err := m.Tape(1).WriteBlock([]byte("xy")); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Tape(1).Rewind(); err != nil {

@@ -320,7 +320,7 @@ func E20FaultTolerance(cfg Config) Result {
 
 	// ---- TCP transport half: the same fleet and sort with loopback TCP
 	// workers, under connection-level chaos — a worker that closes the
-	// connection mid-stream (Drop) and one that stalls past the attempt
+	// connection mid-stream (Exit) and one that stalls past the attempt
 	// deadline. Network death is process death: the same retry →
 	// fallback ladder, the same exact census, the same bytes. Faults
 	// key on (shard, attempt), so every count below is asserted
@@ -344,7 +344,7 @@ func E20FaultTolerance(cfg Config) Result {
 		// completes the range.
 		{"drop@s0a1", func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 && attempt == 1 {
-				return &transport.WorkerFault{Drop: true, DropAfter: 1}
+				return &transport.WorkerFault{Exit: true, ExitAfter: 1}
 			}
 			return nil
 		}, 0, 1, 0, 1},
@@ -363,7 +363,7 @@ func E20FaultTolerance(cfg Config) Result {
 		// chaos-free.
 		{"drop@s0", func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 {
-				return &transport.WorkerFault{Drop: true, DropAfter: 1}
+				return &transport.WorkerFault{Exit: true, ExitAfter: 1}
 			}
 			return nil
 		}, 0, 1, 1, 2},
@@ -415,13 +415,13 @@ func E20FaultTolerance(cfg Config) Result {
 		{"none", nil, 0, 0},
 		{"drop@s0a1", func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 && attempt == 1 {
-				return &transport.WorkerFault{Drop: true}
+				return &transport.WorkerFault{Exit: true}
 			}
 			return nil
 		}, 1, 0},
 		{"drop@s0", func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 {
-				return &transport.WorkerFault{Drop: true}
+				return &transport.WorkerFault{Exit: true}
 			}
 			return nil
 		}, 2, 1},

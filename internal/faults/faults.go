@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,28 +45,25 @@ func (m Mode) String() string {
 }
 
 // Plan is a deterministic fault schedule. Whether a site is struck is
-// a pure function of (Seed, site index) plus the explicit selectors,
-// so the same plan strikes the same sites at every shard count,
-// worker count and schedule. A site is targeted if ANY selector
-// claims it: it appears in Sites, it is owned by the targeted shard
-// (Shard of OfShards — trial sites map to shards by shard.Split, the
-// same rule the fleet itself uses), or its seed-derived hash falls
-// under Rate.
+// a pure function of (Seed, site index) plus the explicit Sites, so
+// the same plan strikes the same sites at every shard count, worker
+// count and schedule. A site is targeted if it appears in Sites or its
+// seed-derived hash falls under Rate. Sites are trial indices where
+// the plan wraps a fleet (Trials) and shard indices where it hooks a
+// sharded stage (ShardInject, TapeWrap).
 type Plan struct {
 	Seed int64 // keys the Rate hash; independent of the run's trial seed
 	Mode Mode  // what happens at a struck site
 
-	Rate     float64       // probability-like fraction of sites struck by hash, in [0, 1]
-	Sites    []int         // explicitly struck sites (trial indices / shard indices / call ordinals)
-	Shard    int           // with OfShards > 0: strike every site this shard owns
-	OfShards int           // the shard count the Shard selector is relative to; 0 disables it
-	Flaky    int           // strike only the first Flaky attempts per site; 0 means every attempt
-	Delay    time.Duration // sleep duration for Mode Delay
+	Rate  float64       // probability-like fraction of sites struck by hash, in [0, 1]
+	Sites []int         // explicitly struck sites (trial indices / shard indices)
+	Flaky int           // strike only the first Flaky attempts per site; 0 means every attempt
+	Delay time.Duration // sleep duration for Mode Delay
 }
 
 // Enabled reports whether the plan can strike at all.
 func (p Plan) Enabled() bool {
-	return p.Mode != None && (p.Rate > 0 || len(p.Sites) > 0 || p.OfShards > 0)
+	return p.Mode != None && (p.Rate > 0 || len(p.Sites) > 0)
 }
 
 // rateHit is the seed-keyed selector: site strikes iff its splitmix64
@@ -81,24 +79,10 @@ func (p Plan) rateHit(site int) bool {
 	return float64(h>>11)/(1<<53) < p.Rate
 }
 
-// targets reports whether trial site (of a fleet of n) is struck.
-func (p Plan) targets(site, n int) bool {
-	for _, s := range p.Sites {
-		if s == site {
-			return true
-		}
-	}
-	if p.OfShards > 0 && n > 0 {
-		for _, rg := range shard.Split(n, p.OfShards) {
-			if rg.Shard == p.Shard {
-				if site >= rg.Lo && site < rg.Hi {
-					return true
-				}
-				break
-			}
-		}
-	}
-	return p.rateHit(site)
+// targets reports whether site is struck: it is in Sites or under the
+// Rate hash.
+func (p Plan) targets(site int) bool {
+	return slices.Contains(p.Sites, site) || p.rateHit(site)
 }
 
 // StruckSites returns the trial sites of a fleet of n the plan
@@ -110,25 +94,11 @@ func (p Plan) StruckSites(n int) []int {
 	}
 	var out []int
 	for i := 0; i < n; i++ {
-		if p.targets(i, n) {
+		if p.targets(i) {
 			out = append(out, i)
 		}
 	}
 	return out
-}
-
-// targetsShard reports whether shard index sh is struck when the plan
-// injects at shard granularity (Sites then hold shard indices).
-func (p Plan) targetsShard(sh int) bool {
-	for _, s := range p.Sites {
-		if s == sh {
-			return true
-		}
-	}
-	if p.OfShards > 0 && sh == p.Shard {
-		return true
-	}
-	return p.rateHit(sh)
 }
 
 // fire executes the fault at a struck site on the given 1-based
@@ -163,21 +133,19 @@ func (e *Injected) Error() string {
 	return fmt.Sprintf("faults: injected %s at site %d (attempt %d)", e.Mode, e.Site, e.Attempt)
 }
 
-// Injector tracks per-site attempt counts for a plan over a fleet of
-// n sites, so Flaky plans strike the first attempts and then heal. It
-// is safe for concurrent use.
+// Injector tracks per-site attempt counts for a plan, so Flaky plans
+// strike the first attempts and then heal. It is safe for concurrent
+// use.
 type Injector struct {
 	plan Plan
-	n    int
 
 	mu   sync.Mutex
 	hits map[int]int
 }
 
-// Injector returns a fresh attempt-tracking injector for a fleet of n
-// sites.
-func (p Plan) Injector(n int) *Injector {
-	return &Injector{plan: p, n: n, hits: make(map[int]int)}
+// Injector returns a fresh attempt-tracking injector.
+func (p Plan) Injector() *Injector {
+	return &Injector{plan: p, hits: make(map[int]int)}
 }
 
 // Strike fires the plan's fault at site if it is targeted: Delay
@@ -185,7 +153,7 @@ func (p Plan) Injector(n int) *Injector {
 // with one. Untargeted sites (and targeted sites past their Flaky
 // budget) cost one map lookup and return nil.
 func (inj *Injector) Strike(site int) error {
-	if !inj.plan.targets(site, inj.n) {
+	if !inj.plan.targets(site) {
 		return nil
 	}
 	inj.mu.Lock()
@@ -209,9 +177,7 @@ func (p Plan) Trials(inner trials.Launcher) trials.Launcher {
 		inner = trials.Pool(0)
 	}
 	return func(n int, seed int64, onResult func(trials.Result)) trials.Runner {
-		inj := p.Injector(n)
-		r := inner(n, seed, onResult)
-		return chaosRunner{inner: r, inj: inj}
+		return chaosRunner{inner: inner(n, seed, onResult), inj: p.Injector()}
 	}
 }
 
@@ -240,9 +206,8 @@ func (c chaosRunner) Run(ctx context.Context, fn trials.Func) ([]trials.Result, 
 }
 
 // ShardInject derives the shard.Sort chaos hook from the plan: fault
-// sites are shard indices (Sites holds shard indices; the Shard/
-// OfShards selector strikes that one shard; Rate hashes the shard
-// index), and the attempt number is the 1-based attempt the sort
+// sites are shard indices (Sites holds shard indices; Rate hashes the
+// shard index), and the attempt number is the 1-based attempt the sort
 // layer reports, so Flaky plans fail a shard's first attempts and let
 // the retry succeed. A disabled plan returns nil — the no-chaos hook.
 func (p Plan) ShardInject() shard.InjectFunc {
@@ -250,7 +215,7 @@ func (p Plan) ShardInject() shard.InjectFunc {
 		return nil
 	}
 	return func(sh, attempt int) error {
-		if !p.targetsShard(sh) {
+		if !p.targets(sh) {
 			return nil
 		}
 		return p.fire(sh, attempt)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,17 +14,25 @@ import (
 )
 
 // The strike schedule is the union of the selectors and a pure
-// function of the plan: explicit sites always strike, the Shard
-// selector strikes exactly the trials that shard owns under
-// shard.Split, rate 0 adds nothing and rate 1 strikes everything.
+// function of the plan: explicit sites always strike, rate 0 adds
+// nothing, rate 1 strikes everything, and a partial rate adds its
+// hashed sites to the explicit ones.
 func TestPlanTargetsUnion(t *testing.T) {
-	p := faults.Plan{Mode: faults.Error, Sites: []int{7}, Shard: 1, OfShards: 3}
-	got := p.StruckSites(12)
-	// shard.Split(12, 3) gives shard 1 the range [4, 8); site 7 is
-	// already inside it.
-	want := []int{4, 5, 6, 7}
+	hashed := faults.Plan{Seed: 3, Mode: faults.Error, Rate: 0.3}.StruckSites(12)
+	if len(hashed) == 0 || len(hashed) == 12 {
+		t.Fatalf("rate 0.3 struck %v, want some but not all of 12", hashed)
+	}
+	site := 0
+	for slices.Contains(hashed, site) {
+		site++
+	}
+	got := faults.Plan{Seed: 3, Mode: faults.Error, Rate: 0.3, Sites: []int{site}}.StruckSites(12)
+	want := slices.Sorted(slices.Values(append([]int{site}, hashed...)))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("StruckSites = %v, want %v", got, want)
+		t.Fatalf("StruckSites = %v, want Sites ∪ hashed = %v", got, want)
+	}
+	if got := (faults.Plan{Mode: faults.Error, Sites: []int{7}}).StruckSites(12); !reflect.DeepEqual(got, []int{7}) {
+		t.Fatalf("explicit site with rate 0 struck %v, want [7]", got)
 	}
 
 	if got := (faults.Plan{Mode: faults.Error, Rate: 1}).StruckSites(5); len(got) != 5 {
@@ -55,7 +64,7 @@ func TestPlanScheduleDeterministic(t *testing.T) {
 
 // A Flaky plan strikes only the first attempts at a site, then heals.
 func TestInjectorFlakyHealing(t *testing.T) {
-	inj := faults.Plan{Mode: faults.Error, Sites: []int{0}, Flaky: 2}.Injector(4)
+	inj := faults.Plan{Mode: faults.Error, Sites: []int{0}, Flaky: 2}.Injector()
 	for attempt := 1; attempt <= 4; attempt++ {
 		err := inj.Strike(0)
 		if want := attempt <= 2; (err != nil) != want {
@@ -69,7 +78,7 @@ func TestInjectorFlakyHealing(t *testing.T) {
 
 // The injected fault is typed and self-describing.
 func TestInjectedError(t *testing.T) {
-	inj := faults.Plan{Mode: faults.Error, Sites: []int{3}}.Injector(8)
+	inj := faults.Plan{Mode: faults.Error, Sites: []int{3}}.Injector()
 	err := inj.Strike(3)
 	var fe *faults.Injected
 	if !errors.As(err, &fe) || fe.Site != 3 || fe.Attempt != 1 || fe.Mode != faults.Error {
@@ -145,7 +154,7 @@ func TestDelayModeIsByteInvisible(t *testing.T) {
 // Flaky attempt budget; a disabled plan yields the nil (no-chaos)
 // hook.
 func TestShardInject(t *testing.T) {
-	hook := faults.Plan{Mode: faults.Error, Shard: 2, OfShards: 4, Flaky: 1}.ShardInject()
+	hook := faults.Plan{Mode: faults.Error, Sites: []int{2}, Flaky: 1}.ShardInject()
 	if err := hook(1, 1); err != nil {
 		t.Fatalf("untargeted shard struck: %v", err)
 	}

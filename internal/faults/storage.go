@@ -73,16 +73,15 @@ func (b *failingBackend) Reset() {
 // afterOps backend operations in total. A shard.Sort installs it
 // through Exec, which runs budgeted attempts only: set job.Tape.Wrap
 // to the hook's wrapper, then job.Execute(). Shard selection is the
-// same as ShardInject (Sites hold shard indices, Shard/OfShards strikes
-// one shard, Rate hashes the index), so the two hooks compose with the
-// rest of the plan's schedule. A disabled plan returns nil, the
-// no-fault hook.
+// same as ShardInject (Sites hold shard indices, Rate hashes the
+// index), so the two hooks compose with the rest of the plan's
+// schedule. A disabled plan returns nil, the no-fault hook.
 func (p Plan) TapeWrap(afterOps int) func(sh, attempt int) tape.WrapBackend {
 	if !p.Enabled() {
 		return nil
 	}
 	return func(sh, attempt int) tape.WrapBackend {
-		if !p.targetsShard(sh) {
+		if !p.targets(sh) {
 			return nil
 		}
 		if p.Flaky > 0 && attempt > p.Flaky {

@@ -59,7 +59,6 @@ func TestStorageFaultRetryHeals(t *testing.T) {
 	}{
 		{"mem", tape.Options{}},
 		{"file", tape.Options{Storage: tape.File, SpillDir: t.TempDir()}},
-		{"mmap", tape.Options{Storage: tape.Mmap, SpillDir: t.TempDir()}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := Plan{Mode: Panic, Rate: 1, Flaky: 1, Seed: 5}

@@ -4,12 +4,12 @@ package tape
 // Tape above it owns the whole cost model (reversals, steps, reads,
 // writes, MaxCell, budgets) and the one 64 KiB window every read and
 // write goes through, while a Backend merely holds the cells — in RAM
-// pages, in a temp file, or in a memory mapping. A backend sees one
-// call per window fill or flush, never one per item. The contract,
-// enforced by the backend-conformance suite in backend_test.go and
-// FuzzTapeBackend, is that the backend may move the bytes' home, never
-// a count: every tape operation must be observationally identical —
-// contents, head, errors and every Stats counter — on every backend.
+// pages or in a temp file. A backend sees one call per window fill or
+// flush, never one per item. The contract, enforced by the
+// backend-conformance suite in backend_test.go and FuzzTapeBackend, is
+// that the backend may move the bytes' home, never a count: every tape
+// operation must be observationally identical — contents, head, errors
+// and every Stats counter — on every backend.
 
 import (
 	"bytes"
@@ -22,13 +22,10 @@ import (
 type Storage string
 
 // The storage backends. Mem keeps the cells in pooled in-RAM pages;
-// File is pread/pwrite over an unlinked temp file; Mmap is a memory
-// mapping of an unlinked temp file (falling back to File on platforms
-// without mmap support).
+// File is pread/pwrite over an unlinked temp file.
 const (
 	Mem  Storage = "mem"
 	File Storage = "file"
-	Mmap Storage = "mmap"
 )
 
 // ParseStorage validates a -storage flag value. The empty string is
@@ -39,10 +36,8 @@ func ParseStorage(s string) (Storage, error) {
 		return Mem, nil
 	case File:
 		return File, nil
-	case Mmap:
-		return Mmap, nil
 	}
-	return Mem, fmt.Errorf("tape: unknown storage %q (want mem, file or mmap)", s)
+	return Mem, fmt.Errorf("tape: unknown storage %q (want mem or file)", s)
 }
 
 // WrapBackend wraps a freshly constructed backend — the fault-injection
@@ -61,14 +56,14 @@ type Options struct {
 	// Storage is the backend kind; "" means Mem.
 	Storage Storage
 
-	// SpillDir is the directory File/Mmap tapes create their temp
-	// files in; "" means the system temp directory. Files are unlinked
+	// SpillDir is the directory File tapes create their temp files
+	// in; "" means the system temp directory. Files are unlinked
 	// immediately after creation, so no path ever needs cleanup — not
 	// on Close, not on SIGINT, not on SIGKILL; the kernel reclaims the
 	// space when the last descriptor dies with the process.
 	SpillDir string
 
-	// SpillThreshold, when > 0, keeps a File/Mmap tape on the in-memory
+	// SpillThreshold, when > 0, keeps a File tape on the in-memory
 	// backend until its materialized size first exceeds this many
 	// cells, then migrates the content to the storage backend — small
 	// scratch tapes never touch the disk. 0 places the tape on the
@@ -102,7 +97,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("tape: negative SpillThreshold %d", o.SpillThreshold)
 	}
 	if o.storage() == Mem && o.SpillThreshold > 0 {
-		return fmt.Errorf("tape: SpillThreshold %d requires File or Mmap storage (a Mem tape has nothing to spill to)", o.SpillThreshold)
+		return fmt.Errorf("tape: SpillThreshold %d requires File storage (a Mem tape has nothing to spill to)", o.SpillThreshold)
 	}
 	return nil
 }
@@ -183,9 +178,8 @@ type Backend interface {
 	// stays usable.
 	Reset()
 
-	// Close releases the backend's resources (file descriptors,
-	// mappings). The backend is unusable afterwards; Close is
-	// idempotent.
+	// Close releases the backend's resources (file descriptors). The
+	// backend is unusable afterwards; Close is idempotent.
 	Close() error
 }
 
@@ -199,8 +193,6 @@ func NewBackend(o Options) Backend {
 	switch o.storage() {
 	case File:
 		be = newFileBackend(o.SpillDir)
-	case Mmap:
-		be = newMmapBackend(o.SpillDir)
 	default:
 		be = &memBackend{}
 	}

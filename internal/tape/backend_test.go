@@ -16,8 +16,8 @@ import (
 )
 
 // backendConfigs are the storage configurations every conformance test
-// runs over: the three backends, and a spill configuration that starts
-// in RAM and migrates to the file backend mid-sequence.
+// runs over: the two backends, and a spill configuration that starts in
+// RAM and migrates to the file backend mid-sequence.
 func backendConfigs(t testing.TB) []struct {
 	Name string
 	Opts Options
@@ -28,7 +28,6 @@ func backendConfigs(t testing.TB) []struct {
 	}{
 		{"mem", Options{}},
 		{"file", Options{Storage: File, SpillDir: t.TempDir()}},
-		{"mmap", Options{Storage: Mmap, SpillDir: t.TempDir()}},
 		{"file-spill64", Options{Storage: File, SpillDir: t.TempDir(), SpillThreshold: 64}},
 	}
 }
@@ -568,7 +567,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value", Options{}, true},
 		{"file", Options{Storage: File}, true},
-		{"mmap with threshold", Options{Storage: Mmap, SpillThreshold: 64}, true},
 		{"file with threshold", Options{Storage: File, SpillThreshold: 1}, true},
 		{"negative threshold", Options{Storage: File, SpillThreshold: -1}, false},
 		{"negative threshold on mem", Options{SpillThreshold: -5}, false},

@@ -190,7 +190,7 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 		for op := 0; op < opsPerTrial; op++ {
 			name := ""
 			var errB, errS error
-			switch rng.Intn(14) {
+			switch rng.Intn(13) {
 			case 0:
 				name = "Rewind"
 				errB, errS = bulk.Rewind(), ref.Rewind()
@@ -224,10 +224,6 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 				data := randomBlock(rng, rng.Intn(20))
 				errB, errS = bulk.WriteBlock(data), ref.WriteBlock(data)
 			case 5:
-				name = "AppendBytes"
-				data := randomBlock(rng, rng.Intn(20))
-				errB, errS = bulk.AppendBytes(data), ref.WriteBlock(data)
-			case 6:
 				name = "ReadBlock"
 				n := rng.Intn(bulk.Len() + 8) // may run past the materialized end
 				var gotB, gotS []byte
@@ -236,7 +232,7 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 				if !bytes.Equal(gotB, gotS) {
 					t.Fatalf("trial %d op %d: ReadBlock %q vs %q", trial, op, gotB, gotS)
 				}
-			case 7:
+			case 6:
 				name = "ReadBlockBackward"
 				n := rng.Intn(bulk.Pos() + 4) // may fall off the left end
 				var gotB, gotS []byte
@@ -245,18 +241,18 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 				if !bytes.Equal(gotB, gotS) {
 					t.Fatalf("trial %d op %d: ReadBlockBackward %q vs %q", trial, op, gotB, gotS)
 				}
-			case 8:
+			case 7:
 				name = "MoveBackwardN"
 				n := rng.Intn(bulk.Pos() + 4)
 				errB, errS = bulk.MoveBackwardN(n), ref.MoveBackwardN(n)
-			case 9:
+			case 8:
 				name = "Move"
 				d := Forward
 				if rng.Intn(2) == 0 {
 					d = Backward
 				}
 				errB, errS = bulk.Move(d), step.Move(d)
-			case 10:
+			case 9:
 				name = "ReadWrite"
 				if bulk.Read() != step.Read() {
 					t.Fatalf("trial %d op %d: Read diverges", trial, op)
@@ -264,11 +260,11 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 				b := byte('a' + rng.Intn(4))
 				bulk.Write(b)
 				step.Write(b)
-			case 11:
+			case 10:
 				name = "Truncate"
 				bulk.Truncate()
 				step.Truncate()
-			case 12:
+			case 11:
 				name = "ScanUntil"
 				delim := byte('#')
 				if rng.Intn(2) == 0 {
@@ -281,7 +277,7 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 				if !bytes.Equal(gotB, gotS) || foundB != foundS {
 					t.Fatalf("trial %d op %d: ScanUntil (%q,%v) vs (%q,%v)", trial, op, gotB, foundB, gotS, foundS)
 				}
-			case 13:
+			case 12:
 				name = "CopyDelimited"
 				delim := byte('#')
 				if rng.Intn(3) == 0 {

@@ -26,7 +26,7 @@
 // In addition to the single-cell primitives (Move, Read, Write), the
 // package offers bulk operations that sweep a whole direction in one
 // call: ReadBlock, WriteBlock, ScanBytes, ScanUntil, CopyDelimited,
-// AppendBytes, ReadBlockBackward, MoveBackwardN, Rewind and SeekEnd.
+// ReadBlockBackward, MoveBackwardN, Rewind and SeekEnd.
 // CopyDelimited moves up to count delimiter-terminated items from one
 // tape's window straight into another's, accounted as one ScanUntil
 // and one WriteBlock per item. Bulk ops are
@@ -50,11 +50,12 @@
 // cell store (Len, Cell/SetCell, ReadAt/WriteAt, IndexByte, Grow,
 // Truncate, Reset, Close) and Options{Storage, SpillDir,
 // SpillThreshold} selects one per tape — Mem (fixed 64 KiB pages from
-// a process-wide sync.Pool), File (pread/pwrite over an unlinked temp
-// file) or Mmap (a MAP_SHARED mapping with doubling remap; falls back
-// to File off unix). SpillThreshold > 0 starts the tape in RAM and
-// migrates it to the storage backend the first time it outgrows the
-// threshold.
+// a process-wide sync.Pool) or File (pread/pwrite over an unlinked
+// temp file). SpillThreshold > 0 starts a File tape in RAM and
+// migrates it to the file the first time it outgrows the threshold.
+// The cost model never sees the medium, so one out-of-core backend is
+// enough: File sits behind the same owned window as Mem, and a memory
+// mapping would only add a second copy path.
 //
 // Every head operation reads and writes through one 64 KiB window, so
 // a backend sees one call per window fill or flush, never one per
@@ -83,11 +84,9 @@
 //   - Cells at index ≥ Len read Blank after any Grow: Grow extends
 //     with zeroes, Truncate forgets the tail so a re-grown range
 //     reads Blank again (the file backend ftruncates; the mem backend
-//     zeroes the dropped range and pools whole pages; the mmap
-//     backend zeroes the dropped range and keeps every mapped byte
-//     past Len zero). The window is dropped whenever the cells it was
-//     filled from may change under it: by Truncate, Reset, Close,
-//     Replace and a spill.
+//     zeroes the dropped range and pools whole pages). The window is
+//     dropped whenever the cells it was filled from may change under
+//     it: by Truncate, Reset, Close, Replace and a spill.
 //   - Slices returned by Tape (ReadBlock, ReadBlockBackward,
 //     ScanBytes, Contents) are fresh copies owned by the caller on
 //     every backend — mutation never reaches the tape and tape writes

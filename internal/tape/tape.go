@@ -51,11 +51,11 @@ func (s Stats) Scans() int { return 1 + s.Reversals }
 
 // A Tape is a one-sided infinite tape of byte cells with a read/write
 // head. The cells live in a storage Backend (in RAM by default; in a
-// temp file or a memory mapping under Options) while the Tape itself
-// owns the whole cost model: every reversal, step, read, write and
-// MaxCell update is charged here, above the backend, so the choice of
-// backend can never move a count. The zero value is not ready for use;
-// call New, FromBytes, or their ...With variants.
+// temp file under Options) while the Tape itself owns the whole cost
+// model: every reversal, step, read, write and MaxCell update is
+// charged here, above the backend, so the choice of backend can never
+// move a count. The zero value is not ready for use; call New,
+// FromBytes, or their ...With variants.
 //
 // Every head operation reads and writes through one window of winSize
 // cells: a pooled page the Tape owns, filled by one ReadAt when the
@@ -128,9 +128,6 @@ func FromBytesWith(name string, data []byte, o Options) *Tape {
 	return t
 }
 
-// FromString is FromBytes for a string input.
-func FromString(name, data string) *Tape { return FromBytes(name, []byte(data)) }
-
 // Replace swaps the tape's content for a copy of data, placing the
 // head on cell 0 moving forward while KEEPING every accumulated
 // counter (reversals, steps, reads, writes, MaxCell). It models a
@@ -145,10 +142,10 @@ func (t *Tape) Replace(data []byte) {
 	t.dir = Forward
 }
 
-// Close releases the storage backend's resources (spill files,
-// mappings) and returns the tape's pages, zeroed, to the pool for the
-// next tape. Close is idempotent; the only methods that may be called
-// afterwards are Stats accessors.
+// Close releases the storage backend's resources (spill files) and
+// returns the tape's pages, zeroed, to the pool for the next tape.
+// Close is idempotent; the only methods that may be called afterwards
+// are Stats accessors.
 func (t *Tape) Close() error {
 	t.discard()
 	if t.own != nil {
@@ -375,12 +372,6 @@ func (t *Tape) Move(d Direction) error {
 	return nil
 }
 
-// MoveForward steps the head one cell to the right.
-func (t *Tape) MoveForward() error { return t.Move(Forward) }
-
-// MoveBackward steps the head one cell to the left.
-func (t *Tape) MoveBackward() error { return t.Move(Backward) }
-
 // ReadMove reads the symbol under the head and then steps in
 // direction d.
 func (t *Tape) ReadMove(d Direction) (byte, error) {
@@ -398,9 +389,6 @@ func (t *Tape) WriteMove(b byte, d Direction) error {
 // AtEnd reports whether the head is past the last materialized cell,
 // i.e. the current cell and everything to the right is blank.
 func (t *Tape) AtEnd() bool { return t.pos >= t.n }
-
-// AtStart reports whether the head is on cell 0.
-func (t *Tape) AtStart() bool { return t.pos == 0 }
 
 // advanceForward batch-charges a forward sweep of n cells: n steps and
 // the MaxCell high-water mark in one update. The caller has already
@@ -663,10 +651,6 @@ func (t *Tape) CopyDelimited(dst *Tape, delim byte, count int) (n int, partial b
 	}
 	return n, partial, nil
 }
-
-// AppendBytes writes data starting at the current head position,
-// moving forward. It is WriteBlock under its historical name.
-func (t *Tape) AppendBytes(data []byte) error { return t.WriteBlock(data) }
 
 // Truncate discards all content from the current head position to the
 // right. It models overwriting the rest of a tape with blanks in one

@@ -23,7 +23,7 @@ func TestNewTapeIsEmptyForward(t *testing.T) {
 		if tp.Dir() != Forward {
 			t.Fatalf("Dir = %v, want Forward", tp.Dir())
 		}
-		if !tp.AtStart() || !tp.AtEnd() {
+		if tp.Pos() != 0 || !tp.AtEnd() {
 			t.Fatal("fresh tape should be at start and at end")
 		}
 		if got := tp.Read(); got != Blank {
@@ -209,7 +209,7 @@ func TestAppendBytesThenScanRoundTrips(t *testing.T) {
 		tp := NewWith("t", o)
 		defer tp.Close()
 		want := []byte("hello, tape")
-		if err := tp.AppendBytes(want); err != nil {
+		if err := tp.WriteBlock(want); err != nil {
 			t.Fatal(err)
 		}
 		if err := tp.Rewind(); err != nil {
@@ -269,7 +269,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		f := func(data []byte) bool {
 			tp := NewWith("q", o)
 			defer tp.Close()
-			if err := tp.AppendBytes(data); err != nil {
+			if err := tp.WriteBlock(data); err != nil {
 				return false
 			}
 			if tp.Reversals() != 0 {

@@ -248,7 +248,7 @@ func TestWindowDroppedWithItsPage(t *testing.T) {
 // A spill migrates the cells out of the RAM pages mid-write and drops
 // the window over them; the freed pages read Blank.
 func TestSpillDropsWindow(t *testing.T) {
-	for _, st := range []Storage{File, Mmap} {
+	for _, st := range []Storage{File} {
 		t.Run(string(st), func(t *testing.T) {
 			o := Options{Storage: st, SpillDir: t.TempDir(), SpillThreshold: winSize + 100}
 			data := pattern(4, 3*winSize+17)

@@ -62,14 +62,15 @@
 // allocation, so a first frame declaring more is refused at once.
 // Network death is process death: refused dial, peer reset, handshake
 // mismatch and blown deadline all take the WorkerError path above.
-// WorkerFault's connection-level orders (Drop, Stall) exercise it
-// against real connections, and LocalWorkers hosts loopback serve
-// workers in-process for tests and experiments. A serve job lives as
-// long as its connection: the handler cancels the job's context when
-// the coordinator hangs up or the serve loop stops, and a Stall order
+// WorkerFault's Exit and Stall orders exercise it against real
+// connections (a serve handler executes Exit by closing the
+// connection), and LocalWorkers hosts loopback serve workers
+// in-process for tests and experiments. A serve job lives as long as
+// its connection: the handler cancels the job's context when the
+// coordinator hangs up or the serve loop stops, and a Stall order
 // waits on that context, so a job its coordinator gave up on does not
 // hold a shutting-down worker.
 //
-// The residue of this rung is worker discovery and launch — ssh or a
-// registry instead of a static -workers list (ROADMAP item 1).
+// Workers are named by a static -workers list: nothing discovers or
+// launches them.
 package transport

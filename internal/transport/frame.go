@@ -22,7 +22,7 @@ import (
 // pipe transport (Proc) needs no handshake — it spawns its own
 // executable, so coordinator and worker are the same build by
 // construction.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // Hello is the handshake frame that opens every TCP connection, sent
 // coordinator→worker and answered worker→coordinator before the job
@@ -190,29 +190,22 @@ type WorkerFault struct {
 	// the coordinator hangs up.
 	Stall time.Duration
 
-	// Exit terminates the worker after it has streamed ExitAfter row
-	// frames (for sort jobs: before the Done frame regardless), without
-	// a Done frame: the coordinator sees the stream end mid-job.
+	// Exit ends the worker's reply stream after ExitAfter row frames
+	// (for sort and scan jobs: before the Done frame regardless),
+	// without a Done frame: the coordinator sees the stream end
+	// mid-job. A pipe worker exits its process; a TCP serve handler
+	// closes its connection and survives to serve the next one, since
+	// one serve process hosts many connections (possibly inside the
+	// coordinator's test process).
 	Exit      bool
 	ExitAfter int
 
 	// Kill upgrades Exit to self-delivered SIGKILL — uncatchable, no
 	// deferred cleanup, the closest a worker can get to a machine
 	// failure. Honored on the pipe transport only, where the worker
-	// process is the coordinator's own disposable child: a TCP serve
-	// loop hosts many connections (possibly inside the coordinator's
-	// test process), so its handlers execute Kill as Drop.
+	// process is the coordinator's own disposable child; serve
+	// handlers close the connection as for Exit.
 	Kill bool
-
-	// Drop is the connection-level death order of the TCP transport:
-	// the handler closes the connection mid-stream — after DropAfter
-	// row frames (for sort and scan jobs: before the Done frame
-	// regardless) — and survives to serve the next connection. The
-	// coordinator sees a peer reset exactly where Exit would end a
-	// pipe stream. Pipe workers execute Drop as Exit: closing their
-	// only connection is process death.
-	Drop      bool
-	DropAfter int
 
 	// Corrupt streams a malformed frame (an oversized length prefix)
 	// instead of the first reply.

@@ -55,9 +55,9 @@ type TCP struct {
 
 	// Fault, when non-nil, is consulted per (shard, attempt) and ships
 	// the returned order inside the job frame — deterministic chaos
-	// against real connections, the TCP twin of Proc.Fault. Connection-
-	// level orders (Drop, Stall) exercise the serve loop; Kill is
-	// executed as Drop by serve handlers (see WorkerFault.Kill).
+	// against real connections, the TCP twin of Proc.Fault. Serve
+	// handlers execute Exit (and Kill) as connection death and Stall as
+	// a wait on the job's context (see WorkerFault).
 	Fault func(shard, attempt int) *WorkerFault
 }
 

@@ -229,13 +229,13 @@ func TestTCPConnectionDeathRecovers(t *testing.T) {
 		{"dial refused once", []string{refused, live.Workers[0]}, 0, nil, 1, 0, 1},
 		{"drop mid-stream once", live.Workers, 0, func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 && attempt == 1 {
-				return &transport.WorkerFault{Drop: true, DropAfter: 2}
+				return &transport.WorkerFault{Exit: true, ExitAfter: 2}
 			}
 			return nil
 		}, 1, 0, 1},
 		{"drop always", live.Workers, 0, func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 {
-				return &transport.WorkerFault{Drop: true, DropAfter: 1}
+				return &transport.WorkerFault{Exit: true, ExitAfter: 1}
 			}
 			return nil
 		}, 1, 1, 2},
@@ -336,13 +336,13 @@ func TestTCPSortConnectionDeathRecovers(t *testing.T) {
 	}{
 		{"drop once", func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 && attempt == 1 {
-				return &transport.WorkerFault{Drop: true}
+				return &transport.WorkerFault{Exit: true}
 			}
 			return nil
 		}, 1, 0},
 		{"drop always", func(sh, attempt int) *transport.WorkerFault {
 			if sh == 0 {
-				return &transport.WorkerFault{Drop: true}
+				return &transport.WorkerFault{Exit: true}
 			}
 			return nil
 		}, 2, 1},
@@ -762,7 +762,7 @@ func TestTCPNoGoroutineLeak(t *testing.T) {
 	drop := *tr
 	drop.Fault = func(sh, attempt int) *transport.WorkerFault {
 		if sh == 0 && attempt == 1 {
-			return &transport.WorkerFault{Drop: true, DropAfter: 1}
+			return &transport.WorkerFault{Exit: true, ExitAfter: 1}
 		}
 		return nil
 	}

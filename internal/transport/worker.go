@@ -138,24 +138,13 @@ func serveJob(ctx context.Context, job Job, out *bufio.Writer, die func(*WorkerF
 
 // dies reports whether the fault orders the stream to end before the
 // Done frame (process death on pipes, connection death in serve mode).
-func (f *WorkerFault) dies() bool { return f != nil && (f.Exit || f.Drop) }
-
-// dieAfter is the number of row frames to stream before dying; machine
-// jobs stream no rows, so any death order lands before their Done
-// frame.
-func (f *WorkerFault) dieAfter() int {
-	if f.Exit {
-		return f.ExitAfter
-	}
-	return f.DropAfter
-}
+func (f *WorkerFault) dies() bool { return f != nil && f.Exit }
 
 // pipeDie executes a termination order in the pipe worker:
 // self-SIGKILL when Kill is set (uncatchable; the brief sleep yields
-// until the signal lands), a plain nonzero exit otherwise — Drop
-// included, since closing a pipe worker's only stream is process
-// death. Either way the reply stream ends without a Done frame —
-// mid-job death, as the coordinator sees a crashed shard machine.
+// until the signal lands), a plain nonzero exit otherwise. Either way
+// the reply stream ends without a Done frame — mid-job death, as the
+// coordinator sees a crashed shard machine.
 func pipeDie(f *WorkerFault) {
 	if f.Kill {
 		if p, err := os.FindProcess(os.Getpid()); err == nil {
@@ -187,7 +176,7 @@ func runTrialJob(j *TrialJob, fault *WorkerFault, send func(Reply) error, die fu
 			if sendErr != nil {
 				return
 			}
-			if fault.dies() && rows >= fault.dieAfter() {
+			if fault.dies() && rows >= fault.ExitAfter {
 				die(fault)
 			}
 			if sendErr = send(Reply{Row: &r}); sendErr == nil {
@@ -207,7 +196,7 @@ func runTrialJob(j *TrialJob, fault *WorkerFault, send func(Reply) error, die fu
 		send(Reply{Done: &Done{Err: runErr.Error()}})
 		return 1
 	}
-	if fault.dies() && rows <= fault.dieAfter() {
+	if fault.dies() && rows <= fault.ExitAfter {
 		// An empty or short range never reached the ordered row: die
 		// before the Done frame so the fault stays a fault.
 		die(fault)
