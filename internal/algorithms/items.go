@@ -136,13 +136,15 @@ const chunkCells = 64 << 10
 // CountItems scans tp forward from the current head position to the
 // end and returns the number of '#'-terminated items, using only a
 // counter in internal memory (no item buffering). The sweep reads in
-// chunkCells blocks; tape accounting is identical to one ScanBytes
-// (at most one forward turn, one read and one step per cell).
+// chunkCells blocks through one reused buffer; tape accounting is
+// identical to one ScanBytes (at most one forward turn, one read and
+// one step per cell).
 func CountItems(tp *tape.Tape, mem *memory.Meter, region string) (int, error) {
 	count := 0
+	buf := make([]byte, min(chunkCells, max(tp.Len()-tp.Pos(), 0)))
 	for !tp.AtEnd() {
-		data, err := tp.ReadBlock(min(chunkCells, tp.Len()-tp.Pos()))
-		if err != nil {
+		data := buf[:min(chunkCells, tp.Len()-tp.Pos())]
+		if err := tp.ReadBlockInto(data); err != nil {
 			return 0, err
 		}
 		count += bytes.Count(data, []byte{problems.Separator})
@@ -159,14 +161,16 @@ func CountItems(tp *tape.Tape, mem *memory.Meter, region string) (int, error) {
 }
 
 // CopyTape appends everything from src's current head position to the
-// end of its materialized region onto dst, in chunkCells blocks with
-// O(1) internal memory. Tape accounting is identical to a single
-// ScanBytes + WriteBlock: at most one forward turn per tape, one
-// read/step per src cell, one write/step per dst cell.
+// end of its materialized region onto dst, in chunkCells blocks through
+// one reused buffer, with O(1) internal memory. Tape accounting is
+// identical to a single ScanBytes + WriteBlock: at most one forward
+// turn per tape, one read/step per src cell, one write/step per dst
+// cell.
 func CopyTape(src, dst *tape.Tape) error {
+	buf := make([]byte, min(chunkCells, max(src.Len()-src.Pos(), 0)))
 	for !src.AtEnd() {
-		data, err := src.ReadBlock(min(chunkCells, src.Len()-src.Pos()))
-		if err != nil {
+		data := buf[:min(chunkCells, src.Len()-src.Pos())]
+		if err := src.ReadBlockInto(data); err != nil {
 			return err
 		}
 		if err := dst.WriteBlock(data); err != nil {

@@ -190,7 +190,7 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 		for op := 0; op < opsPerTrial; op++ {
 			name := ""
 			var errB, errS error
-			switch rng.Intn(13) {
+			switch rng.Intn(14) {
 			case 0:
 				name = "Rewind"
 				errB, errS = bulk.Rewind(), ref.Rewind()
@@ -297,6 +297,16 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 					t.Fatalf("trial %d op %d: CopyDelimited (%d,%v) vs (%d,%v)", trial, op, nB, partialB, nS, partialS)
 				}
 				errB, errS = eB, eS
+			case 13:
+				name = "ReadBlockInto"
+				n := rng.Intn(bulk.Len() + 8)     // may run past the materialized end
+				p := bytes.Repeat([]byte{'z'}, n) // stale bytes the read must overwrite, Blank past the end
+				var gotS []byte
+				errB = bulk.ReadBlockInto(p)
+				gotS, errS = ref.ReadBlock(n)
+				if errB == nil && !bytes.Equal(p, gotS) {
+					t.Fatalf("trial %d op %d: ReadBlockInto %q vs %q", trial, op, p, gotS)
+				}
 			}
 			if !sameErr(errB, errS) {
 				t.Fatalf("trial %d op %d (%s): errors diverge: bulk %v, step %v", trial, op, name, errB, errS)

@@ -410,18 +410,37 @@ func (t *Tape) ReadBlock(n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	out := make([]byte, n)
+	if err := t.ReadBlockInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadBlockInto is ReadBlock into the caller's slice: it reads len(p)
+// cells with the head moving forward, counted exactly as ReadBlock
+// counts them, and fills p with them, Blank past the materialized
+// region. A sweep that reuses one p allocates nothing per block. On
+// error p's contents are unspecified.
+func (t *Tape) ReadBlockInto(p []byte) error {
+	n := len(p)
+	if n == 0 {
+		return nil
+	}
 	if err := t.turn(Forward); err != nil {
 		// The first ReadMove reads the cell before the refused turn.
 		t.reads++
-		return nil, err
+		return err
 	}
-	out := make([]byte, n)
+	k := 0
 	if t.pos < t.n {
-		t.readAt(out[:min(n, t.n-t.pos)], t.pos)
+		k = min(n, t.n-t.pos)
+		t.readAt(p[:k], t.pos)
 	}
+	clear(p[k:])
 	t.reads += int64(n)
 	t.advanceForward(n)
-	return out, nil
+	return nil
 }
 
 // WriteBlock writes data with the head moving forward, exactly as

@@ -11,16 +11,27 @@
 // The coordinator (Proc) spawns one worker process per shard attempt —
 // by default the running executable re-executed with the hidden
 // "stworker" subcommand and the EXTMEM_STWORKER environment marker —
-// and speaks length-prefixed gob frames over the worker's pipes: a
-// 4-byte big-endian payload length, then the gob payload, each frame
-// an independent gob stream. Exactly one Job frame goes down stdin
-// (a trial-index range with its workload wire form, or a machine job:
-// a shard.SortJob or relalg.ScanJob); Reply frames come back up stdout
-// — per-trial trials.Result rows strictly in trial order, then a
-// terminal Done frame whose MachineDone carries, for machine jobs, the
+// and speaks length-prefixed frames over the worker's pipes. Each
+// direction is one gob stream of small header frames: a 4-byte
+// big-endian length, then one gob value with the type descriptors the
+// stream has not sent yet. A header's bulk byte fields — a sort job's
+// payload, a scan job's two inputs, a workload spec, a machine job's
+// output — are nil inside it and follow it as raw, length-prefixed
+// data frames, written straight from the sender's slices and read into
+// one slice each (frame.go). Exactly one Job goes down stdin (a
+// trial-index range with its workload wire form, or a machine job: a
+// shard.SortJob or relalg.ScanJob); Replies come back up stdout —
+// per-trial trials.Result rows strictly in trial order, then a
+// terminal Done whose MachineDone carries, for machine jobs, the
 // output bytes and the shard machine's exact core.Resources report.
 // Sort and scan jobs take one path on each side: one coordinator
 // helper behind Exec and ExecScan, one worker body.
+//
+// A stream is as safe as the per-frame streams it replaced because it
+// lives and dies with one attempt: one worker process's pipes, or one
+// TCP connection. Whatever decoder state a garbled, truncated or
+// oversized frame leaves behind dies with the attempt that frame
+// fails, and the retry starts a fresh stream.
 //
 // Trial functions are closures and cannot cross a process boundary;
 // trials.Workload is their wire form. Fleet entry points whose trial
@@ -55,11 +66,16 @@
 // `-serve host:port` (ListenAndServe): one connection per shard
 // attempt — dial, Hello handshake (protocol version + workload-
 // registry fingerprint, typed HandshakeError on mismatch), one job
-// frame, reply stream — with attempts assigned round-robin by shard
-// index and a retry moving one step around the worker ring. Deadline
-// bounds an attempt's wall clock as an absolute connection deadline.
-// Both ends read the peer's Hello under a 1 KiB cap checked before any
-// allocation, so a first frame declaring more is refused at once.
+// with its data frames, reply stream — with attempts assigned
+// round-robin by shard index and a retry moving one step around the
+// worker ring. A job's header and data frames leave in one writev, so
+// no frame is split into a header-only segment. Deadline bounds an
+// attempt's wall clock as an absolute connection deadline. Every
+// length prefix is checked against its cap before any allocation: the
+// peer's Hello against 1 KiB, every later header against 1 MiB, a data
+// frame against MaxFrame, and a data frame's buffer grows only as its
+// bytes arrive. The serve side reads the whole job, data frames
+// included, under its handshake deadline.
 // Network death is process death: refused dial, peer reset, handshake
 // mismatch and blown deadline all take the WorkerError path above.
 // WorkerFault's Exit and Stall orders exercise it against real

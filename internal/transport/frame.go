@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"extmem/internal/core"
@@ -22,7 +23,7 @@ import (
 // pipe transport (Proc) needs no handshake — it spawns its own
 // executable, so coordinator and worker are the same build by
 // construction.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // Hello is the handshake frame that opens every TCP connection, sent
 // coordinator→worker and answered worker→coordinator before the job
@@ -35,10 +36,28 @@ type Hello struct {
 	Fingerprint uint64
 }
 
-// MaxFrame bounds a single frame's payload. The largest legitimate
-// frame is a sort job or its reply — a shard's run-range payload —
-// so the cap is generous for those and still small enough that a
-// corrupted length prefix cannot make the decoder allocate the moon.
+// The wire format. Each direction of a connection or pipe is one gob
+// stream cut into frames, and every frame is a 4-byte big-endian
+// length followed by that many bytes. A header frame holds exactly one
+// gob value — a Hello, a Job or a Reply — together with whatever type
+// descriptors the stream has not sent yet, so each type crosses once
+// per direction. A data frame holds raw bytes. The bulk byte fields of
+// a header (the one list is bulk) are nil inside it: each follows the
+// header as one data frame, in bulk's order, empty ones included, and
+// an empty one decodes as nil, as it would under gob.
+//
+// A stream lives and dies with one attempt — one connection, or one
+// worker process's pipes — so the decoder state a garbled, truncated or
+// oversized frame leaves behind dies with the attempt that frame
+// fails, and the next attempt starts a fresh stream. A fresh stream's
+// first frame is byte-identical to the per-frame gob Hello of protocol
+// 3, which is how a peer of that build still reaches the version check
+// and is refused with a *HandshakeError.
+
+// MaxFrame bounds a data frame. The largest legitimate one is a sort
+// job's payload or its reply — a shard's run range — so the cap is
+// generous for those and still small enough that a corrupted length
+// prefix cannot make the decoder allocate the moon.
 const MaxFrame = 1 << 26 // 64 MiB
 
 // maxHelloFrame bounds the handshake frame, which both ends read
@@ -48,45 +67,266 @@ const MaxFrame = 1 << 26 // 64 MiB
 // the connection for the handshake timeout.
 const maxHelloFrame = 1 << 10
 
-// writeFrame encodes v as one length-prefixed gob frame: a 4-byte
-// big-endian payload length followed by the payload. Every frame is an
-// independent gob stream, so a reader can decode any frame without the
-// state of the ones before it — which is what lets the coordinator
-// treat a truncated or garbled frame as the death of that worker
-// rather than of the whole transport. The header is reserved in the
-// encode buffer and the whole frame leaves in a single Write: one
-// syscall per frame on a pipe, and no header-only segment for TCP
-// (without it, every frame could cost two packets under TCP_NODELAY).
-func writeFrame(w io.Writer, v any) error {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, 4))
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+// maxHeaderFrame bounds every header frame after the handshake. Bulk
+// bytes travel in data frames, so a header holds only a job's or a
+// reply's small fields; the largest legitimate one is a Done whose
+// error carries a panic stack. A header declaring more is refused
+// before any allocation.
+const maxHeaderFrame = 1 << 20
+
+// dataChunk is what a data frame's reader commits before the frame's
+// bytes arrive; past it, the buffer grows only as bytes do.
+const dataChunk = 1 << 20
+
+// bulk is the codec's one list of bulk fields: pointers to the bulk
+// byte fields of v, a *Job or a *Reply, in wire order. Each of them
+// crosses as a data frame after v's header, never inside it.
+func bulk(v any) []*[]byte {
+	switch v := v.(type) {
+	case *Job:
+		var fs []*[]byte
+		if v.Trial != nil {
+			fs = append(fs, &v.Trial.Workload.Spec)
+		}
+		if v.Sort != nil {
+			fs = append(fs, &v.Sort.Payload)
+		}
+		if v.Scan != nil {
+			fs = append(fs, &v.Scan.Left, &v.Scan.Right)
+		}
+		return fs
+	case *Reply:
+		if v.Done != nil && v.Done.Machine != nil {
+			return []*[]byte{&v.Done.Machine.Out}
+		}
+	}
+	return nil
+}
+
+// frameWriter is the sending half of one direction of a connection or
+// pipe: one gob encoder for the stream's whole life. After an error the
+// stream is unusable, and its attempt fails with it.
+type frameWriter struct {
+	w   io.Writer
+	buf bytes.Buffer // the header frame and data-frame lengths being built
+	enc *gob.Encoder // encodes into buf
+}
+
+func newFrameWriter(w io.Writer) *frameWriter {
+	fw := &frameWriter{w: w}
+	fw.enc = gob.NewEncoder(&fw.buf)
+	return fw
+}
+
+// send writes v — a *Hello, *Job or *Reply — as one header frame, then
+// one data frame per bulk field, written straight from v's slices. The
+// bulk fields are nil while the header is encoded and restored before
+// send returns. All the frames leave in one write where the writer
+// allows it (writev on a TCP connection), so no frame is split into a
+// header-only segment.
+func (fw *frameWriter) send(v any) error {
+	fields := bulk(v)
+	data := make([][]byte, len(fields))
+	for i, f := range fields {
+		data[i], *f = *f, nil
+	}
+	var prefix [4]byte
+	fw.buf.Reset()
+	fw.buf.Write(prefix[:])
+	err := fw.enc.Encode(v)
+	for i, f := range fields {
+		*f = data[i]
+	}
+	if err != nil {
 		return err
 	}
-	n := buf.Len() - 4
-	if n > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds the %d-byte limit", n, MaxFrame)
+	n := fw.buf.Len() - len(prefix)
+	if n > maxHeaderFrame {
+		return fmt.Errorf("transport: header frame of %d bytes exceeds the %d-byte limit", n, maxHeaderFrame)
 	}
-	binary.BigEndian.PutUint32(buf.Bytes()[:4], uint32(n))
-	_, err := w.Write(buf.Bytes())
+	for _, d := range data {
+		if len(d) > MaxFrame {
+			return fmt.Errorf("transport: data frame of %d bytes exceeds the %d-byte limit", len(d), MaxFrame)
+		}
+		binary.BigEndian.PutUint32(prefix[:], uint32(len(d)))
+		fw.buf.Write(prefix[:])
+	}
+	// own holds the header and every length prefix; each non-empty data
+	// slice goes out between the prefix that announces it and the next.
+	own := fw.buf.Bytes()
+	binary.BigEndian.PutUint32(own, uint32(n))
+	bufs := make(net.Buffers, 0, 1+2*len(data))
+	from := 0
+	for i, d := range data {
+		if len(d) == 0 {
+			continue
+		}
+		to := 4 + n + 4*(i+1)
+		bufs = append(bufs, own[from:to], d)
+		from = to
+	}
+	if from < len(own) {
+		bufs = append(bufs, own[from:])
+	}
+	_, err = bufs.WriteTo(fw.w)
 	return err
 }
 
-// readFrame decodes the next frame into v. A clean end of stream at a
-// frame boundary returns io.EOF; a stream that dies inside a frame
-// returns io.ErrUnexpectedEOF; a length prefix past MaxFrame is
-// rejected before any allocation. Arbitrary input bytes yield an
+// frameReader is the receiving half of one direction of a connection
+// or pipe: one gob decoder for the stream's whole life, fed one header
+// frame at a time from a reused buffer. After an error the stream is
+// unusable, and its attempt fails with it.
+type frameReader struct {
+	r      io.Reader
+	prefix [4]byte
+	hdr    []byte       // the current header frame
+	src    bytes.Reader // the decoder's source: hdr
+	dec    *gob.Decoder
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	fr := &frameReader{r: r}
+	fr.dec = gob.NewDecoder(&fr.src)
+	return fr
+}
+
+// hello reads the peer's handshake frame under the maxHelloFrame cap.
+func (fr *frameReader) hello() (Hello, error) {
+	var h Hello
+	err := fr.recvMax(&h, maxHelloFrame)
+	return h, err
+}
+
+// recv reads the next header frame into v — a *Job or *Reply — and
+// each of its bulk fields from the data frame that follows it. A clean
+// end of stream before the header returns io.EOF; a stream that dies
+// inside a frame returns io.ErrUnexpectedEOF; a length prefix past its
+// cap is refused before any allocation. Arbitrary input bytes yield an
 // error, never a panic — the FuzzTransportFrame target enforces this.
-func readFrame(r io.Reader, v any) error { return readFrameMax(r, v, MaxFrame) }
+func (fr *frameReader) recv(v any) error { return fr.recvMax(v, maxHeaderFrame) }
+
+// recvMax is recv with the header cap limit.
+func (fr *frameReader) recvMax(v any, limit int) error {
+	n, err := fr.length(limit)
+	if err != nil {
+		return err
+	}
+	if n == 0 {
+		return errors.New("transport: empty header frame")
+	}
+	if cap(fr.hdr) < n {
+		fr.hdr = make([]byte, n)
+	}
+	fr.hdr = fr.hdr[:n]
+	if _, err := io.ReadFull(fr.r, fr.hdr); err != nil {
+		return unexpected(err)
+	}
+	if !wholeMessages(fr.hdr) {
+		return errors.New("transport: header frame does not hold whole gob messages")
+	}
+	fr.src.Reset(fr.hdr)
+	if err := fr.dec.Decode(v); err != nil {
+		return err
+	}
+	if k := fr.src.Len(); k > 0 {
+		return fmt.Errorf("transport: %d trailing bytes after the value in a header frame", k)
+	}
+	for _, f := range bulk(v) {
+		if *f != nil {
+			return errors.New("transport: bulk bytes inside a header frame")
+		}
+		n, err := fr.length(MaxFrame)
+		if err != nil {
+			return unexpected(err)
+		}
+		if n > 0 {
+			if *f, err = readData(fr.r, n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// wholeMessages reports whether b is a run of whole gob messages, each
+// a count and then that many bytes. The decoder allocates a message's
+// count before reading it, so this check is what holds a header's cost
+// to its frame's cap.
+func wholeMessages(b []byte) bool {
+	for len(b) > 0 {
+		// gob's unsigned encoding: a byte below 0x80 is the value, any
+		// other is the negated width of the big-endian value after it.
+		n, w := uint64(b[0]), 1
+		if b[0] >= 0x80 {
+			k := -int(int8(b[0]))
+			if k > 8 || k >= len(b) {
+				return false
+			}
+			n = 0
+			for _, d := range b[1 : 1+k] {
+				n = n<<8 | uint64(d)
+			}
+			w += k
+		}
+		if n > uint64(len(b)-w) {
+			return false
+		}
+		b = b[w+int(n):]
+	}
+	return true
+}
+
+// length reads a frame's length prefix and refuses one past limit.
+func (fr *frameReader) length(limit int) (int, error) {
+	if _, err := io.ReadFull(fr.r, fr.prefix[:]); err != nil {
+		return 0, err
+	}
+	n := binary.BigEndian.Uint32(fr.prefix[:])
+	if n > uint32(limit) {
+		return 0, fmt.Errorf("transport: frame length %d exceeds the %d-byte limit", n, limit)
+	}
+	return int(n), nil
+}
+
+// readData reads a data frame's n bytes into one slice of exactly n
+// bytes. It commits at most dataChunk bytes before they arrive and
+// then at most doubles what has arrived, so a peer that declares
+// MaxFrame and sends a few bytes costs one chunk.
+func readData(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, dataChunk))
+	got := 0
+	for {
+		k, err := io.ReadFull(r, buf[got:])
+		got += k
+		if err != nil {
+			return nil, unexpected(err)
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(2*got, n))
+		copy(grown, buf)
+		buf = grown
+	}
+}
+
+// unexpected maps a clean end of stream inside a frame onto
+// io.ErrUnexpectedEOF: only a header's length prefix may end cleanly.
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
 
 // readReplies decodes a worker's reply stream: row frames, each handed
 // to onRow, then the Done frame. A row frame with no onRow to take it,
 // an empty frame or a Done carrying the worker's error ends the stream
 // with an error.
-func readReplies(r io.Reader, onRow func(trials.Result) error) (*Done, error) {
+func readReplies(fr *frameReader, onRow func(trials.Result) error) (*Done, error) {
 	for {
 		var rep Reply
-		if err := readFrame(r, &rep); err != nil {
+		if err := fr.recv(&rep); err != nil {
 			return nil, fmt.Errorf("reading reply: %w", err)
 		}
 		switch {
@@ -108,27 +348,8 @@ func readReplies(r io.Reader, onRow func(trials.Result) error) (*Done, error) {
 	}
 }
 
-// readFrameMax is readFrame with the length cap limit.
-func readFrameMax(r io.Reader, v any, limit uint32) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > limit {
-		return fmt.Errorf("transport: frame length %d exceeds the %d-byte limit", n, limit)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			return io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(buf)).Decode(v)
-}
-
-// Job is the single coordinator→worker frame: exactly one of Trial,
+// Job is an attempt's one coordinator→worker header, its bulk fields
+// following as data frames: exactly one of Trial,
 // Sort or Scan describes the shard assignment, and Fault, when
 // non-nil, is a self-applied chaos order (the worker is told to die —
 // real process or connection death, not a simulated panic).
@@ -152,7 +373,7 @@ type TrialJob struct {
 	Seed     int64 // the fleet's root seed
 }
 
-// Reply is one worker→coordinator frame: a streamed per-trial row or
+// Reply is one worker→coordinator header: a streamed per-trial row or
 // the terminal Done report. Rows arrive strictly in trial order; the
 // Done frame is last.
 type Reply struct {

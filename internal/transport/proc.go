@@ -136,13 +136,13 @@ func (p *Proc) runJob(ctx context.Context, job Job, onRow func(trials.Result) er
 		cmd.Wait()
 		return nil, cause
 	}
-	if err := writeFrame(stdin, job); err != nil {
+	if err := newFrameWriter(stdin).send(&job); err != nil {
 		return fail(fmt.Errorf("sending job: %w", err))
 	}
 	if err := stdin.Close(); err != nil {
 		return fail(fmt.Errorf("closing job stream: %w", err))
 	}
-	done, err := readReplies(bufio.NewReader(stdout), onRow)
+	done, err := readReplies(newFrameReader(bufio.NewReader(stdout)), onRow)
 	if err != nil {
 		return fail(err)
 	}

@@ -91,15 +91,16 @@ func Serve(ctx context.Context, ln net.Listener, stderr io.Writer) error {
 func handleConn(ctx context.Context, conn net.Conn, stderr io.Writer) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReader(conn)
-	var hello Hello
-	if err := readFrameMax(br, &hello, maxHelloFrame); err != nil {
+	in, out := newFrameReader(br), newFrameWriter(conn)
+	hello, err := in.hello()
+	if err != nil {
 		fmt.Fprintln(stderr, "stworker: reading handshake:", err)
 		return
 	}
 	// Reply with this build's identity before judging the peer's: the
 	// coordinator runs the same comparison on its side, so whichever
 	// end is told first, the verdict is symmetric.
-	if err := writeFrame(conn, Hello{Version: ProtocolVersion, Fingerprint: trials.RegistryFingerprint()}); err != nil {
+	if err := out.send(&Hello{Version: ProtocolVersion, Fingerprint: trials.RegistryFingerprint()}); err != nil {
 		fmt.Fprintln(stderr, "stworker: sending handshake:", err)
 		return
 	}
@@ -108,10 +109,13 @@ func handleConn(ctx context.Context, conn net.Conn, stderr io.Writer) {
 		return
 	}
 	var job Job
-	if err := readFrame(br, &job); err != nil {
+	if err := in.recv(&job); err != nil {
 		fmt.Fprintln(stderr, "stworker: reading job:", err)
 		return
 	}
+	// The job's header and its last data frame are in: only now does
+	// the handshake deadline give way to the hang-up watcher, so a
+	// coordinator that stalls inside its job cannot pin the handler.
 	conn.SetDeadline(time.Time{})
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -124,7 +128,7 @@ func handleConn(ctx context.Context, conn net.Conn, stderr io.Writer) {
 	// Termination orders are connection death here: the peer sees the
 	// reset mid-stream, the serve loop lives on to take the retry.
 	die := func(*WorkerFault) { conn.Close() }
-	serveJob(jobCtx, job, bufio.NewWriter(conn), die, stderr)
+	serveJob(jobCtx, job, out, die, stderr)
 	conn.Close() // ends the hang-up watcher's read
 	<-hungUp
 }

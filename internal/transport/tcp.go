@@ -1,9 +1,9 @@
 package transport
 
 // tcp.go is the multi-host shard transport: the same length-prefixed
-// gob frames the pipe transport speaks, dialed over TCP to workers
-// that may live on other machines. One connection carries one job —
-// handshake, job frame, reply stream — so connection lifetime equals
+// header and data frames the pipe transport speaks, dialed over TCP to
+// workers that may live on other machines. One connection carries one
+// job — handshake, job, reply stream — so connection lifetime equals
 // attempt lifetime and every network failure mode (refused dial, peer
 // reset mid-frame, a stall past the attempt deadline) maps onto
 // exactly one failed attempt. Network death is process death: the
@@ -153,21 +153,22 @@ func (p *TCP) run(ctx context.Context, sh, attempt int, job Job, onRow func(tria
 			return nil, fmt.Errorf("setting deadline for %s: %w", addr, err)
 		}
 	}
-	if err := writeFrame(conn, Hello{Version: ProtocolVersion, Fingerprint: trials.RegistryFingerprint()}); err != nil {
+	out := newFrameWriter(conn)
+	if err := out.send(&Hello{Version: ProtocolVersion, Fingerprint: trials.RegistryFingerprint()}); err != nil {
 		return nil, fmt.Errorf("sending handshake to %s: %w", addr, err)
 	}
-	br := bufio.NewReader(conn)
-	var hello Hello
-	if err := readFrameMax(br, &hello, maxHelloFrame); err != nil {
+	in := newFrameReader(bufio.NewReader(conn))
+	hello, err := in.hello()
+	if err != nil {
 		return nil, fmt.Errorf("reading handshake from %s: %w", addr, err)
 	}
 	if err := checkHello(hello); err != nil {
 		return nil, fmt.Errorf("worker %s: %w", addr, err)
 	}
-	if err := writeFrame(conn, job); err != nil {
+	if err := out.send(&job); err != nil {
 		return nil, fmt.Errorf("sending job to %s: %w", addr, err)
 	}
-	done, err := readReplies(br, onRow)
+	done, err := readReplies(in, onRow)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: %w", addr, err)
 	}

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -372,8 +373,9 @@ func TestTCPSortConnectionDeathRecovers(t *testing.T) {
 	}
 }
 
-// frameBytes encodes one length-prefixed gob frame the way the wire
-// protocol expects — for stub servers that speak just enough of the
+// frameBytes encodes v as a length-prefixed frame holding a fresh gob
+// stream: the first frame of any stream, and every frame of a
+// protocol 3 peer — for stub peers that speak just enough of the
 // protocol to lie.
 func frameBytes(t *testing.T, v any) []byte {
 	t.Helper()
@@ -430,6 +432,10 @@ func TestTCPHandshakeMismatch(t *testing.T) {
 			Fingerprint: trials.RegistryFingerprint()}, "protocol version"},
 		{"workload registry", transport.Hello{Version: transport.ProtocolVersion,
 			Fingerprint: trials.RegistryFingerprint() + 1}, "workload registry"},
+		// A worker of the previous build opens its reply stream with a
+		// fresh-stream gob Hello, as every protocol 3 frame was.
+		{"protocol 3 peer", transport.Hello{Version: 3,
+			Fingerprint: trials.RegistryFingerprint()}, "protocol version"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -457,6 +463,39 @@ func TestTCPHandshakeMismatch(t *testing.T) {
 				t.Error("handshake failure is not wrapped in a *WorkerError")
 			}
 		})
+	}
+}
+
+// A coordinator of the previous build, which sends every frame as a
+// fresh gob stream, is refused by a live worker: the worker's Hello
+// decodes as a protocol 3 frame would, carries this build's version,
+// and the connection closes after it.
+func TestServeRefusesProtocol3Peer(t *testing.T) {
+	w := localTCP(t, 1)
+	conn, err := net.Dial("tcp", w.Workers[0])
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	hello := frameBytes(t, transport.Hello{Version: 3, Fingerprint: trials.RegistryFingerprint()})
+	if _, err := conn.Write(hello); err != nil {
+		t.Fatalf("sending handshake: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	var n [4]byte
+	if _, err := io.ReadFull(br, n[:]); err != nil {
+		t.Fatalf("reading the worker's Hello: %v", err)
+	}
+	var got transport.Hello
+	if err := gob.NewDecoder(io.LimitReader(br, int64(binary.BigEndian.Uint32(n[:])))).Decode(&got); err != nil {
+		t.Fatalf("decoding the worker's Hello as a fresh gob stream: %v", err)
+	}
+	if got.Version != transport.ProtocolVersion {
+		t.Errorf("worker Hello version %d, want %d", got.Version, transport.ProtocolVersion)
+	}
+	if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+		t.Errorf("after its Hello the worker sent %d bytes (%v), want a closed connection", len(rest), err)
 	}
 }
 

@@ -82,13 +82,13 @@ func MaybeWorker() {
 // human diagnostics only.
 func Main(stdin io.Reader, stdout, stderr io.Writer) int {
 	var job Job
-	if err := readFrame(bufio.NewReader(stdin), &job); err != nil {
+	if err := newFrameReader(bufio.NewReader(stdin)).recv(&job); err != nil {
 		fmt.Fprintln(stderr, "stworker: reading job:", err)
 		return 1
 	}
 	// The pipe worker's job is never cancelled from inside: a
 	// coordinator that gives up kills the process instead.
-	return serveJob(context.Background(), job, bufio.NewWriter(stdout), pipeDie, stderr)
+	return serveJob(context.Background(), job, newFrameWriter(stdout), pipeDie, stderr)
 }
 
 // serveJob executes one decoded job against a reply stream out — the
@@ -101,7 +101,7 @@ func Main(stdin io.Reader, stdout, stderr io.Writer) int {
 // next send fails on the closed connection, which ends the job without
 // a Done frame — the same mid-job death the coordinator sees from a
 // dead process.
-func serveJob(ctx context.Context, job Job, out *bufio.Writer, die func(*WorkerFault), stderr io.Writer) int {
+func serveJob(ctx context.Context, job Job, out *frameWriter, die func(*WorkerFault), stderr io.Writer) int {
 	if f := job.Fault; f != nil && f.Stall > 0 {
 		stall := time.NewTimer(f.Stall)
 		defer stall.Stop()
@@ -114,16 +114,10 @@ func serveJob(ctx context.Context, job Job, out *bufio.Writer, die func(*WorkerF
 	if f := job.Fault; f != nil && f.Corrupt {
 		// A length prefix past every limit: the coordinator must treat
 		// it as a malformed frame, never as an allocation order.
-		out.Write([]byte{0xff, 0xff, 0xff, 0xff})
-		out.Flush()
+		out.w.Write([]byte{0xff, 0xff, 0xff, 0xff})
 		return 1
 	}
-	send := func(rep Reply) error {
-		if err := writeFrame(out, rep); err != nil {
-			return err
-		}
-		return out.Flush()
-	}
+	send := func(rep Reply) error { return out.send(&rep) }
 	switch {
 	case job.Trial != nil:
 		return runTrialJob(job.Trial, job.Fault, send, die, stderr)
