@@ -175,52 +175,14 @@ func equalUniqueItemStreams(m *core.Machine, ta, tb *tape.Tape) (bool, error) {
 // parallel scan. The machine must have NumDeciderTapes tapes with the
 // instance encoded on tape 0.
 func MultisetEqualityST(m *core.Machine) (core.Verdict, error) {
-	if err := SplitHalves(m, tapeV, tapeW); err != nil {
-		return core.Reject, err
-	}
-	if err := deciderSort(m, tapeV); err != nil {
-		return core.Reject, err
-	}
-	if err := deciderSort(m, tapeW); err != nil {
-		return core.Reject, err
-	}
-	if err := m.Tape(tapeV).Rewind(); err != nil {
-		return core.Reject, err
-	}
-	if err := m.Tape(tapeW).Rewind(); err != nil {
-		return core.Reject, err
-	}
-	eq, err := EqualItemStreams(m, m.Tape(tapeV), m.Tape(tapeW))
-	if err != nil {
-		return core.Reject, err
-	}
-	return verdictOf(eq), nil
+	return splitSortCompare(m, EqualItemStreams, tapeV, tapeW)
 }
 
 // SetEqualityST is the deterministic SET-EQUALITY decider of
 // Corollary 7: like MultisetEqualityST but comparing the streams of
 // distinct items.
 func SetEqualityST(m *core.Machine) (core.Verdict, error) {
-	if err := SplitHalves(m, tapeV, tapeW); err != nil {
-		return core.Reject, err
-	}
-	if err := deciderSort(m, tapeV); err != nil {
-		return core.Reject, err
-	}
-	if err := deciderSort(m, tapeW); err != nil {
-		return core.Reject, err
-	}
-	if err := m.Tape(tapeV).Rewind(); err != nil {
-		return core.Reject, err
-	}
-	if err := m.Tape(tapeW).Rewind(); err != nil {
-		return core.Reject, err
-	}
-	eq, err := equalUniqueItemStreams(m, m.Tape(tapeV), m.Tape(tapeW))
-	if err != nil {
-		return core.Reject, err
-	}
-	return verdictOf(eq), nil
+	return splitSortCompare(m, equalUniqueItemStreams, tapeV, tapeW)
 }
 
 // CheckSortST is the deterministic CHECK-SORT decider of Corollary 7:
@@ -228,11 +190,20 @@ func SetEqualityST(m *core.Machine) (core.Verdict, error) {
 // half (the second half equals the ascending sort of the first half
 // iff the sequences match).
 func CheckSortST(m *core.Machine) (core.Verdict, error) {
+	return splitSortCompare(m, EqualItemStreams, tapeV)
+}
+
+// splitSortCompare is the one body of the Corollary 7 deciders: split
+// the input halves onto tapeV and tapeW, sort the listed half-tapes,
+// rewind both halves and accept iff equal says their streams match.
+func splitSortCompare(m *core.Machine, equal func(*core.Machine, *tape.Tape, *tape.Tape) (bool, error), sorted ...int) (core.Verdict, error) {
 	if err := SplitHalves(m, tapeV, tapeW); err != nil {
 		return core.Reject, err
 	}
-	if err := deciderSort(m, tapeV); err != nil {
-		return core.Reject, err
+	for _, t := range sorted {
+		if err := deciderSort(m, t); err != nil {
+			return core.Reject, err
+		}
 	}
 	if err := m.Tape(tapeV).Rewind(); err != nil {
 		return core.Reject, err
@@ -240,7 +211,7 @@ func CheckSortST(m *core.Machine) (core.Verdict, error) {
 	if err := m.Tape(tapeW).Rewind(); err != nil {
 		return core.Reject, err
 	}
-	eq, err := EqualItemStreams(m, m.Tape(tapeV), m.Tape(tapeW))
+	eq, err := equal(m, m.Tape(tapeV), m.Tape(tapeW))
 	if err != nil {
 		return core.Reject, err
 	}

@@ -64,7 +64,7 @@ func lasVegasAttempt(m *core.Machine, s Sorter, dst int, work []int, scanBudget 
 // together with the fleet summary — the accept count over attempts is
 // the empirical success probability the Corollary 10 repetition
 // argument amplifies. The fleet runs on launch — a worker pool
-// (trials.Pool) or a sharded fleet (internal/shard.Launch); nil means
+// (trials.Pool) or a sharded fleet (internal/shard.LaunchRetry); nil means
 // a default pool. Every attempt sorts onto tape dst with fan-in
 // tapes−2 (SortLasVegasAuto). If every attempt answers "I don't
 // know", the first attempt's DontKnow result is returned. ctx bounds

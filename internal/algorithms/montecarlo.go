@@ -37,7 +37,7 @@ type FingerprintErrorEstimate struct {
 // EstimateFingerprintErrors runs 2·nTrials independent fingerprint
 // trials (nTrials yes-instances, nTrials no-instances of shape m×n)
 // on fleets built by launch — a worker pool (trials.Pool) or a sharded
-// fleet (internal/shard.Launch); nil means a default pool — and
+// fleet (internal/shard.LaunchRetry); nil means a default pool — and
 // aggregates the Theorem 8(a) error profile. Each trial generates its
 // instance and draws its machine coins from a private rng derived from
 // seed and the trial index, so the estimate is reproducible at any

@@ -60,13 +60,16 @@ type Config struct {
 	Storage tape.Options
 
 	// Transport, when non-nil, is the shard transport
-	// (internal/transport): trial fleets whose workloads carry a wire
-	// form and every sharded operator sort and scan run their shard
-	// attempts in worker processes (`-transport proc`) or on TCP workers
-	// (`-transport tcp -workers host:port,...`). Fleets with no wire
-	// form — closures over live state, chaos-wrapped fleets — keep
-	// running in-process. Like every other execution shape, it never
-	// affects output bytes.
+	// (internal/transport): the rows that run at the configured shape
+	// send their shard attempts to worker processes (`-transport proc`)
+	// or TCP workers (`-transport tcp -workers host:port,...`). Those
+	// are every trial fleet whose workload carries a wire form, and the
+	// sorts and scans of E6's sharded evaluation, E19's configured-shard
+	// run and E21's configured-budget run. Fleets with no wire form —
+	// closures over live state, chaos-wrapped fleets — keep running
+	// in-process, and the sweeps and fixed grids of E18–E21 pin their
+	// own executor. Like every other execution shape, it never affects
+	// output bytes.
 	Transport transport.Transport
 }
 
@@ -113,23 +116,15 @@ func (c Config) launch() trials.Launcher {
 	return c.Faults.Trials(shard.LaunchRetry(c.ShardCount(), c.Parallel, c.Retry, attempt))
 }
 
-// exec resolves how sharded operator sorts execute their shard-local
-// attempts: through the configured transport's workers, in-process
-// otherwise (nil selects shard.SortJob.Execute on the coordinator).
-func (c Config) exec() shard.ExecFunc {
+// transported returns ev with both of its shard seams, operator sorts
+// (Exec) and operator scans (ExecScan), on the configured transport's
+// workers; without a transport ev is returned unchanged, and its shard
+// attempts run in-process.
+func (c Config) transported(ev relalg.Evaluator) relalg.Evaluator {
 	if c.Transport != nil {
-		return c.Transport.Exec()
+		ev.Exec, ev.ExecScan = c.Transport.Exec(), c.Transport.ExecScan()
 	}
-	return nil
-}
-
-// execScan is exec's twin for sharded operator scans (anti-merge,
-// product): nil keeps them on the coordinator's shard machines.
-func (c Config) execScan() relalg.ScanExecFunc {
-	if c.Transport != nil {
-		return c.Transport.ExecScan()
-	}
-	return nil
+	return ev
 }
 
 // proc is the transport the E18/E19/E20 internal sweeps run their

@@ -217,11 +217,11 @@ func E21CostPlanner(cfg Config) Result {
 	}
 	cm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 	defer cm.Close()
-	cfgRel, err := relalg.Evaluator{
+	cfgRel, err := cfg.transported(relalg.Evaluator{
 		Plan: plan.Auto(cfgBudget), Seed: cfg.Seed,
 		Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
-		Exec: cfg.exec(), TapeOpts: cfg.Storage,
-	}.EvalST(cfg.ctx(), q, db, cm)
+		TapeOpts: cfg.Storage,
+	}).EvalST(cfg.ctx(), q, db, cm)
 	if err != nil {
 		return failure("E21", "COST-PLAN", err, core.Reject)
 	}

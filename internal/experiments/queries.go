@@ -46,11 +46,11 @@ func E6RelAlg(cfg Config) Result {
 			return failure("E6", "T11-RELALG", err, core.Reject)
 		}
 		sm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
-		sharded, err := relalg.Evaluator{
+		sharded, err := cfg.transported(relalg.Evaluator{
 			Shards: cfg.ShardCount(), Seed: cfg.Seed,
 			Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
-			Exec: cfg.exec(), TapeOpts: cfg.Storage,
-		}.EvalST(cfg.ctx(), q, db, sm)
+			TapeOpts: cfg.Storage,
+		}).EvalST(cfg.ctx(), q, db, sm)
 		sm.Close()
 		if err != nil {
 			return failure("E6", "T11-RELALG", err, core.Reject)

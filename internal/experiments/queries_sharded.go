@@ -172,11 +172,11 @@ func E19ShardedQueries(cfg Config) Result {
 	// same bytes.
 	cm := cfg.machine(relalg.NumQueryTapes, cfg.Seed)
 	defer cm.Close()
-	cfgRel, err := relalg.Evaluator{
+	cfgRel, err := cfg.transported(relalg.Evaluator{
 		Shards: cfg.ShardCount(), RunMemoryBits: runMem, Seed: cfg.Seed,
 		Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
-		Exec: cfg.exec(), ExecScan: cfg.execScan(), TapeOpts: cfg.Storage,
-	}.EvalST(cfg.ctx(), q, db, cm)
+		TapeOpts: cfg.Storage,
+	}).EvalST(cfg.ctx(), q, db, cm)
 	if err != nil {
 		return failure("E19", "SHARD-QUERY", err, core.Reject)
 	}

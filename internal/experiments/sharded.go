@@ -57,43 +57,45 @@ func E18ShardedExecution(cfg Config) Result {
 		"transports; fleets identical at every shard count; sum(scans) ≥ single-machine scans and\n" +
 		"max(shard memory) ≤ single-machine memory — sharding buys critical-path time\n" +
 		"with total work, never with the answer."
-	pr := cfg.proc()
-	// The TCP rows self-host loopback workers (the same serve loop a
-	// remote stworker runs), so the table exists — byte-identical — in
-	// every run, configured `-transport tcp` or not.
+	// Every row runs in-process, then with every shard attempt in a
+	// worker process, then on loopback TCP workers: the bytes and the
+	// whole report — per-shard (r, s, t) census included — must cross
+	// the pipes and the network intact. The TCP workers are self-hosted
+	// (the same serve loop a remote stworker runs), so the table exists
+	// — byte-identical — in every run, configured `-transport tcp` or
+	// not.
 	tcpT, tcpStop, err := transport.LocalWorkers(2)
 	if err != nil {
 		return failure("E18", "SHARD-EXEC", err, core.Reject)
 	}
 	defer tcpStop()
+	executors := []struct {
+		name string
+		tr   transport.Transport // nil: in-process
+	}{{"in-process", nil}, {"process", cfg.proc()}, {"TCP", tcpT}}
 	for _, shards := range []int{1, 2, 4} {
-		out, rep, err := shard.Sort{
-			Shards: shards, FanIn: fanIn, RunMemoryBits: runMem,
-			Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
-			TapeOpts: cfg.Storage,
-		}.Run(cfg.ctx(), enc, cfg.Seed)
-		if err != nil {
-			return failure("E18", "SHARD-EXEC", err, core.Reject)
-		}
-		// The same execution with every shard-local sort in a worker
-		// process, then on loopback TCP workers: the sorted bytes and
-		// the whole report — per-shard (r, s, t) census included — must
-		// cross the pipes and the network intact.
-		pout, prep, err := shard.Sort{
-			Shards: shards, FanIn: fanIn, RunMemoryBits: runMem,
-			Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(), Exec: pr.Exec(),
-			TapeOpts: cfg.Storage,
-		}.Run(cfg.ctx(), enc, cfg.Seed)
-		if err != nil {
-			return failure("E18", "SHARD-EXEC", err, core.Reject)
-		}
-		tout, trep, err := shard.Sort{
-			Shards: shards, FanIn: fanIn, RunMemoryBits: runMem,
-			Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(), Exec: tcpT.Exec(),
-			TapeOpts: cfg.Storage,
-		}.Run(cfg.ctx(), enc, cfg.Seed)
-		if err != nil {
-			return failure("E18", "SHARD-EXEC", err, core.Reject)
+		var (
+			out  []byte
+			rep  shard.SortReport
+			same [3]bool
+		)
+		for i, ex := range executors {
+			s := shard.Sort{
+				Shards: shards, FanIn: fanIn, RunMemoryBits: runMem,
+				Retry: cfg.Retry, Inject: cfg.Faults.ShardInject(),
+				TapeOpts: cfg.Storage,
+			}
+			if ex.tr != nil {
+				s.Exec = ex.tr.Exec()
+			}
+			xout, xrep, err := s.Run(cfg.ctx(), enc, cfg.Seed)
+			if err != nil {
+				return failure("E18", "SHARD-EXEC", err, core.Reject)
+			}
+			if i == 0 {
+				out, rep = xout, xrep
+			}
+			same[i] = bytes.Equal(xout, out) && reflect.DeepEqual(xrep, rep)
 		}
 		agg := rep.Rollup()
 		perShard := make([]int, len(rep.Shards))
@@ -101,20 +103,17 @@ func E18ShardedExecution(cfg Config) Result {
 			perShard[i] = r.Scans()
 		}
 		equal := bytes.Equal(out, baseOut)
-		procEq := bytes.Equal(pout, out) && reflect.DeepEqual(prep, rep)
-		tcpEq := bytes.Equal(tout, out) && reflect.DeepEqual(trep, rep)
 		speedup := float64(baseRes.Steps) / float64(rep.CriticalPathSteps())
 		row(&b, "%7d %6d %18s %6d %6d %11d %11d %8.2fx %8v %10d %6v %6v",
 			shards, rep.Runs, fmt.Sprint(perShard), agg.MaxScans, agg.SumScans, agg.MaxMemoryBits,
-			rep.CriticalPathSteps(), speedup, equal, rep.Merge.Scans(), procEq, tcpEq)
+			rep.CriticalPathSteps(), speedup, equal, rep.Merge.Scans(), same[1], same[2])
 		if !equal {
 			notes = "FAIL: sharded sort output differs from the single-machine engine."
 		}
-		if !procEq {
-			notes = "FAIL: the process-transport sort differs from the in-process run."
-		}
-		if !tcpEq {
-			notes = "FAIL: the TCP-transport sort differs from the in-process run."
+		for i, ex := range executors {
+			if !same[i] {
+				notes = fmt.Sprintf("FAIL: the %s-transport sort differs from the in-process run.", ex.name)
+			}
 		}
 		if agg.SumScans < baseRes.Scans() {
 			notes = "FAIL: rollup lost scans relative to the single machine."
@@ -138,38 +137,34 @@ func E18ShardedExecution(cfg Config) Result {
 	var ref []trials.Result
 	fmt.Fprintf(&b, "\nSharded fingerprint fleet: %d trials, no-instances m=4 n=12\n", fleetN)
 	row(&b, "%7s %8s %9s %14s %12s %6s %6s", "shards", "trials", "accepts", "Σ p1 (rng)", "rows ≡ 1?", "proc≡", "tcp≡")
+	// The workload annotation ships the fleet by name and spec to the
+	// workers; the rows come back in trial order, and nothing above the
+	// launcher seam can tell.
+	wctx := trials.WithWorkload(cfg.ctx(), w)
 	for _, shards := range []int{1, 2, 4} {
-		rs, sum, err := shard.Fleet{
-			Plan:     shard.Plan{Shards: shards, Trials: fleetN},
-			Parallel: cfg.Parallel,
-			Seed:     fleetSeed,
-			Retry:    cfg.Retry,
-		}.Run(cfg.ctx(), trial)
-		if err != nil {
-			return failure("E18", "SHARD-EXEC", err, core.Reject)
-		}
-		// The same fleet with every shard attempt in a worker process:
-		// the workload ships by name and spec, the rows come back in
-		// trial order, and nothing above the launcher seam can tell.
-		prs, psum, err := shard.Fleet{
-			Plan:     shard.Plan{Shards: shards, Trials: fleetN},
-			Parallel: cfg.Parallel,
-			Seed:     fleetSeed,
-			Retry:    cfg.Retry,
-			Attempt:  pr.Attempt(),
-		}.Run(trials.WithWorkload(cfg.ctx(), w), trial)
-		if err != nil {
-			return failure("E18", "SHARD-EXEC", err, core.Reject)
-		}
-		trs, tsum, err := shard.Fleet{
-			Plan:     shard.Plan{Shards: shards, Trials: fleetN},
-			Parallel: cfg.Parallel,
-			Seed:     fleetSeed,
-			Retry:    cfg.Retry,
-			Attempt:  tcpT.Attempt(),
-		}.Run(trials.WithWorkload(cfg.ctx(), w), trial)
-		if err != nil {
-			return failure("E18", "SHARD-EXEC", err, core.Reject)
+		var (
+			rs   []trials.Result
+			sum  trials.Summary
+			same [3]bool
+		)
+		for i, ex := range executors {
+			f := shard.Fleet{
+				Plan:     shard.Plan{Shards: shards, Trials: fleetN},
+				Parallel: cfg.Parallel,
+				Seed:     fleetSeed,
+				Retry:    cfg.Retry,
+			}
+			if ex.tr != nil {
+				f.Attempt = ex.tr.Attempt()
+			}
+			xrs, xsum, err := f.Run(wctx, trial)
+			if err != nil {
+				return failure("E18", "SHARD-EXEC", err, core.Reject)
+			}
+			if i == 0 {
+				rs, sum = xrs, xsum
+			}
+			same[i] = reflect.DeepEqual(xrs, rs) && reflect.DeepEqual(xsum, sum)
 		}
 		if ref == nil {
 			ref = rs
@@ -178,18 +173,15 @@ func E18ShardedExecution(cfg Config) Result {
 		for _, r := range rs {
 			sumP1 += r.Value
 		}
-		same := reflect.DeepEqual(rs, ref)
-		procEq := reflect.DeepEqual(prs, rs) && reflect.DeepEqual(psum, sum)
-		tcpEq := reflect.DeepEqual(trs, rs) && reflect.DeepEqual(tsum, sum)
-		row(&b, "%7d %8d %9d %14.0f %12v %6v %6v", shards, sum.Trials, sum.Accepts, sumP1, same, procEq, tcpEq)
-		if !same {
+		sameRef := reflect.DeepEqual(rs, ref)
+		row(&b, "%7d %8d %9d %14.0f %12v %6v %6v", shards, sum.Trials, sum.Accepts, sumP1, sameRef, same[1], same[2])
+		if !sameRef {
 			notes = "FAIL: sharded fleet results differ from the single-shard run."
 		}
-		if !procEq {
-			notes = "FAIL: the process-transport fleet differs from the in-process run."
-		}
-		if !tcpEq {
-			notes = "FAIL: the TCP-transport fleet differs from the in-process run."
+		for i, ex := range executors {
+			if !same[i] {
+				notes = fmt.Sprintf("FAIL: the %s-transport fleet differs from the in-process run.", ex.name)
+			}
 		}
 	}
 

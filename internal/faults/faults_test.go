@@ -119,7 +119,7 @@ func TestTrialsErrorRowsShardInvariant(t *testing.T) {
 	}
 	var ref []trials.Result
 	for _, shards := range []int{1, 2, 5} {
-		launch := plan.Trials(shard.Launch(shards, 2))
+		launch := plan.Trials(shard.LaunchRetry(shards, 2, shard.RetryPolicy{}, nil))
 		rs, sum, _ := launch(30, 1, nil).Run(nil, func(i int, _ *rand.Rand) trials.Result {
 			return trials.Result{Trial: i, Accept: true}
 		})

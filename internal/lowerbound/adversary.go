@@ -117,7 +117,7 @@ func feedHalf(sm StreamMachine, h problems.Instance) string {
 }
 
 // ProbeStateKeys computes, on a probe fleet built by launch (a worker
-// pool via trials.Pool, or a sharded fleet via internal/shard.Launch;
+// pool via trials.Pool, or a sharded fleet via internal/shard.LaunchRetry;
 // nil means a default pool), the state key each candidate half drives
 // a fresh machine into. The probes draw no randomness; the keys come
 // back in half order, so the result is independent of the worker and

@@ -51,9 +51,9 @@
 // side exactly as it cuts a sort's input and broadcasts the right
 // side, and the anti-merge combines through the sort's own
 // shard.Sort.Combine. Every shard stage — sort, merge or scan — runs
-// its attempts through shard.RunStage, the one retry →
-// coordinator-fallback loop, recording its census in a
-// shard.SortReport (ScanReport embeds one).
+// its jobs through shard.RunJobs, the one stage runner over the
+// retry → coordinator-fallback loop, which records the stage's census
+// in a shard.SortReport (ScanReport embeds one).
 // With Pipeline (or a planner) set, a Union's children hand their
 // per-shard sorted runs straight to the union's merge instead of
 // merging, concatenating and re-distributing them. Both walks share

@@ -12,13 +12,10 @@ package relalg
 // disjoint and concatenate to the unsharded bytes: the anti-merge
 // combine is the sort's k-way combine over already-disjoint ordered
 // tapes, the product combine a plain concatenation sweep. Shard
-// attempts run through shard.RunStage, the same retry →
-// coordinator-fallback loop as sort attempts: recovery may move the
-// attempt census, never a byte.
+// attempts run through shard.RunJobs, the same stage runner as sort
+// attempts: recovery may move the attempt census, never a byte.
 
 import (
-	"context"
-
 	"extmem/internal/core"
 	"extmem/internal/shard"
 	"extmem/internal/trials"
@@ -133,21 +130,16 @@ func (c *evalCtx) scanShardsRun(op string, l, r int) ([][]byte, ScanReport, erro
 	if err != nil {
 		return nil, rep, err
 	}
-	outs, reps, census, err := shard.RunStage(c.ctx, len(parts), c.ev.Retry, c.ev.Inject,
-		func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
-			job := ScanJob{
-				Op:    op,
-				Left:  parts[sh],
-				Right: right,
-				Seed:  trials.Seed(c.ev.Seed, sh+1),
-				Tape:  c.ev.TapeOpts,
-			}
-			if chaos && c.ev.ExecScan != nil {
-				return c.ev.ExecScan(ctx, sh, attempt, job)
-			}
-			return job.Execute()
-		})
-	rep.Shards = reps
-	rep.Attempts, rep.Fallbacks, rep.Recovered = census.Attempts, census.Fallbacks, census.Recovered
+	jobs := make([]ScanJob, len(parts))
+	for sh, p := range parts {
+		jobs[sh] = ScanJob{
+			Op:    op,
+			Left:  p,
+			Right: right,
+			Seed:  trials.Seed(c.ev.Seed, sh+1),
+			Tape:  c.ev.TapeOpts,
+		}
+	}
+	outs, err := shard.RunJobs(c.ctx, &rep.SortReport, c.ev.Retry, c.ev.Inject, c.ev.ExecScan, jobs)
 	return outs, rep, err
 }

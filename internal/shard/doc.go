@@ -48,7 +48,10 @@
 //
 // Every shard stage — a fleet's trial ranges, a sort's shard-local
 // sorts, MergeRuns' shard-local merges and internal/relalg's operator
-// scans — runs its attempts through RunStage, the one retry loop. A
+// scans — runs its attempts through RunStage, the one retry loop; the
+// machine stages (sorts, merges, scans) enter it through RunJobs, the
+// one stage runner, which sends a budgeted attempt to the stage's
+// executor when it has one and runs the job in process otherwise. A
 // cancelled run context ends the stage at once with the context's
 // error; any other attempt error (an InjectFunc strike, a panic
 // recovered as a *PanicError, a dead worker) uses up one attempt of the
@@ -58,10 +61,10 @@
 // Attempts, Fallbacks and Recovered, trials.Summary's Retries,
 // Fallbacks and Recovered — never a byte.
 //
-// Launch adapts a (shards, parallel) pair to the trials.Launcher hook
-// that the fleet entry points in internal/algorithms and
-// internal/lowerbound accept, which is how experiments (E2, E5, E8,
-// E14, E16, E18) and cmd/stbench -shards run sharded without a single
-// table byte changing; LaunchRetry adds the retry policy and the
-// AttemptFunc a transport supplies.
+// LaunchRetry adapts a (shards, parallel) pair, a retry policy and the
+// AttemptFunc a transport supplies to the trials.Launcher hook that the
+// fleet entry points in internal/algorithms and internal/lowerbound
+// accept, which is how experiments (E2, E5, E8, E14, E16, E18) and
+// cmd/stbench -shards run sharded without a single table byte
+// changing.
 package shard

@@ -235,19 +235,14 @@ func runDegraded(ctx context.Context, eng trials.Engine, fn trials.Func, recover
 	return rs, err
 }
 
-// Launch returns the trials.Launcher that runs every fleet as a
-// sharded Fleet with the given shard and per-shard worker counts —
-// the hook experiments and commands use to shard the fleet entry
-// points of internal/algorithms and internal/lowerbound without
-// changing a single output byte.
-func Launch(shards, parallel int) trials.Launcher {
-	return LaunchRetry(shards, parallel, RetryPolicy{}, nil)
-}
-
-// LaunchRetry is Launch with a per-shard retry budget and an attempt
-// seam: the fleets it builds survive worker panics by re-executing the
-// failed shard range (byte-identically — trial rows are index-pure) up
-// to the policy's attempt budget with capped exponential backoff, and
+// LaunchRetry returns the trials.Launcher that runs every fleet as a
+// sharded Fleet with the given shard and per-shard worker counts — the
+// hook experiments and commands use to shard the fleet entry points of
+// internal/algorithms and internal/lowerbound without changing a
+// single output byte. The fleets it builds survive worker panics by
+// re-executing the failed shard range (byte-identically — trial rows
+// are index-pure) up to the retry policy's attempt budget with capped
+// exponential backoff (the zero policy attempts each shard once), and
 // run every budgeted shard attempt through attempt (Fleet.Attempt; nil
 // means in-process, a transport's Attempt puts it in a worker).
 func LaunchRetry(shards, parallel int, retry RetryPolicy, attempt AttemptFunc) trials.Launcher {

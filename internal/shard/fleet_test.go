@@ -146,7 +146,7 @@ func TestFleetEmpty(t *testing.T) {
 	}
 }
 
-// Launch must hand the fleet entry points a Runner with the same
+// LaunchRetry must hand the fleet entry points a Runner with the same
 // byte-for-byte behavior as a plain worker pool.
 func TestLaunchMatchesPool(t *testing.T) {
 	var poolRows, fleetRows []trials.Result
@@ -154,11 +154,11 @@ func TestLaunchMatchesPool(t *testing.T) {
 		return func(r trials.Result) { *dst = append(*dst, r) }
 	}
 	p, pSum, _ := trials.Pool(4)(20, 3, collect(&poolRows)).Run(nil, workload)
-	s, sSum, _ := Launch(4, 2)(20, 3, collect(&fleetRows)).Run(nil, workload)
+	s, sSum, _ := LaunchRetry(4, 2, RetryPolicy{}, nil)(20, 3, collect(&fleetRows)).Run(nil, workload)
 	if !reflect.DeepEqual(p, s) || !reflect.DeepEqual(pSum, sSum) {
-		t.Fatal("Launch runner differs from Pool runner")
+		t.Fatal("LaunchRetry runner differs from Pool runner")
 	}
 	if !reflect.DeepEqual(poolRows, fleetRows) {
-		t.Fatal("streamed rows differ between Pool and Launch")
+		t.Fatal("streamed rows differ between Pool and LaunchRetry")
 	}
 }

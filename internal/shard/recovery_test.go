@@ -191,11 +191,22 @@ func TestFleetNoGoroutineLeak(t *testing.T) {
 // byte-identical output and a fault-free successful-attempt census; a
 // permanent failure falls back to the chaos-free coordinator run with
 // the same guarantee. The injected error path (attempt fails before
-// the machine runs) must behave exactly like the recovered-panic path.
+// the machine runs) must behave exactly like the recovered-panic path,
+// and each plan strikes the shard-local merges of a pipelined
+// RunKeepRuns → MergeRuns handoff just as it strikes the sorts.
 func TestSortRetryAndFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	input := problems.GenMultisetYes(128, 16, rng).Encode()
-	clean, cleanRep, err := shard.Sort{Shards: 3, FanIn: 2, RunMemoryBits: 512}.Run(nil, input, 1)
+	sorter := shard.Sort{Shards: 3, FanIn: 2, RunMemoryBits: 512}
+	clean, cleanRep, err := sorter.Run(nil, input, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanRuns, cleanKeep, err := sorter.RunKeepRuns(nil, input, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cleanMerge, err := sorter.MergeRuns(nil, cleanRuns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,24 +222,38 @@ func TestSortRetryAndFallback(t *testing.T) {
 		{"perm-error", faults.Plan{Mode: faults.Error, Sites: []int{1}}, 2, 5, 0, 1},
 	}
 	for _, c := range cases {
-		out, rep, err := shard.Sort{
-			Shards: 3, FanIn: 2, RunMemoryBits: 512,
-			Retry:  shard.RetryPolicy{MaxAttempts: c.budget},
-			Inject: c.plan.ShardInject(),
-		}.Run(nil, input, 1)
+		s := sorter
+		s.Retry = shard.RetryPolicy{MaxAttempts: c.budget}
+		s.Inject = c.plan.ShardInject()
+		check := func(stage string, out, wantOut []byte, rep, want shard.SortReport) {
+			t.Helper()
+			if !bytes.Equal(out, wantOut) {
+				t.Fatalf("%s %s: output moved under recovery", c.name, stage)
+			}
+			if !reflect.DeepEqual(rep.Shards, want.Shards) || !reflect.DeepEqual(rep.Merge, want.Merge) {
+				t.Fatalf("%s %s: successful-attempt census moved", c.name, stage)
+			}
+			if rep.Attempts != c.attempts || rep.Recovered != c.rec || rep.Fallbacks != c.falls {
+				t.Fatalf("%s %s: census (a=%d r=%d f=%d), want (a=%d r=%d f=%d)",
+					c.name, stage, rep.Attempts, rep.Recovered, rep.Fallbacks, c.attempts, c.rec, c.falls)
+			}
+		}
+		out, rep, err := s.Run(nil, input, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if !bytes.Equal(out, clean) {
-			t.Fatalf("%s: output moved under recovery", c.name)
+		check("sort", out, clean, rep, cleanRep)
+
+		runs, keep, err := s.RunKeepRuns(nil, input, 1)
+		if err != nil {
+			t.Fatalf("%s keep-runs: %v", c.name, err)
 		}
-		if !reflect.DeepEqual(rep.Shards, cleanRep.Shards) || !reflect.DeepEqual(rep.Merge, cleanRep.Merge) {
-			t.Fatalf("%s: successful-attempt census moved", c.name)
+		check("keep-runs", bytes.Join(runs, []byte("|")), bytes.Join(cleanRuns, []byte("|")), keep, cleanKeep)
+		merged, merge, err := s.MergeRuns(nil, runs, 1)
+		if err != nil {
+			t.Fatalf("%s merge-runs: %v", c.name, err)
 		}
-		if rep.Attempts != c.attempts || rep.Recovered != c.rec || rep.Fallbacks != c.falls {
-			t.Fatalf("%s: census (a=%d r=%d f=%d), want (a=%d r=%d f=%d)",
-				c.name, rep.Attempts, rep.Recovered, rep.Fallbacks, c.attempts, c.rec, c.falls)
-		}
+		check("merge-runs", merged, clean, merge, cleanMerge)
 	}
 }
 

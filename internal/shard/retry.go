@@ -179,6 +179,29 @@ func RunStage(ctx context.Context, shards int, retry RetryPolicy, inject InjectF
 	return outs, reps, st.census, nil
 }
 
+// RunJobs runs one machine stage — a sort's shard-local sorts,
+// MergeRuns' shard-local merges, internal/relalg's operator scans —
+// with jobs[sh] as shard sh's work, through RunStage. A budgeted
+// attempt goes to exec when it is non-nil (a transport's ExecFunc or
+// relalg.ScanExecFunc) and runs jobs[sh].Execute() in this process
+// otherwise, which is also what the coordinator's fallback always
+// does. It records the per-shard reports and the recovery census in
+// rep and returns the shard outputs in shard order.
+func RunJobs[J interface {
+	Execute() ([]byte, core.Resources, error)
+}](ctx context.Context, rep *SortReport, retry RetryPolicy, inject InjectFunc,
+	exec func(ctx context.Context, shard, attempt int, job J) ([]byte, core.Resources, error), jobs []J) ([][]byte, error) {
+	outs, shards, c, err := RunStage(ctx, len(jobs), retry, inject, func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
+		if chaos && exec != nil {
+			return exec(ctx, sh, attempt, jobs[sh])
+		}
+		return jobs[sh].Execute()
+	})
+	rep.Shards = shards
+	rep.Attempts, rep.Fallbacks, rep.Recovered = c.Attempts, c.Fallbacks, c.Recovered
+	return outs, err
+}
+
 // stage is the shared state of one RunStage call.
 type stage struct {
 	ctx     context.Context

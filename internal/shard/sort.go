@@ -264,20 +264,18 @@ func (s Sort) RunKeepRuns(ctx context.Context, input []byte, seed int64) ([][]by
 	if err != nil {
 		return nil, rep, err
 	}
-	outs, err := s.stage(ctx, &rep, func(ctx context.Context, sh, attempt int, chaos bool) ([]byte, core.Resources, error) {
-		job := SortJob{
-			Payload:       parts[sh],
+	jobs := make([]SortJob, len(parts))
+	for sh, part := range parts {
+		jobs[sh] = SortJob{
+			Payload:       part,
 			FanIn:         s.FanIn,
 			RunMemoryBits: s.RunMemoryBits,
 			Tapes:         s.fanIn() + 2,
 			Seed:          trials.Seed(seed, sh+1),
 			Tape:          s.TapeOpts,
 		}
-		if chaos && s.Exec != nil {
-			return s.Exec(ctx, sh, attempt, job)
-		}
-		return job.Execute()
-	})
+	}
+	outs, err := RunJobs(ctx, &rep, s.Retry, s.Inject, s.Exec, jobs)
 	return outs, rep, err
 }
 
@@ -347,33 +345,40 @@ func Partition(input []byte, runMemoryBits int64, shards int, opts tape.Options,
 	return parts, rep, nil
 }
 
-// stage runs one shard stage of the sort through RunStage under the
-// sort's retry policy and chaos hook, recording the per-shard reports
-// and the recovery census in rep.
-func (s Sort) stage(ctx context.Context, rep *SortReport, attempt StageAttempt) ([][]byte, error) {
-	outs, shards, c, err := RunStage(ctx, s.shardCount(), s.Retry, s.Inject, attempt)
-	rep.Shards = shards
-	rep.Attempts, rep.Fallbacks, rep.Recovered = c.Attempts, c.Fallbacks, c.Recovered
-	return outs, err
-}
-
 // Combine k-way merges the per-shard sorted outputs on one merge
 // machine (tape 0 is the output, tape 1+i shard i's sorted run), with
 // the configured dedup folded into the final write — phase 3 of Run
 // and MergeRuns, and the combine of the sharded anti-merge, whose
 // disjoint ordered outputs it merges with Dedup false.
 func (s Sort) Combine(outs [][]byte, seed int64) ([]byte, core.Resources, error) {
-	mm := core.NewMachineOpts(len(outs)+1, seed, s.TapeOpts)
-	defer mm.Close()
-	srcs := make([]int, len(outs))
-	for i, out := range outs {
-		mm.SetTape(i+1, out)
+	return mergeJob{Runs: outs, Dedup: s.Dedup, Seed: seed, Tape: s.TapeOpts}.Execute()
+}
+
+// mergeJob is one merge machine's work: k-way merge Runs (tape 1+i
+// holds run i) onto tape 0 through the loser tree, deduplicating when
+// Dedup is set. It is the body of Combine and of MergeRuns' shard-local
+// merges.
+type mergeJob struct {
+	Runs  [][]byte
+	Dedup bool
+	Seed  int64
+	Tape  tape.Options
+}
+
+// Execute runs the merge on a fresh machine and returns the merged
+// output with the machine's exact resource report.
+func (j mergeJob) Execute() ([]byte, core.Resources, error) {
+	m := core.NewMachineOpts(len(j.Runs)+1, j.Seed, j.Tape)
+	defer m.Close()
+	srcs := make([]int, len(j.Runs))
+	for i, r := range j.Runs {
+		m.SetTape(i+1, r)
 		srcs[i] = i + 1
 	}
-	if err := algorithms.MergeTapes(mm, 0, srcs, s.Dedup); err != nil {
+	if err := algorithms.MergeTapes(m, 0, srcs, j.Dedup); err != nil {
 		return nil, core.Resources{}, err
 	}
-	return mm.Tape(0).Contents(), mm.Resources(), nil
+	return m.Tape(0).Contents(), m.Resources(), nil
 }
 
 // MergeRuns is the consuming half of the pipelined handoff: it takes
@@ -384,9 +389,9 @@ func (s Sort) Combine(outs [][]byte, seed int64) ([]byte, core.Resources, error)
 // the producing stage. Contiguous run ranges go to shard-local merge
 // machines under the same Split rule (no dedup: cross-range duplicates
 // meet only in the final combine), then the shard outputs are k-way
-// merged exactly like Run's phase 3. Shard attempts run through the
-// same RunStage loop as sort attempts; they always execute in-process
-// (Exec ships sorts only), while Inject applies as usual.
+// merged exactly like Run's phase 3. Shard attempts run through
+// RunJobs like sort attempts; they always execute in-process (Exec
+// ships sorts only), while Inject applies as usual.
 //
 // The report's Distribute is zero — no coordinator scan runs, which is
 // the point — and Items/Bytes are provenance metadata computed from
@@ -399,23 +404,11 @@ func (s Sort) MergeRuns(ctx context.Context, runs [][]byte, seed int64) ([]byte,
 	}
 
 	ranges := Split(len(runs), s.shardCount())
-	outs, err := s.stage(ctx, &rep, func(_ context.Context, sh, _ int, _ bool) ([]byte, core.Resources, error) {
-		rg := ranges[sh]
-		m := core.NewMachineOpts(rg.Len()+1, trials.Seed(seed, sh+1), s.TapeOpts)
-		defer m.Close()
-		if rg.Len() == 0 {
-			return nil, m.Resources(), nil
-		}
-		srcs := make([]int, rg.Len())
-		for i, r := range runs[rg.Lo:rg.Hi] {
-			m.SetTape(i+1, r)
-			srcs[i] = i + 1
-		}
-		if err := algorithms.MergeTapes(m, 0, srcs, false); err != nil {
-			return nil, core.Resources{}, err
-		}
-		return m.Tape(0).Contents(), m.Resources(), nil
-	})
+	jobs := make([]mergeJob, len(ranges))
+	for sh, rg := range ranges {
+		jobs[sh] = mergeJob{Runs: runs[rg.Lo:rg.Hi], Seed: trials.Seed(seed, sh+1), Tape: s.TapeOpts}
+	}
+	outs, err := RunJobs(ctx, &rep, s.Retry, s.Inject, nil, jobs)
 	if err != nil {
 		return nil, rep, err
 	}

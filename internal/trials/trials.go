@@ -145,7 +145,7 @@ func protect(fn Func, g int, rng *rand.Rand) (r Result, err error) {
 // order. Fleet entry points (error estimation, Las Vegas repetition,
 // adversary probing) take a Launcher so the caller chooses the
 // execution shape — a single worker pool (Pool) or a sharded fleet
-// (internal/shard.Launch) — without the results changing by a byte.
+// (internal/shard.LaunchRetry) — without the results changing by a byte.
 type Launcher func(n int, seed int64, onResult func(Result)) Runner
 
 // Pool returns the single-machine Launcher: each fleet is one Engine
@@ -190,84 +190,64 @@ func (e Engine) Run(ctx context.Context, fn Func) ([]Result, Summary, error) {
 		workers = n
 	}
 	results := make([]Result, n)
-	runOne := func(i int) error {
-		g := e.Offset + i
-		r, err := protect(fn, g, RNG(e.Seed, g))
-		if err != nil {
-			return err
+	var (
+		next    int64
+		stop    atomic.Bool
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		hardErr error
+		done    = make([]bool, n)
+		emitted int
+	)
+	// fail stops the siblings before it queues on mu, which every
+	// sibling takes once per trial.
+	fail := func(err error) {
+		stop.Store(true)
+		mu.Lock()
+		if hardErr == nil {
+			hardErr = err
 		}
-		r.Trial = g
-		results[i] = r
-		return nil
+		mu.Unlock()
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, Summary{}, err
-			}
-			if err := runOne(i); err != nil {
-				return nil, Summary{}, err
-			}
-			if e.OnResult != nil {
-				e.OnResult(results[i])
-			}
-		}
-	} else {
-		var (
-			next    int64
-			stop    atomic.Bool
-			wg      sync.WaitGroup
-			mu      sync.Mutex
-			hardErr error
-			done    = make([]bool, n)
-			emitted int
-		)
-		// fail stops the siblings before it queues on mu, which every
-		// sibling takes once per trial.
-		fail := func(err error) {
-			stop.Store(true)
-			mu.Lock()
-			if hardErr == nil {
-				hardErr = err
-			}
-			mu.Unlock()
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if stop.Load() {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						fail(err)
-						return
-					}
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= n {
-						return
-					}
-					if err := runOne(i); err != nil {
-						fail(err)
-						return
-					}
-					mu.Lock()
-					done[i] = true
-					for emitted < n && done[emitted] {
-						if e.OnResult != nil {
-							e.OnResult(results[emitted])
-						}
-						emitted++
-					}
-					mu.Unlock()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if stop.Load() {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if hardErr != nil {
-			return nil, Summary{}, hardErr
-		}
+				if err := ctx.Err(); err != nil {
+					fail(err)
+					return
+				}
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				if i >= n {
+					return
+				}
+				g := e.Offset + i
+				r, err := protect(fn, g, RNG(e.Seed, g))
+				if err != nil {
+					fail(err)
+					return
+				}
+				r.Trial = g
+				results[i] = r
+				mu.Lock()
+				done[i] = true
+				for emitted < n && done[emitted] {
+					if e.OnResult != nil {
+						e.OnResult(results[emitted])
+					}
+					emitted++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if hardErr != nil {
+		return nil, Summary{}, hardErr
 	}
 	sum := Summarize(results)
 	return results, sum, FirstErr(results)
