@@ -145,13 +145,20 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 	// exactly two sequential scans: one head reversal). Reading a value
 	// backward yields its bits least-significant first, so the residue
 	// e_i = v_i mod p1 is accumulated as e ← e + bit·pow (mod p1) with
-	// pow ← 2·pow (mod p1); x^{e_i} mod p2 is then computed by binary
-	// exponentiation in internal memory. All registers are O(log N)
-	// bits. The backward sweep is one bulk read (symbols arrive in
-	// visit order, i.e. reversed). e and pow stay below p1, so each
-	// symbol's update is an addition and a conditional subtraction, and
-	// x^{e_i} runs in a Montgomery context for p2: no division happens
-	// per symbol or per product. The e/pow registers are charged once
+	// pow ← 2·pow (mod p1); x^{e_i} mod p2 is then computed in internal
+	// memory. All registers are O(log N) bits. The backward sweep is one
+	// bulk read into scan 1's buffer, which holds exactly the cells
+	// between the head and cell 0; symbols arrive in visit order, i.e.
+	// reversed. e stays below p1, so each symbol's update is an addition
+	// and a conditional subtraction, and x^{e_i} is one product per
+	// exponent window by numeric.FixedBase, a fixed-base table for x mod
+	// p2 built once per run: no division happens per symbol or per
+	// product. That table, like the Montgomery context inside it, the
+	// scan buffer and itemCharge's position table, is the simulator's
+	// workspace, not the machine's internal memory: the meter charges
+	// the same registers as with square-and-multiply powers (fp.e,
+	// fp.pow, the sums), so the peak memory does not move (bench's
+	// fleet-proc reads 290 bits). The e/pow registers are charged once
 	// per item (see itemCharge), and the meter's current, peak and every
 	// region still read as with a charge per symbol, bit for bit.
 	var (
@@ -159,8 +166,9 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 		haveItem   bool
 		sepCount   int
 		itemIdx    int
+		xPow       numeric.FixedBase
 	)
-	mont := numeric.NewMont(p2)
+	xPow.Init(p2, params.X, bits.Len64(p1), count)
 	regSumV := mem.Register(counterRegion("fp.sumv"))
 	regSumW := mem.Register(counterRegion("fp.sumw"))
 	ch := itemCharge{
@@ -169,9 +177,11 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 		regPow:  mem.Register(counterRegion("fp.pow")),
 		eBits:   mem.Region(counterRegion("fp.e")),
 		powBits: mem.Region(counterRegion("fp.pow")),
+		p:       p1,
 	}
+	pos := make([]chargePos, 0, params.N)
 	finalize := func(e uint64) error {
-		term := mont.Pow(params.X, e)
+		term := xPow.Pow(e)
 		if itemIdx < params.M {
 			sumV = numeric.AddMod(sumV, term, p2)
 		} else {
@@ -182,8 +192,8 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 		}
 		return regSumW.SetInt(sumW)
 	}
-	scan2, err := in.ReadBlockBackward(in.Pos())
-	if err != nil {
+	scan2 := scan1
+	if _, err := in.ReadBlockBackwardInto(scan2); err != nil {
 		return core.Reject, params, err
 	}
 	for rest := scan2; ; {
@@ -193,8 +203,12 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 			n = len(rest)
 		}
 		// rest[:n] is one value, least-significant bit first, or the
-		// unterminated tail, which is charged but never summed.
-		e, err := ch.item(rest[:n], p1)
+		// unterminated tail, which is charged but never summed. Values
+		// share one length, so only a tail can outgrow pos.
+		if n > len(pos) {
+			pos = appendPositions(pos, n, p1)
+		}
+		e, err := ch.item(rest[:n], pos)
 		if err != nil {
 			return core.Reject, params, err
 		}
@@ -227,36 +241,77 @@ func FingerprintMultisetEquality(m *core.Machine) (core.Verdict, FingerprintPara
 // symbol by symbol from the untouched meter, which refuses exactly
 // that charge. TestFingerprintMatchesStepReference holds all of this
 // to a per-symbol copy of the loop.
+//
+// pow after the j-th symbol is 2^(j+1) mod p for every value, so what
+// depends on pow alone comes from a per-run table of the positions
+// (chargePos), and each symbol costs one masked addition, one
+// conditional subtraction, the size of e and a max.
 type itemCharge struct {
 	mem            *memory.Meter
 	regE, regPow   *memory.Register
 	eBits, powBits int64 // the sizes the meter holds for fp.e and fp.pow
+	p              uint64
+}
+
+// chargePos is what the j-th symbol (j from 0) of every value adds to
+// e and leaves in fp.pow.
+type chargePos struct {
+	add uint64 // 2^j mod p: the symbol's weight, added to e for a one bit
+	pb  int64  // fp.pow's size after the symbol: bits.Len64(2^(j+1) mod p | 1)
+	// hi is the larger of fp.pow's sizes before and after the symbol,
+	// the size beside which the symbol's fp.e is charged. For j = 0 it
+	// is pb alone, since the size before depends on the meter.
+	hi int64
+}
+
+// appendPositions extends the position table pos for the modulus p to
+// n entries.
+func appendPositions(pos []chargePos, n int, p uint64) []chargePos {
+	add, before := uint64(1), int64(0) // the next position's weight, and fp.pow's size before it
+	if j := len(pos); j > 0 {
+		last := pos[j-1]
+		_, add = residueStep(0, last.add, p, 0)
+		before = last.pb
+	}
+	for len(pos) < n {
+		_, next := residueStep(0, add, p, 0) // pow after the symbol
+		pb := int64(bits.Len64(next | 1))
+		pos = append(pos, chargePos{add: add, pb: pb, hi: max(before, pb)})
+		add, before = next, pb
+	}
+	return pos
 }
 
 // item returns the residue mod p of the value whose bits sym holds
-// least-significant first and charges its registers.
-func (c *itemCharge) item(sym []byte, p uint64) (uint64, error) {
+// least-significant first and charges its registers. pos is the
+// position table for p, with at least len(sym) entries.
+func (c *itemCharge) item(sym []byte, pos []chargePos) (uint64, error) {
 	if len(sym) == 0 {
 		return 0, nil
 	}
-	e, pow := uint64(0), uint64(1)
-	prevPow := int(c.powBits)
-	top := 0 // the highest fp.e + fp.pow the per-symbol charges reach
-	for _, b := range sym {
-		e, pow = residueStep(e, pow, p, b)
-		eb, pb := bits.Len64(e|1), bits.Len64(pow|1)
-		// Charging fp.e gives eb + prevPow, then fp.pow gives eb + pb.
-		top = max(top, eb+max(prevPow, pb))
-		prevPow = pb
+	pos = pos[:len(sym)]
+	// The highest fp.e + fp.pow the per-symbol charges reach. The first
+	// symbol's fp.e is 0 or 1 (p ≥ 2), a 1-bit value, charged beside the
+	// fp.pow the meter holds before the value.
+	top := 1 + c.powBits
+	e := uint64(0)
+	for j, b := range sym {
+		var one uint64 // all ones for a one bit: no branch on random data
+		if b == '1' {
+			one = ^uint64(0)
+		}
+		if e += pos[j].add & one; e >= c.p {
+			e -= c.p
+		}
+		top = max(top, int64(bits.Len64(e|1))+pos[j].hi)
 	}
-	eb, pb := int64(bits.Len64(e|1)), int64(bits.Len64(pow|1))
-	peak := int64(top)
+	eb, pb := int64(bits.Len64(e|1)), pos[len(pos)-1].pb
 	base := c.mem.Current() - c.eBits - c.powBits
-	if budget, ok := c.mem.Budget(); ok && base+peak > budget {
-		if err := c.replay(sym, p); err != nil {
+	if budget, ok := c.mem.Budget(); ok && base+top > budget {
+		if err := c.replay(sym); err != nil {
 			return 0, err
 		}
-	} else if err := c.settle(peak, eb, pb); err != nil {
+	} else if err := c.settle(top, eb, pb); err != nil {
 		return 0, err
 	}
 	c.eBits, c.powBits = eb, pb
@@ -290,10 +345,10 @@ func (c *itemCharge) settle(peak, eb, pb int64) error {
 
 // replay charges the value's registers symbol by symbol, returning
 // the first refusal.
-func (c *itemCharge) replay(sym []byte, p uint64) error {
+func (c *itemCharge) replay(sym []byte) error {
 	e, pow := uint64(0), uint64(1)
 	for _, b := range sym {
-		e, pow = residueStep(e, pow, p, b)
+		e, pow = residueStep(e, pow, c.p, b)
 		if err := c.regE.SetInt(e); err != nil {
 			return err
 		}

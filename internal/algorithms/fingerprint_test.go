@@ -6,6 +6,7 @@ import (
 
 	"extmem/internal/core"
 	"extmem/internal/problems"
+	"extmem/internal/trials"
 )
 
 func runFingerprint(t *testing.T, in problems.Instance, seed int64) (core.Verdict, FingerprintParams, core.Resources) {
@@ -179,5 +180,26 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 		if v != core.Accept {
 			t.Fatalf("permuted multiset rejected at seed %d", seed)
 		}
+	}
+}
+
+// BenchmarkFingerprintTrial16KiB runs the trial of bench's fleet-proc
+// workload: the fingerprint decider on one fixed 16 KiB no-instance
+// (256 values of 31 bits per half), on a fresh machine per trial, with
+// each trial's coins from trials.RNG as a fleet draws them.
+func BenchmarkFingerprintTrial16KiB(b *testing.B) {
+	input := problems.GenMultisetNo(256, 31, rand.New(rand.NewSource(1))).Encode()
+	if len(input) != 16<<10 {
+		b.Fatalf("encoded input is %d bytes, want %d", len(input), 16<<10)
+	}
+	_, trial := FingerprintInputWorkload(input)
+	b.SetBytes(int64(len(input)))
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if r := trial(i, trials.RNG(1, i)); r.Err != "" {
+			b.Fatal(r.Err)
+		}
+		i++
 	}
 }

@@ -7,8 +7,10 @@
 // MulMod and PowMod divide a 128-bit product with math/bits.Div64.
 // Mont, a Montgomery context for one odd modulus, multiplies with two
 // 64×64→128-bit multiplications, one 64-bit one and a conditional
-// addition, and no division; IsPrime and the fingerprint's powers run
-// through it.
+// addition, and no division; IsPrime runs through it. FixedBase raises
+// one base to many exponents modulo one odd modulus from a table of
+// Montgomery-form powers, one product per exponent window; the
+// fingerprint's x^{e_i} mod p2 run through it.
 package numeric
 
 import (
@@ -174,9 +176,74 @@ func (c Mont) exp(b, e uint64) uint64 {
 	}
 }
 
-// Pow returns a^e mod m for any a; Pow(a, 0) = 1 mod m.
-func (c Mont) Pow(a, e uint64) uint64 {
-	return c.mul(c.exp(c.toMont(a), e), 1)
+// The window width and window count caps of FixedBase: 64 entries per
+// window, and the windows a 64-bit exponent needs at the widest width.
+const (
+	fixedMaxWidth   = 6
+	fixedMaxWindows = (64 + fixedMaxWidth - 1) / fixedMaxWidth
+)
+
+// FixedBase raises one base x to many exponents modulo one odd m by
+// the fixed-base windowed method of Brickell, Gordon, McCurley and
+// Wilson ("Fast exponentiation with precomputation", EUROCRYPT '92).
+// An exponent below 2^bits is read as windows of w bits, and the table
+// holds x^(d·2^(w·j)) in Montgomery form for every w-bit digit d of
+// every window j, so x^e is the product of one entry per window: a
+// power costs one product per window, where binary exponentiation
+// costs about two per exponent bit. The table is a fixed-size array,
+// so a FixedBase held in a local variable costs no allocation.
+type FixedBase struct {
+	c       Mont
+	bits    uint // exponents are below 2^bits
+	w       uint // window width
+	windows int
+	table   [fixedMaxWindows][1 << fixedMaxWidth]uint64
+}
+
+// Init builds the table of x modulo the odd m for exponents below
+// 2^bits, bits clamped to [1, 64], to serve about uses powers. Of the widths w ≤ 6 that need at most 11 windows, it takes
+// the one with the fewest products overall: a window's table entries
+// take 2^w − 1 (its digits 2 … 2^w−1, and a squaring for the next
+// window's base), and each power takes one per window. It panics if m
+// is even.
+func (f *FixedBase) Init(m, x uint64, bits, uses int) {
+	bits = min(max(bits, 1), 64)
+	f.c = NewMont(m)
+	f.bits = uint(bits)
+	f.windows = 0
+	for w := 1; w <= fixedMaxWidth; w++ {
+		windows := (bits + w - 1) / w
+		if windows > fixedMaxWindows {
+			continue
+		}
+		if f.windows == 0 || windows*(1<<w-1+uses) < f.windows*(1<<f.w-1+uses) {
+			f.w, f.windows = uint(w), windows
+		}
+	}
+	half := 1 << (f.w - 1)
+	b := f.c.toMont(x) // x^(2^(w·j)) for the window j being filled
+	for j := range f.windows {
+		row := &f.table[j]
+		row[0], row[1] = f.c.one, b
+		for d := 2; d < 1<<f.w; d++ {
+			row[d] = f.c.mul(row[d-1], b)
+		}
+		b = f.c.mul(row[half], row[half])
+	}
+}
+
+// Pow returns x^e mod m; x^0 = 1 mod m. It panics if e ≥ 2^bits.
+func (f *FixedBase) Pow(e uint64) uint64 {
+	if e>>f.bits != 0 {
+		panic(fmt.Sprintf("numeric: exponent %d has more than %d bits", e, f.bits))
+	}
+	mask := uint64(1)<<f.w - 1
+	r := f.table[0][e&mask]
+	for j := 1; j < f.windows; j++ {
+		e >>= f.w
+		r = f.c.mul(r, f.table[j][e&mask])
+	}
+	return f.c.mul(r, 1)
 }
 
 // NextPrime returns the smallest prime ≥ n, or an error if none fits

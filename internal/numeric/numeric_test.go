@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -279,6 +280,7 @@ func bigPowMod(a, e, m uint64) uint64 {
 
 func TestMontAgainstBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var f FixedBase
 	for _, m := range montModuli(rng) {
 		c := NewMont(m)
 		bm := new(big.Int).SetUint64(m)
@@ -292,40 +294,119 @@ func TestMontAgainstBig(t *testing.T) {
 					t.Fatalf("m=%d: Montgomery %d·%d = %d, want %d", m, a, b, got, want.Uint64())
 				}
 			}
+			f.Init(m, a, 64, 8)
 			for _, e := range []uint64{0, 1, 2, 3, m - 1, 1<<64 - 1, rng.Uint64(), rng.Uint64() >> 40} {
-				if got, want := c.Pow(a, e), bigPowMod(a, e, m); got != want {
-					t.Fatalf("Mont(%d).Pow(%d, %d) = %d, want %d", m, a, e, got, want)
+				want := bigPowMod(a, e, m)
+				if got := c.mul(c.exp(c.toMont(a), e), 1); got != want {
+					t.Fatalf("Mont(%d): %d^%d = %d by exp, want %d", m, a, e, got, want)
+				}
+				if got := f.Pow(e); got != want {
+					t.Fatalf("FixedBase(%d, %d).Pow(%d) = %d, want %d", m, a, e, got, want)
 				}
 			}
 		}
 	}
 }
 
+// fixedPow returns a^e mod m through a FixedBase for exponents of up
+// to expBits bits serving uses powers.
+func fixedPow(m, a, e uint64, expBits, uses int) uint64 {
+	var f FixedBase
+	f.Init(m, a, expBits, uses)
+	return f.Pow(e)
+}
+
 func TestMontEdge(t *testing.T) {
-	c := NewMont(3)
 	for a := uint64(0); a < 9; a++ {
 		for e := uint64(0); e < 9; e++ {
-			if got, want := c.Pow(a, e), bigPowMod(a, e, 3); got != want {
-				t.Fatalf("Mont(3).Pow(%d, %d) = %d, want %d", a, e, got, want)
+			if got, want := fixedPow(3, a, e, 4, 1), bigPowMod(a, e, 3); got != want {
+				t.Fatalf("%d^%d mod 3 = %d, want %d", a, e, got, want)
 			}
 		}
 	}
-	if got := NewMont(1<<64-1).Pow(0, 0); got != 1 {
+	if got := fixedPow(1<<64-1, 0, 0, 1, 1); got != 1 {
 		t.Fatalf("0^0 mod 2^64−1 = %d, want 1", got)
 	}
-	if got := NewMont(1).Pow(5, 0); got != 0 {
+	if got := fixedPow(1, 5, 0, 1, 1); got != 0 {
 		t.Fatalf("5^0 mod 1 = %d, want 0", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMont accepted an even modulus")
+	for name, f := range map[string]func(){
+		"NewMont accepted an even modulus":   func() { NewMont(10) },
+		"FixedBase accepted an even modulus": func() { fixedPow(10, 3, 1, 4, 1) },
+		"FixedBase.Pow accepted an exponent beyond its bits": func() {
+			fixedPow(1<<64-59, 3, 1<<10, 10, 1)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error(name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// FixedBase agrees with math/big on odd moduli of every bit length,
+// moduli at and above 2^63 and 2^64−59, for the bases 0, 1, m−1 and
+// bases ≥ m, at every exponent length, with every window width Init
+// can choose. At each (length, use count) it reads every entry of the
+// table that an exponent below 2^length can reach.
+func TestFixedBaseAgainstBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var f FixedBase // reused: each Init must rebuild the whole table
+	for _, m := range montModuli(rng) {
+		for _, a := range []uint64{0, 1, 2, m - 1, m, m + 1, 1<<64 - 1, rng.Uint64()} {
+			for _, expBits := range []int{64, bits.Len64(m), 1 + rng.Intn(64)} {
+				f.Init(m, a, expBits, rng.Intn(1000))
+				all := ^uint64(0) >> (64 - expBits) // the largest exponent
+				for _, e := range []uint64{0, 1, all &^ (all >> 1), all, rng.Uint64() & all} {
+					if got, want := f.Pow(e), bigPowMod(a, e, m); got != want {
+						t.Fatalf("FixedBase(m=%d, x=%d, %d bits).Pow(%d) = %d, want %d", m, a, expBits, e, got, want)
+					}
+				}
+			}
 		}
-	}()
-	NewMont(10)
+	}
+
+	moduli := []uint64{3, 1<<63 + 29, 1<<64 - 59, 1<<64 - 1, rng.Uint64() | 1, rng.Uint64()>>24 | 1}
+	widths := map[uint]bool{}
+	for expBits := 1; expBits <= 64; expBits++ {
+		for _, uses := range []int{0, 1, 4, 16, 64, 512, 1 << 20} {
+			m := moduli[rng.Intn(len(moduli))]
+			a := rng.Uint64()
+			f.Init(m, a, expBits, uses)
+			widths[f.w] = true
+			if f.windows > fixedMaxWindows || f.windows*int(f.w) < expBits {
+				t.Fatalf("%d bits, %d uses: %d windows of %d bits", expBits, uses, f.windows, f.w)
+			}
+			// The exponent with digit d in every window reads entry d of
+			// every window at once.
+			for d := uint64(0); d < 1<<f.w; d++ {
+				var e uint64
+				for j := 0; j < f.windows; j++ {
+					e |= d << (f.w * uint(j))
+				}
+				e &= ^uint64(0) >> (64 - expBits)
+				if got, want := f.Pow(e), bigPowMod(a, e, m); got != want {
+					t.Fatalf("FixedBase(m=%d, x=%d, %d bits, %d uses; width %d).Pow(%d) = %d, want %d",
+						m, a, expBits, uses, f.w, e, got, want)
+				}
+			}
+		}
+	}
+	for w := uint(1); w <= fixedMaxWidth; w++ {
+		if !widths[w] {
+			t.Errorf("no exponent length and use count chose window width %d", w)
+		}
+	}
 }
 
 // PowMod agrees with math/big on every nonzero modulus m, and so does
-// the Montgomery context for the odd modulus m|1.
+// FixedBase for the odd modulus m|1: at 64-bit exponents, and at e's
+// own bit length with a use count drawn from m, which picks other
+// window widths.
 func FuzzPowMod(f *testing.F) {
 	f.Add(uint64(5), uint64(0), uint64(7))
 	f.Add(uint64(0), uint64(3), uint64(3))
@@ -333,8 +414,12 @@ func FuzzPowMod(f *testing.F) {
 	f.Add(uint64(123456789), uint64(987654321), uint64(15_600_000_000_000_000_001))
 	f.Add(uint64(2), uint64(1<<20), uint64(1<<40))
 	f.Fuzz(func(t *testing.T, a, e, m uint64) {
-		if got, want := NewMont(m|1).Pow(a, e), bigPowMod(a, e, m|1); got != want {
-			t.Fatalf("Mont(%d).Pow(%d, %d) = %d, want %d", m|1, a, e, got, want)
+		want := bigPowMod(a, e, m|1)
+		if got := fixedPow(m|1, a, e, 64, 1); got != want {
+			t.Fatalf("FixedBase(m=%d, x=%d, 64 bits).Pow(%d) = %d, want %d", m|1, a, e, got, want)
+		}
+		if got := fixedPow(m|1, a, e, bits.Len64(e), int(m>>52)); got != want {
+			t.Fatalf("FixedBase(m=%d, x=%d, %d bits).Pow(%d) = %d, want %d", m|1, a, bits.Len64(e), e, got, want)
 		}
 		if m == 0 {
 			return

@@ -7,7 +7,8 @@ import (
 
 // TestReturnedSlicesAreOwnedByCaller enforces the ownership contract
 // documented on ReadBlock, ReadBlockBackward, ScanBytes and Contents:
-// the returned slice is a fresh copy on every backend.
+// the returned slice is a fresh copy on every backend, and so is the
+// caller's slice that ReadBlockBackwardInto fills.
 // Mutating it must never reach the tape, and writing to the tape must
 // never reach a previously returned slice — the mem backend could
 // cheaply alias its slice, so this is a mutation test, not a tautology.
@@ -38,6 +39,16 @@ func TestReturnedSlicesAreOwnedByCaller(t *testing.T) {
 				}
 				got, err := tp.ReadBlockBackward(len(seed))
 				if err != nil {
+					t.Fatal(err)
+				}
+				return got
+			},
+			"ReadBlockBackwardInto": func(tp *Tape) []byte {
+				if err := tp.SeekEnd(); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, len(seed))
+				if _, err := tp.ReadBlockBackwardInto(got); err != nil {
 					t.Fatal(err)
 				}
 				return got

@@ -190,7 +190,7 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 		for op := 0; op < opsPerTrial; op++ {
 			name := ""
 			var errB, errS error
-			switch rng.Intn(14) {
+			switch rng.Intn(15) {
 			case 0:
 				name = "Rewind"
 				errB, errS = bulk.Rewind(), ref.Rewind()
@@ -307,6 +307,17 @@ func testDifferentialBulkVsStep(t *testing.T, o Options) {
 				if errB == nil && !bytes.Equal(p, gotS) {
 					t.Fatalf("trial %d op %d: ReadBlockInto %q vs %q", trial, op, p, gotS)
 				}
+			case 14:
+				name = "ReadBlockBackwardInto"
+				n := rng.Intn(bulk.Pos() + 4)     // may fall off the left end
+				p := bytes.Repeat([]byte{'z'}, n) // stale bytes the read must overwrite, Blank past the end
+				var k int
+				var gotS []byte
+				k, errB = bulk.ReadBlockBackwardInto(p)
+				gotS, errS = ref.ReadBlockBackward(n)
+				if !bytes.Equal(p[:k], gotS) {
+					t.Fatalf("trial %d op %d: ReadBlockBackwardInto %q vs %q", trial, op, p[:k], gotS)
+				}
 			}
 			if !sameErr(errB, errS) {
 				t.Fatalf("trial %d op %d (%s): errors diverge: bulk %v, step %v", trial, op, name, errB, errS)
@@ -401,6 +412,14 @@ func testBulkBudgetExhaustion(t *testing.T, o Options) {
 		t.Fatalf("ReadBlockBackward budget: bulk %v, step %v", errB, errS)
 	}
 	diffState(t, 0, 0, "ReadBlockBackward/budget", bulk, step)
+
+	bulk, step = mk()
+	_, errB = bulk.ReadBlockBackwardInto(make([]byte, 2))
+	_, errS = stepRef{step}.ReadBlockBackward(2)
+	if !errors.Is(errB, ErrBudget) || !sameErr(errB, errS) {
+		t.Fatalf("ReadBlockBackwardInto budget: bulk %v, step %v", errB, errS)
+	}
+	diffState(t, 0, 0, "ReadBlockBackwardInto/budget", bulk, step)
 
 	bulk, step = mk()
 	errB = bulk.MoveBackwardN(2)

@@ -26,7 +26,9 @@
 // In addition to the single-cell primitives (Move, Read, Write), the
 // package offers bulk operations that sweep a whole direction in one
 // call: ReadBlock, WriteBlock, ScanBytes, ScanUntil, CopyDelimited,
-// ReadBlockBackward, MoveBackwardN, Rewind and SeekEnd.
+// ReadBlockBackward, MoveBackwardN, Rewind and SeekEnd. ReadBlockInto
+// and ReadBlockBackwardInto are ReadBlock and ReadBlockBackward into
+// the caller's slice, so a sweep can reuse one buffer.
 // CopyDelimited moves up to count delimiter-terminated items from one
 // tape's window straight into another's, accounted as one ScanUntil
 // and one WriteBlock per item. Bulk ops are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Blank is the blank symbol found in cells that were never written.
@@ -474,29 +475,43 @@ func (t *Tape) ReadBlockBackward(n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	out := make([]byte, n)
+	k, err := t.ReadBlockBackwardInto(out)
+	return out[:k], err
+}
+
+// ReadBlockBackwardInto is ReadBlockBackward into the caller's slice:
+// it moves the head len(p) cells backward, reading each cell after its
+// move, counted exactly as ReadBlockBackward counts them, fills p with
+// the cells read in visit order, Blank at or past the materialized
+// end, and returns how many it read. That is len(p) unless the head
+// reaches cell 0 first, which returns ErrLeftEnd; a refused turn reads
+// no cell. A sweep that reuses one p allocates nothing per block.
+func (t *Tape) ReadBlockBackwardInto(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
 	if err := t.turn(Backward); err != nil {
-		return nil, err
+		return 0, err
 	}
-	k := n
-	if t.pos < k {
-		k = t.pos
-	}
-	out := make([]byte, k)
+	k := min(len(p), t.pos)
+	out := p[:k]
 	// Read the tape range [pos-k, pos) forward, then reverse into
-	// visit order. Cells at or past the materialized end stay Blank.
+	// visit order.
+	read := 0
 	if lo := t.pos - k; lo < t.n {
-		t.readAt(out[:min(k, t.n-lo)], lo)
+		read = min(k, t.n-lo)
+		t.readAt(out[:read], lo)
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
+	clear(out[read:])
+	slices.Reverse(out)
 	t.steps += int64(k)
 	t.reads += int64(k)
 	t.pos -= k
-	if k < n {
-		return out, ErrLeftEnd
+	if k < len(p) {
+		return k, ErrLeftEnd
 	}
-	return out, nil
+	return k, nil
 }
 
 // MoveBackwardN steps the head n cells backward without reading,
