@@ -55,7 +55,8 @@ var ErrTapeIndex = errors.New("core: tape index out of range")
 type Machine struct {
 	tapes []*tape.Tape
 	mem   *memory.Meter
-	rng   *rand.Rand
+	seed  int64
+	rng   *rand.Rand // built from seed by the first Rand call
 	topts tape.Options
 }
 
@@ -77,7 +78,7 @@ func NewMachineOpts(t int, seed int64, opts tape.Options) *Machine {
 	}
 	m := &Machine{
 		mem:   memory.NewMeter(),
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 		topts: opts,
 	}
 	for i := 0; i < t; i++ {
@@ -146,8 +147,16 @@ func (m *Machine) NumTapes() int { return len(m.tapes) }
 func (m *Machine) Mem() *memory.Meter { return m.mem }
 
 // Rand returns the machine's random source. Randomized algorithms draw
-// all coins from it so runs are reproducible per seed.
-func (m *Machine) Rand() *rand.Rand { return m.rng }
+// all coins from it so runs are reproducible per seed. The source is
+// seeded on the first call, so a machine that never draws a coin — a
+// sort, merge, partition or scan machine — never pays for one; the
+// stream is rand.New(rand.NewSource(seed)) either way.
+func (m *Machine) Rand() *rand.Rand {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+	}
+	return m.rng
+}
 
 // Resources is the resource report of a run.
 type Resources struct {

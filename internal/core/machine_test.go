@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -93,6 +94,34 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 	c := NewMachine(1, 43).Rand().Int63()
 	if a == c {
 		t.Fatal("different seeds produced identical first value (unlikely)")
+	}
+}
+
+// The lazily seeded source draws the stream an eagerly seeded one
+// would, and a later Rand call returns the same source mid-stream.
+func TestRandMatchesSource(t *testing.T) {
+	for seed := int64(-50); seed < 450; seed += 3 {
+		m := NewMachine(1, seed)
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 16; i++ {
+			if got, w := m.Rand().Int63(), want.Int63(); got != w {
+				t.Fatalf("seed %d draw %d: %d, want %d", seed, i, got, w)
+			}
+		}
+		if got, w := m.Rand().Int63n(1000003), want.Int63n(1000003); got != w {
+			t.Fatalf("seed %d: Int63n %d, want %d", seed, got, w)
+		}
+	}
+}
+
+// A machine that never draws a coin allocates no source: seeding one
+// (two allocations, 4.9 KB) happens on the first Rand call.
+func TestRandSeedsOnFirstDraw(t *testing.T) {
+	built := testing.AllocsPerRun(100, func() { NewMachine(1, 7) })
+	drawn := testing.AllocsPerRun(100, func() { NewMachine(1, 7).Rand() })
+	if drawn-built < 2 {
+		t.Errorf("NewMachine allocates %.0f times and NewMachine+Rand %.0f: the source is built before any draw",
+			built, drawn)
 	}
 }
 

@@ -325,7 +325,7 @@ func E20FaultTolerance(cfg Config) Result {
 	// fallback ladder, the same exact census, the same bytes. Faults
 	// key on (shard, attempt), so every count below is asserted
 	// exactly, not merely bounded.
-	tcpBase, tcpStop, err := transport.LocalWorkers(2)
+	tcp, tcpStop, err := transport.LocalWorkers(2)
 	if err != nil {
 		return failure("E20", "CHAOS-DET", err, core.Reject)
 	}
@@ -368,16 +368,17 @@ func E20FaultTolerance(cfg Config) Result {
 			return nil
 		}, 0, 1, 1, 2},
 	}
+	// One transport runs every plan in turn, so each plan also starts
+	// on whatever connections the plans before it left idle: the
+	// census must not depend on them.
 	for _, pp := range tcpPlans {
-		tp := *tcpBase
-		tp.Fault = pp.fault
-		tp.Deadline = pp.deadline
+		tcp.Fault, tcp.Deadline = pp.fault, pp.deadline
 		rs, sum, err := shard.Fleet{
 			Plan:     shard.Plan{Shards: 2, Trials: n},
 			Parallel: cfg.Parallel,
 			Seed:     fleetSeed,
 			Retry:    shard.RetryPolicy{MaxAttempts: 2},
-			Attempt:  tp.Attempt(),
+			Attempt:  tcp.Attempt(),
 		}.Run(trials.WithWorkload(cfg.ctx(), w), trial)
 		if rs == nil {
 			return failure("E20", "CHAOS-DET", err, core.Reject)
@@ -427,12 +428,11 @@ func E20FaultTolerance(cfg Config) Result {
 		}, 2, 1},
 	}
 	for _, sp := range sortTCPPlans {
-		tp := *tcpBase
-		tp.Fault = sp.fault
+		tcp.Fault, tcp.Deadline = sp.fault, 0
 		out, rep, err := shard.Sort{
 			Shards: 2, FanIn: fanIn, RunMemoryBits: runMem,
 			Retry: shard.RetryPolicy{MaxAttempts: 2},
-			Exec:  tp.Exec(), TapeOpts: cfg.Storage,
+			Exec:  tcp.Exec(), TapeOpts: cfg.Storage,
 		}.Run(cfg.ctx(), enc, cfg.Seed)
 		if err != nil {
 			return failure("E20", "CHAOS-DET", err, core.Reject)

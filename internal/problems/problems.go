@@ -92,19 +92,16 @@ func (in Instance) Validate() error {
 }
 
 // Encode renders the instance in the paper's input format
-// v1#…vm#v'1#…v'm#.
+// v1#…vm#v'1#…v'm#, in one allocation of exactly Size() bytes.
 func (in Instance) Encode() []byte {
-	var b strings.Builder
-	b.Grow(in.Size())
+	b := make([]byte, 0, in.Size())
 	for _, v := range in.V {
-		b.WriteString(v)
-		b.WriteByte(Separator)
+		b = append(append(b, v...), Separator)
 	}
 	for _, w := range in.W {
-		b.WriteString(w)
-		b.WriteByte(Separator)
+		b = append(append(b, w...), Separator)
 	}
-	return []byte(b.String())
+	return b
 }
 
 // Decode parses an encoded instance. The encoding must contain an even
@@ -130,8 +127,8 @@ func Decode(data []byte) (Instance, error) {
 
 // SetEquality decides whether {v_1,…,v_m} = {v'_1,…,v'_m} as sets.
 func SetEquality(in Instance) bool {
-	a := map[string]bool{}
-	b := map[string]bool{}
+	a := make(map[string]bool, len(in.V))
+	b := make(map[string]bool, len(in.W))
 	for _, v := range in.V {
 		a[v] = true
 	}
@@ -155,7 +152,7 @@ func MultisetEquality(in Instance) bool {
 	if len(in.V) != len(in.W) {
 		return false
 	}
-	counts := map[string]int{}
+	counts := make(map[string]int, len(in.V))
 	for _, v := range in.V {
 		counts[v]++
 	}
@@ -219,13 +216,15 @@ func SortedCopy(in Instance) []string {
 	return out
 }
 
-// randomBitString returns a uniformly random 0-1-string of length n.
+// randomBitString returns a uniformly random 0-1-string of length n,
+// built in place in its one allocation.
 func randomBitString(n int, rng *rand.Rand) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '0' + byte(rng.Intn(2))
+	var b strings.Builder
+	b.Grow(n)
+	for range n {
+		b.WriteByte('0' + byte(rng.Intn(2)))
 	}
-	return string(b)
+	return b.String()
 }
 
 // GenMultisetYes returns a yes-instance of MULTISET-EQUALITY with m
@@ -269,7 +268,7 @@ func GenSetYes(m, n int, rng *rand.Rand) Instance {
 	if n < 63 && m > 1<<uint(n) {
 		panic(fmt.Sprintf("problems: cannot draw %d distinct strings of length %d", m, n))
 	}
-	seen := map[string]bool{}
+	seen := make(map[string]bool, m)
 	v := make([]string, 0, m)
 	for len(v) < m {
 		s := randomBitString(n, rng)
@@ -287,7 +286,7 @@ func GenSetYes(m, n int, rng *rand.Rand) Instance {
 // replaced by a fresh string outside the set.
 func GenSetNo(m, n int, rng *rand.Rand) Instance {
 	in := GenSetYes(m, n, rng)
-	members := map[string]bool{}
+	members := make(map[string]bool, m)
 	for _, v := range in.V {
 		members[v] = true
 	}

@@ -1,6 +1,8 @@
 package problems
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,6 +21,53 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.M() != 2 || got.V[0] != "01" || got.W[1] != "01" {
 		t.Fatalf("Decode = %+v", got)
+	}
+}
+
+// TestGeneratorsPinned pins, for one seed, the bytes of every
+// generator's yes- and no-instance and how far they advance the
+// source: the generators feed every experiment and benchmark input, so
+// a change to how they build their values must move neither a byte nor
+// a draw.
+func TestGeneratorsPinned(t *testing.T) {
+	want := map[Problem]struct {
+		digest string
+		next   int64
+	}{
+		SetEqualityProblem:      {"fb7836774f7d206b46d867ec75b996ed08ce2cc071fa346ccf4ad344d306492e", 2622562691103427389},
+		MultisetEqualityProblem: {"9dc5958300933950abf4130b712cabb0bbfdd6bcc073d27c616ec61c6b513cea", 8451938169456555360},
+		CheckSortProblem:        {"862bb0c7faf82de8ec2ee21a864714c3c6924db011eb3448a5243be8d761adf3", 8451938169456555360},
+	}
+	for p, w := range want {
+		rng := rand.New(rand.NewSource(7))
+		h := sha256.New()
+		for _, yes := range []bool{true, false} {
+			h.Write(Gen(p, yes, 300, 31, rng).Encode())
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != w.digest {
+			t.Errorf("%v: instances hash to %s, want %s", p, got, w.digest)
+		}
+		if got := rng.Int63(); got != w.next {
+			t.Errorf("%v: next draw %d, want %d", p, got, w.next)
+		}
+	}
+}
+
+// TestEncodeAndValuesAllocateOnce checks that Encode makes one
+// allocation of exactly Size() bytes and that a generated value is one
+// allocation too, so that setting up a large input leaves little
+// garbage behind.
+func TestEncodeAndValuesAllocateOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	in := GenMultisetYes(64, 31, rng)
+	if enc := in.Encode(); len(enc) != in.Size() || cap(enc) != in.Size() {
+		t.Fatalf("Encode: len %d cap %d, want both %d", len(enc), cap(enc), in.Size())
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = in.Encode() }); n != 1 {
+		t.Errorf("Encode: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = randomBitString(31, rng) }); n != 1 {
+		t.Errorf("randomBitString: %v allocations, want 1", n)
 	}
 }
 

@@ -121,8 +121,9 @@ func (c *evalCtx) evalRuns(e Expr) ([][]byte, Schema, error) {
 // and returns the per-shard sorted payloads. The stage's report (Merge
 // zero: none ran) is recorded like any operator sort's.
 func (c *evalCtx) sortKeepRuns(idx int) ([][]byte, error) {
-	data := c.m.Tape(idx).Contents()
+	data := c.snapshot(idx)
 	runs, rep, err := c.stageSort(false, data).RunKeepRuns(c.ctx, data, c.ev.Seed)
+	putBuf(data)
 	if err != nil {
 		return nil, err
 	}
@@ -134,11 +135,12 @@ func (c *evalCtx) sortKeepRuns(idx int) ([][]byte, error) {
 // (and deduplicated — set semantics happen here) on the sharded merge
 // path, and the result installed on dst via SwapTape.
 func (c *evalCtx) mergeRuns(runs [][]byte, dst int) error {
-	out, rep, err := c.stageSort(true, runs...).MergeRuns(c.ctx, runs, c.ev.Seed)
+	out, rep, err := c.stageSort(true, runs...).MergeRuns(c.ctx, getBuf(), runs, c.ev.Seed)
 	if err != nil {
 		return err
 	}
 	c.m.SwapTape(dst, out)
+	putBuf(out)
 	c.record(rep)
 	return nil
 }

@@ -70,7 +70,7 @@ func (c *evalCtx) shardedScan(op string, l, r, dst int) error {
 	// sweep machine instead.
 	var out []byte
 	if op == ScanOpDiff {
-		out, rep.Merge, err = shard.Sort{TapeOpts: c.ev.TapeOpts}.Combine(outs, c.ev.Seed)
+		out, rep.Merge, err = shard.Sort{TapeOpts: c.ev.TapeOpts}.Combine(getBuf(), outs, c.ev.Seed)
 	} else {
 		out, rep.Merge, err = c.productCombine(outs)
 	}
@@ -78,13 +78,14 @@ func (c *evalCtx) shardedScan(op string, l, r, dst int) error {
 		return err
 	}
 	c.m.SwapTape(dst, out)
+	putBuf(out)
 	c.recordScan(rep)
 	return nil
 }
 
 // productCombine is the product's combine: one sweep machine (tape 0
 // the output, tape 1+i shard i's output) copies the shard outputs onto
-// its output tape in shard order.
+// its output tape in shard order. The output is a pooled buffer.
 func (c *evalCtx) productCombine(outs [][]byte) ([]byte, core.Resources, error) {
 	mm := core.NewMachineOpts(len(outs)+1, c.ev.Seed, c.ev.TapeOpts)
 	defer mm.Close()
@@ -98,7 +99,7 @@ func (c *evalCtx) productCombine(outs [][]byte) ([]byte, core.Resources, error) 
 			return nil, core.Resources{}, err
 		}
 	}
-	return mm.Tape(0).Contents(), mm.Resources(), nil
+	return mm.Tape(0).AppendContents(getBuf()), mm.Resources(), nil
 }
 
 // shardedScanRuns is the merge-free variant for pipelined consumers:
@@ -122,8 +123,9 @@ func (c *evalCtx) shardedScanRuns(op string, l, r int) ([][]byte, error) {
 // Chaos (Inject) and the transport seam (ExecScan) apply to budgeted
 // attempts only; the coordinator's fallback runs the job itself.
 func (c *evalCtx) scanShardsRun(op string, l, r int) ([][]byte, ScanReport, error) {
-	left := c.m.Tape(l).Contents()
-	right := c.m.Tape(r).Contents()
+	left, right := c.snapshot(l), c.snapshot(r)
+	defer putBuf(left)
+	defer putBuf(right)
 	shape := c.shape(true, left)
 	parts, part, err := shard.Partition(left, shape.RunMemoryBits, shape.Shards, c.ev.TapeOpts, c.ev.Seed, right)
 	rep := ScanReport{Op: op, SortReport: part}

@@ -249,12 +249,23 @@ func (c *evalCtx) sortDedup(idx int) error { return c.engineSort(idx, true) }
 // function of the query, so resource reports stay reproducible).
 func (c *evalCtx) engineSort(idx int, dedup bool) error {
 	if c.ev.sharded() {
-		data := c.m.Tape(idx).Contents()
-		out, rep, err := c.stageSort(dedup, data).Run(c.ctx, data, c.ev.Seed)
+		// shard.Sort.Run's two phases, each with a pooled buffer: the
+		// snapshot is dead once the shard sorts return, and the
+		// combine may refill its bytes.
+		data := c.snapshot(idx)
+		s := c.stageSort(dedup, data)
+		runs, rep, err := s.RunKeepRuns(c.ctx, data, c.ev.Seed)
+		putBuf(data)
 		if err != nil {
 			return err
 		}
+		out, merge, err := s.Combine(getBuf(), runs, c.ev.Seed)
+		if err != nil {
+			return err
+		}
+		rep.Merge = merge
 		c.m.SwapTape(idx, out)
+		putBuf(out)
 		c.record(rep)
 		return nil
 	}

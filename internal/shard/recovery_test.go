@@ -206,7 +206,7 @@ func TestSortRetryAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cleanMerge, err := sorter.MergeRuns(nil, cleanRuns, 1)
+	_, cleanMerge, err := sorter.MergeRuns(nil, nil, cleanRuns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSortRetryAndFallback(t *testing.T) {
 			t.Fatalf("%s keep-runs: %v", c.name, err)
 		}
 		check("keep-runs", bytes.Join(runs, []byte("|")), bytes.Join(cleanRuns, []byte("|")), keep, cleanKeep)
-		merged, merge, err := s.MergeRuns(nil, runs, 1)
+		merged, merge, err := s.MergeRuns(nil, nil, runs, 1)
 		if err != nil {
 			t.Fatalf("%s merge-runs: %v", c.name, err)
 		}

@@ -237,7 +237,7 @@ func (s Sort) Run(ctx context.Context, input []byte, seed int64) ([]byte, SortRe
 	// merge machine (tape 0 is the output, tape 1+i shard i's sorted
 	// run) and k-way merged through the loser tree; dedup, when
 	// requested, folds into this final write.
-	out, merge, err := s.Combine(outs, seed)
+	out, merge, err := s.Combine(nil, outs, seed)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -349,9 +349,10 @@ func Partition(input []byte, runMemoryBits int64, shards int, opts tape.Options,
 // machine (tape 0 is the output, tape 1+i shard i's sorted run), with
 // the configured dedup folded into the final write — phase 3 of Run
 // and MergeRuns, and the combine of the sharded anti-merge, whose
-// disjoint ordered outputs it merges with Dedup false.
-func (s Sort) Combine(outs [][]byte, seed int64) ([]byte, core.Resources, error) {
-	return mergeJob{Runs: outs, Dedup: s.Dedup, Seed: seed, Tape: s.TapeOpts}.Execute()
+// disjoint ordered outputs it merges with Dedup false. The merged
+// bytes are appended to dst; a nil dst gets a slice of their own.
+func (s Sort) Combine(dst []byte, outs [][]byte, seed int64) ([]byte, core.Resources, error) {
+	return mergeJob{Runs: outs, Dedup: s.Dedup, Seed: seed, Tape: s.TapeOpts}.execute(dst)
 }
 
 // mergeJob is one merge machine's work: k-way merge Runs (tape 1+i
@@ -367,7 +368,11 @@ type mergeJob struct {
 
 // Execute runs the merge on a fresh machine and returns the merged
 // output with the machine's exact resource report.
-func (j mergeJob) Execute() ([]byte, core.Resources, error) {
+func (j mergeJob) Execute() ([]byte, core.Resources, error) { return j.execute(nil) }
+
+// execute is Execute with the merged output appended to dst (a fresh
+// slice when dst is nil).
+func (j mergeJob) execute(dst []byte) ([]byte, core.Resources, error) {
 	m := core.NewMachineOpts(len(j.Runs)+1, j.Seed, j.Tape)
 	defer m.Close()
 	srcs := make([]int, len(j.Runs))
@@ -378,7 +383,10 @@ func (j mergeJob) Execute() ([]byte, core.Resources, error) {
 	if err := algorithms.MergeTapes(m, 0, srcs, j.Dedup); err != nil {
 		return nil, core.Resources{}, err
 	}
-	return m.Tape(0).Contents(), m.Resources(), nil
+	if dst == nil {
+		return m.Tape(0).Contents(), m.Resources(), nil
+	}
+	return m.Tape(0).AppendContents(dst), m.Resources(), nil
 }
 
 // MergeRuns is the consuming half of the pipelined handoff: it takes
@@ -395,8 +403,9 @@ func (j mergeJob) Execute() ([]byte, core.Resources, error) {
 //
 // The report's Distribute is zero — no coordinator scan runs, which is
 // the point — and Items/Bytes are provenance metadata computed from
-// the handed-over payloads, not charged to any machine.
-func (s Sort) MergeRuns(ctx context.Context, runs [][]byte, seed int64) ([]byte, SortReport, error) {
+// the handed-over payloads, not charged to any machine. The merged
+// output is appended to dst, as Combine appends it.
+func (s Sort) MergeRuns(ctx context.Context, dst []byte, runs [][]byte, seed int64) ([]byte, SortReport, error) {
 	rep := SortReport{Runs: len(runs)}
 	for _, r := range runs {
 		rep.Bytes += int64(len(r))
@@ -413,7 +422,7 @@ func (s Sort) MergeRuns(ctx context.Context, runs [][]byte, seed int64) ([]byte,
 		return nil, rep, err
 	}
 
-	out, merge, err := s.Combine(outs, seed)
+	out, merge, err := s.Combine(dst, outs, seed)
 	if err != nil {
 		return nil, rep, err
 	}

@@ -242,7 +242,7 @@ func TestKeepRunsMergeRunsMatchesRun(t *testing.T) {
 						}
 					}
 					cons := Sort{Shards: consShards, FanIn: 3, RunMemoryBits: 256, Dedup: dedup}
-					out, mrep, err := cons.MergeRuns(nil, runs, 1)
+					out, mrep, err := cons.MergeRuns(nil, nil, runs, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -280,7 +280,7 @@ func TestMergeRunsAcrossProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, _, err := Sort{Shards: 2, FanIn: 2, RunMemoryBits: 128, Dedup: true}.
-		MergeRuns(nil, append(append([][]byte(nil), runsA...), runsB...), 1)
+		MergeRuns(nil, nil, append(append([][]byte(nil), runsA...), runsB...), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestMergeRunsRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, crep, err := Sort{Shards: 3, FanIn: 2, RunMemoryBits: 128, Dedup: true}.MergeRuns(nil, runs, 1)
+	clean, crep, err := Sort{Shards: 3, FanIn: 2, RunMemoryBits: 128, Dedup: true}.MergeRuns(nil, nil, runs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestMergeRunsRecovery(t *testing.T) {
 			return nil
 		},
 	}
-	out, rep, err := flaky.MergeRuns(nil, runs, 1)
+	out, rep, err := flaky.MergeRuns(nil, nil, runs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestMergeRunsRecovery(t *testing.T) {
 			return nil
 		},
 	}
-	out, rep, err = perm.MergeRuns(nil, runs, 1)
+	out, rep, err = perm.MergeRuns(nil, nil, runs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,9 @@ func TestReturnedSlicesAreOwnedByCaller(t *testing.T) {
 		seed := []byte("abcdefgh")
 		grab := map[string]func(tp *Tape) []byte{
 			"Contents": func(tp *Tape) []byte { return tp.Contents() },
+			"AppendContents": func(tp *Tape) []byte {
+				return tp.AppendContents(make([]byte, 0, 2))
+			},
 			"ScanBytes": func(tp *Tape) []byte {
 				got, err := tp.ScanBytes()
 				if err != nil {
@@ -164,4 +167,39 @@ func testScanUntilViews(t *testing.T, o Options) {
 	if !bytes.Equal(held, want) {
 		t.Fatalf("writing to the tape changed the buffer: %q", held)
 	}
+}
+
+// AppendContents appends exactly what Contents returns, on every
+// backend: after the caller's prefix, into whatever the buffer held
+// before, with a dirty window flushed and never-written cells reading
+// Blank. A buffer with the room is not reallocated.
+func TestAppendContentsMatchesContents(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, o Options) {
+		tp := FromBytesWith("append", genBlock(3, 3*winSize/2), o)
+		defer tp.Close()
+		if err := tp.SeekEnd(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := tp.Move(Forward); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tp.Write('w') // a dirty window past a run of never-written cells
+		want := tp.Contents()
+		if tp.Len() != len(want) || want[len(want)-2] != Blank || want[len(want)-1] != 'w' {
+			t.Fatalf("setup: Len %d, %d cells, tail %q", tp.Len(), len(want), want[len(want)-6:])
+		}
+		buf := bytes.Repeat([]byte{0xff}, len(want)+8)[:2]
+		got := tp.AppendContents(buf)
+		if !bytes.Equal(got[:2], []byte{0xff, 0xff}) || !bytes.Equal(got[2:], want) {
+			t.Fatal("AppendContents into a used buffer differs from prefix + Contents")
+		}
+		if &got[0] != &buf[0] {
+			t.Error("AppendContents reallocated a buffer that had the room")
+		}
+		if got := tp.AppendContents(nil); !bytes.Equal(got, want) {
+			t.Error("AppendContents(nil) differs from Contents")
+		}
+	})
 }

@@ -722,14 +722,23 @@ func (t *Tape) Reset() {
 // changes the tape, and later tape writes never change it. Like input
 // placement it is not a head operation: it flushes the window and
 // copies the tape out in one ReadAt.
-func (t *Tape) Contents() []byte {
-	out := make([]byte, t.n)
+func (t *Tape) Contents() []byte { return t.AppendContents(make([]byte, 0, t.n)) }
+
+// AppendContents is Contents into a caller's buffer: it appends a copy
+// of the materialized cells to dst and returns the extended slice,
+// growing it only when dst lacks the room. Like Contents it is not a
+// head operation and charges nothing.
+func (t *Tape) AppendContents(dst []byte) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, t.n)[:n+t.n]
 	t.flush()
-	// Cells past the backend's Len were never written: they stay Blank.
-	if k := min(t.n, t.be.Len()); k > 0 {
-		t.be.ReadAt(out[:k], 0)
+	// Cells past the backend's Len were never written: they read Blank.
+	k := min(t.n, t.be.Len())
+	if k > 0 {
+		t.be.ReadAt(dst[n:n+k], 0)
 	}
-	return out
+	clear(dst[n+k:])
+	return dst
 }
 
 // String returns a short diagnostic description of the tape.

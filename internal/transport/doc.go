@@ -18,9 +18,11 @@
 // payload, a scan job's two inputs, a workload spec, a machine job's
 // output — are nil inside it and follow it as raw, length-prefixed
 // data frames, written straight from the sender's slices and read into
-// one slice each (frame.go). Exactly one Job goes down stdin (a
-// trial-index range with its workload wire form, or a machine job: a
-// shard.SortJob or relalg.ScanJob); Replies come back up stdout —
+// one slice each (frame.go) — on a serve worker, into one receive
+// buffer its connection keeps from job to job. Exactly one Job goes
+// down stdin (a trial-index range with its workload wire form, or a
+// machine job: a shard.SortJob or relalg.ScanJob); Replies come back
+// up stdout —
 // per-trial trials.Result rows strictly in trial order, then a
 // terminal Done whose MachineDone carries, for machine jobs, the
 // output bytes and the shard machine's exact core.Resources report.
@@ -28,10 +30,11 @@
 // helper behind Exec and ExecScan, one worker body.
 //
 // A stream is as safe as the per-frame streams it replaced because it
-// lives and dies with one attempt: one worker process's pipes, or one
-// TCP connection. Whatever decoder state a garbled, truncated or
-// oversized frame leaves behind dies with the attempt that frame
-// fails, and the retry starts a fresh stream.
+// lives and dies with its connection — one worker process's pipes, or
+// one TCP connection — and a connection outlives an attempt only when
+// the attempt ended with a clean Done frame. Whatever decoder state a
+// garbled, truncated or oversized frame leaves behind dies with the
+// attempt that frame fails, and the retry starts a fresh stream.
 //
 // Trial functions are closures and cannot cross a process boundary;
 // trials.Workload is their wire form. Fleet entry points whose trial
@@ -63,19 +66,34 @@
 // # Multi-host
 //
 // TCP carries the same frames to long-lived workers started with
-// `-serve host:port` (ListenAndServe): one connection per shard
-// attempt — dial, Hello handshake (protocol version + workload-
-// registry fingerprint, typed HandshakeError on mismatch), one job
-// with its data frames, reply stream — with attempts assigned
+// `-serve host:port` (ListenAndServe), with attempts assigned
 // round-robin by shard index and a retry moving one step around the
-// worker ring. A job's header and data frames leave in one writev, so
-// no frame is split into a header-only segment. Deadline bounds an
-// attempt's wall clock as an absolute connection deadline. Every
-// length prefix is checked against its cap before any allocation: the
-// peer's Hello against 1 KiB, every later header against 1 MiB, a data
-// frame against MaxFrame, and a data frame's buffer grows only as its
-// bytes arrive. The serve side reads the whole job, data frames
-// included, under its handshake deadline.
+// worker ring. A connection opens with the Hello handshake (protocol
+// version + workload-registry fingerprint, typed HandshakeError on
+// mismatch) and then carries one job at a time — the job with its data
+// frames, the reply stream. The coordinator keeps the connections
+// whose attempts read a clean Done frame idle per worker address and
+// hands them to later attempts on that worker; every failure — dead
+// worker, WorkerFault order, deadline, cancellation, malformed frame —
+// closes its connection instead. Before reuse an idle connection is
+// peeked at without waiting: one its worker closed, reset or wrote to
+// while idle is dropped and redialed, costing no attempt, so the
+// attempt census never depends on what was kept. Connections are
+// dialed only when none is idle, so a worker never holds more than
+// attempts ran on it at once. A job's header and data frames leave in
+// one writev, so no frame is split into a header-only segment.
+// Deadline bounds an attempt's wall clock as an absolute connection
+// deadline. Every length prefix is checked against its cap before any
+// allocation: the peer's Hello against 1 KiB, every later header
+// against 1 MiB, a data frame against MaxFrame, and a data frame's
+// buffer grows only as its bytes arrive. The serve side reads a
+// connection's first job, data frames included, under its handshake
+// deadline, and each later one under the same deadline from the job's
+// first byte; between jobs it waits without one, and a coordinator
+// closing an idle connection ends the handler quietly. A serve
+// connection keeps its receive buffer across jobs, up to a bound:
+// job bodies copy their bulk bytes onto tapes before the next job is
+// read.
 // Network death is process death: refused dial, peer reset, handshake
 // mismatch and blown deadline all take the WorkerError path above.
 // WorkerFault's Exit and Stall orders exercise it against real

@@ -22,8 +22,10 @@ import (
 // of letting two incompatible builds feed each other gob garbage. The
 // pipe transport (Proc) needs no handshake — it spawns its own
 // executable, so coordinator and worker are the same build by
-// construction.
-const ProtocolVersion = 4
+// construction. Version 5 keeps a connection open across attempts,
+// so a peer that keeps connections and one that drops them refuse
+// each other here.
+const ProtocolVersion = 5
 
 // Hello is the handshake frame that opens every TCP connection, sent
 // coordinator→worker and answered worker→coordinator before the job
@@ -46,13 +48,15 @@ type Hello struct {
 // header as one data frame, in bulk's order, empty ones included, and
 // an empty one decodes as nil, as it would under gob.
 //
-// A stream lives and dies with one attempt — one connection, or one
-// worker process's pipes — so the decoder state a garbled, truncated or
-// oversized frame leaves behind dies with the attempt that frame
-// fails, and the next attempt starts a fresh stream. A fresh stream's
-// first frame is byte-identical to the per-frame gob Hello of protocol
-// 3, which is how a peer of that build still reaches the version check
-// and is refused with a *HandshakeError.
+// A stream lives and dies with its connection, or with one worker
+// process's pipes. A TCP connection carries attempt after attempt, but
+// only after clean ones: an attempt that fails for any reason — a
+// garbled, truncated or oversized frame included — kills its
+// connection, so the decoder state such a frame leaves behind dies
+// with it, and the retry starts a fresh stream. A fresh stream's first
+// frame is byte-identical to the per-frame gob Hello of protocol 3,
+// which is how a peer of an earlier build still reaches the version
+// check and is refused with a *HandshakeError.
 
 // MaxFrame bounds a data frame. The largest legitimate one is a sort
 // job's payload or its reply — a shard's run range — so the cap is
@@ -77,6 +81,11 @@ const maxHeaderFrame = 1 << 20
 // dataChunk is what a data frame's reader commits before the frame's
 // bytes arrive; past it, the buffer grows only as bytes do.
 const dataChunk = 1 << 20
+
+// maxKeptData bounds the receive buffer a serve connection keeps
+// between jobs (frameReader.reuse): a larger one is dropped when its
+// job ends, so an idle connection never pins a MaxFrame payload.
+const maxKeptData = 4 * dataChunk
 
 // bulk is the codec's one list of bulk fields: pointers to the bulk
 // byte fields of v, a *Job or a *Reply, in wire order. Each of them
@@ -182,6 +191,14 @@ type frameReader struct {
 	hdr    []byte       // the current header frame
 	src    bytes.Reader // the decoder's source: hdr
 	dec    *gob.Decoder
+
+	// reuse, set by the serve side, reads a value's data frames into
+	// data, one buffer the stream keeps from value to value: the bulk
+	// fields recv fills are then valid only until the next recv. Job
+	// bodies copy them onto tapes, so a job is done with them when it
+	// ends. Otherwise every bulk field gets a slice of its own.
+	reuse bool
+	data  []byte
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -231,6 +248,10 @@ func (fr *frameReader) recvMax(v any, limit int) error {
 	if k := fr.src.Len(); k > 0 {
 		return fmt.Errorf("transport: %d trailing bytes after the value in a header frame", k)
 	}
+	var buf []byte
+	if fr.reuse {
+		buf = fr.data[:0]
+	}
 	for _, f := range bulk(v) {
 		if *f != nil {
 			return errors.New("transport: bulk bytes inside a header frame")
@@ -239,13 +260,30 @@ func (fr *frameReader) recvMax(v any, limit int) error {
 		if err != nil {
 			return unexpected(err)
 		}
-		if n > 0 {
-			if *f, err = readData(fr.r, n); err != nil {
-				return err
-			}
+		if n == 0 {
+			continue
 		}
+		if !fr.reuse {
+			buf = nil
+		}
+		from := len(buf)
+		if buf, err = readData(fr.r, buf, n); err != nil {
+			return err
+		}
+		*f = buf[from:len(buf):len(buf)]
+	}
+	if fr.reuse {
+		fr.data = buf
 	}
 	return nil
+}
+
+// trim drops a kept receive buffer larger than maxKeptData; the serve
+// side calls it when a job ends.
+func (fr *frameReader) trim() {
+	if cap(fr.data) > maxKeptData {
+		fr.data = nil
+	}
 }
 
 // wholeMessages reports whether b is a run of whole gob messages, each
@@ -288,25 +326,29 @@ func (fr *frameReader) length(limit int) (int, error) {
 	return int(n), nil
 }
 
-// readData reads a data frame's n bytes into one slice of exactly n
-// bytes. It commits at most dataChunk bytes before they arrive and
-// then at most doubles what has arrived, so a peer that declares
-// MaxFrame and sends a few bytes costs one chunk.
-func readData(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, min(n, dataChunk))
-	got := 0
+// readData appends a data frame's n bytes to buf, reading into buf's
+// spare capacity first. Past it, it commits at most dataChunk bytes
+// before they arrive and then at most doubles what of the frame has
+// arrived, so a peer that declares MaxFrame and sends a few bytes
+// costs one chunk. Growing copies buf, and a slice taken from buf
+// before keeps its bytes.
+func readData(r io.Reader, buf []byte, n int) ([]byte, error) {
+	from := len(buf)
+	end := from + n
 	for {
-		k, err := io.ReadFull(r, buf[got:])
-		got += k
-		if err != nil {
-			return nil, unexpected(err)
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+min(end-len(buf), max(len(buf)-from, dataChunk)))
+			copy(grown, buf)
+			buf = grown
 		}
-		if got == n {
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), end)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, unexpected(err)
+		}
+		if len(buf) == end {
 			return buf, nil
 		}
-		grown := make([]byte, min(2*got, n))
-		copy(grown, buf)
-		buf = grown
 	}
 }
 

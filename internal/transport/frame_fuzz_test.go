@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -86,11 +87,34 @@ func FuzzTransportFrame(f *testing.F) {
 	trailing := append(append([]byte{}, row...), 0)
 	binary.BigEndian.PutUint32(trailing, uint32(len(row)-4+1))
 	f.Add(append([]byte{0}, trailing...))
+	// Serve-side streams of several jobs, small, large and small, the
+	// reused buffer growing past a chunk and then holding fields of
+	// two sizes.
+	big := bytes.Repeat([]byte("0110#"), dataChunk/4)
+	jobs := stream(f, thisHello(),
+		&Job{Sort: &shard.SortJob{Payload: []byte("01#10#"), FanIn: 2, Tapes: 4}},
+		&Job{Scan: &relalg.ScanJob{Op: relalg.ScanOpDiff, Left: big, Right: []byte("0110#")}},
+		&Job{Scan: &relalg.ScanJob{Op: relalg.ScanOpProduct, Left: []byte("1#"), Right: []byte("0#1#")}},
+		&Job{Trial: &TrialJob{Workload: trials.Workload{Name: "w", Spec: []byte{7}}, Trials: 2}},
+		&Job{Sort: &shard.SortJob{Payload: big[:len(big)/3], FanIn: 3, Tapes: 5}})
+	f.Add(append([]byte{fuzzHello | fuzzJob}, jobs...))
+	f.Add(append([]byte{fuzzHello | fuzzJob}, jobs[:len(jobs)-40]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		kind, fr := data[0], newFrameReader(bufio.NewReader(bytes.NewReader(data[1:])))
+		// The serve side reads jobs through its kept buffer: a reader
+		// with a slice per field must decode the same values and
+		// errors, frame after frame.
+		var ref *frameReader
+		if kind&(fuzzHello|fuzzJob) == fuzzHello|fuzzJob {
+			fr.reuse = true
+			ref = newFrameReader(bufio.NewReader(bytes.NewReader(data[1:])))
+			if _, err := ref.hello(); err != nil {
+				return
+			}
+		}
 		if kind&fuzzHello != 0 {
 			if _, err := fr.hello(); err != nil {
 				return
@@ -101,7 +125,16 @@ func FuzzTransportFrame(f *testing.F) {
 			if kind&fuzzJob != 0 {
 				v = &Job{}
 			}
-			if err := fr.recv(v); err != nil {
+			err := fr.recv(v)
+			if ref != nil {
+				var want Job
+				werr := ref.recv(&want)
+				if fmt.Sprint(err) != fmt.Sprint(werr) || err == nil && !reflect.DeepEqual(v, &want) {
+					t.Fatalf("job %d through the kept buffer: %+v (%v), want %+v (%v)", i, v, err, &want, werr)
+				}
+				fr.trim()
+			}
+			if err != nil {
 				return
 			}
 		}
@@ -252,22 +285,26 @@ func TestDecodedFramesDoNotAlias(t *testing.T) {
 
 // A data frame that declares MaxFrame and then ends costs about one
 // chunk, not MaxFrame: the reader commits dataChunk bytes before any
-// arrive and grows only as they do.
+// arrive and grows only as they do, with a slice per field and through
+// the serve side's kept buffer alike.
 func TestDataFrameAllocatesAsBytesArrive(t *testing.T) {
 	header := stream(t, &Reply{Done: &Done{Machine: &MachineDone{}}})
 	wire := append(header[:len(header)-4:len(header)-4], binary.BigEndian.AppendUint32(nil, MaxFrame)...)
 	wire = append(wire, "ten bytes!"...)
-	fr := newFrameReader(bytes.NewReader(wire))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := fr.recv(&Reply{})
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated data frame: %v, want io.ErrUnexpectedEOF", err)
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > dataChunk+dataChunk/2 {
-		t.Errorf("reading a truncated %d-byte data frame allocated %d bytes, want about one %d-byte chunk",
-			MaxFrame, n, dataChunk)
+	for _, reuse := range []bool{false, true} {
+		fr := newFrameReader(bytes.NewReader(wire))
+		fr.reuse = reuse
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := fr.recv(&Reply{})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("reuse=%v: truncated data frame: %v, want io.ErrUnexpectedEOF", reuse, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > dataChunk+dataChunk/2 {
+			t.Errorf("reuse=%v: reading a truncated %d-byte data frame allocated %d bytes, want about one %d-byte chunk",
+				reuse, MaxFrame, n, dataChunk)
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 package transport
 
 // serve.go is the worker side of the TCP transport: a listener that
-// accepts connections and runs one job per connection through the same
+// accepts connections and runs job after job on each through the same
 // job runners the pipe worker uses (worker.go). The handshake contract
 // is strict and symmetric — each end sends its Hello (protocol
 // version, workload-registry fingerprint) and validates the peer's
-// before any job frame crosses; a mismatched build is rejected with a
-// typed *HandshakeError instead of being allowed to exchange gob
-// garbage. Termination orders inside a job (WorkerFault) execute as
+// before any job frame crosses, once per connection; a mismatched
+// build is rejected with a typed *HandshakeError instead of being
+// allowed to exchange gob garbage. A connection serves its next job
+// only after the last one ended with a Done frame; any other end closes
+// it. Termination orders inside a job (WorkerFault) execute as
 // connection death here, not process death: one serve process hosts
 // many connections — possibly inside the coordinator's own process
 // (LocalWorkers) — so a chaos order may kill only the connection it
@@ -30,15 +32,16 @@ import (
 
 // handshakeTimeout bounds the handshake exchange on the serve side, so
 // a connection that never speaks cannot pin a handler goroutine
-// forever. Once the job frame arrives the deadline is lifted — jobs
-// may legitimately run long, and the coordinator owns the attempt
-// deadline.
+// forever, and it bounds each later job frame from its first byte on.
+// Once the job frame arrives the deadline is lifted — jobs may
+// legitimately run long, and the coordinator owns the attempt
+// deadline — and between jobs a connection waits without one.
 const handshakeTimeout = 10 * time.Second
 
-// Serve accepts connections on ln and serves one job per connection
-// until ctx is cancelled, then closes the listener and every live
-// connection and waits for in-flight handlers to drain. A nil stderr
-// means os.Stderr. The error is nil on a cancellation-triggered
+// Serve accepts connections on ln and serves jobs on each until ctx is
+// cancelled, then closes the listener and every live connection, idle
+// ones included, and waits for in-flight handlers to drain. A nil
+// stderr means os.Stderr. The error is nil on a cancellation-triggered
 // shutdown.
 func Serve(ctx context.Context, ln net.Listener, stderr io.Writer) error {
 	if stderr == nil {
@@ -84,14 +87,15 @@ func Serve(ctx context.Context, ln net.Listener, stderr io.Writer) error {
 	}
 }
 
-// handleConn runs one connection: handshake, one job, reply stream.
-// The job's context ends when the serve loop stops or the peer hangs
-// up: the coordinator sends nothing after the job frame, so a read on
-// the connection returns only when it closes.
+// handleConn runs one connection: the handshake, then jobs, each with
+// its reply stream, until the peer closes the connection or a job ends
+// without a Done frame. Between jobs it waits for the next job's first
+// byte with no deadline, and a connection closed there ends quietly.
 func handleConn(ctx context.Context, conn net.Conn, stderr io.Writer) {
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	br := bufio.NewReader(conn)
 	in, out := newFrameReader(br), newFrameWriter(conn)
+	in.reuse = true
 	hello, err := in.hello()
 	if err != nil {
 		fmt.Fprintln(stderr, "stworker: reading handshake:", err)
@@ -108,11 +112,31 @@ func handleConn(ctx context.Context, conn net.Conn, stderr io.Writer) {
 		fmt.Fprintln(stderr, "stworker: rejecting connection:", err)
 		return
 	}
-	var job Job
-	if err := in.recv(&job); err != nil {
-		fmt.Fprintln(stderr, "stworker: reading job:", err)
-		return
+	for {
+		var job Job
+		if err := in.recv(&job); err != nil {
+			fmt.Fprintln(stderr, "stworker: reading job:", err)
+			return
+		}
+		if !serveConnJob(ctx, conn, br, job, out, stderr) {
+			return
+		}
+		in.trim()
+		conn.SetDeadline(time.Time{})
+		if _, err := br.Peek(1); err != nil {
+			return
+		}
+		conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	}
+}
+
+// serveConnJob runs one job of a connection and reports whether it
+// ended with a Done frame, so that the connection may carry the next.
+// The job's context ends when the serve loop stops or the peer hangs
+// up: the coordinator sends nothing during a job, so a peek at the
+// connection returns only when it closes — or, once the Done frame is
+// out, when the next job arrives or the handler interrupts it.
+func serveConnJob(ctx context.Context, conn net.Conn, br *bufio.Reader, job Job, out *frameWriter, stderr io.Writer) bool {
 	// The job's header and its last data frame are in: only now does
 	// the handshake deadline give way to the hang-up watcher, so a
 	// coordinator that stalls inside its job cannot pin the handler.
@@ -122,15 +146,19 @@ func handleConn(ctx context.Context, conn net.Conn, stderr io.Writer) {
 	hungUp := make(chan struct{})
 	go func() {
 		defer close(hungUp)
-		io.Copy(io.Discard, br)
-		cancel()
+		// A peek consumes nothing: bytes that arrive are the next
+		// job's, read by the handler once this watcher is gone.
+		if _, err := br.Peek(1); err != nil {
+			cancel()
+		}
 	}()
 	// Termination orders are connection death here: the peer sees the
 	// reset mid-stream, the serve loop lives on to take the retry.
 	die := func(*WorkerFault) { conn.Close() }
-	serveJob(jobCtx, job, out, die, stderr)
-	conn.Close() // ends the hang-up watcher's read
+	code := serveJob(jobCtx, job, out, die, stderr)
+	conn.SetReadDeadline(time.Now()) // ends the watcher's peek
 	<-hungUp
+	return code == 0
 }
 
 // ListenAndServe listens on addr and serves shard jobs until ctx is
@@ -164,13 +192,14 @@ func ServeMain(addr string, stderr io.Writer) int {
 
 // LocalWorkers starts n loopback TCP workers served from goroutines
 // inside this process and returns a transport dialing them plus a stop
-// function that shuts the listeners down and drains in-flight
-// handlers. It powers the self-hosted tcp sweeps of the experiments
-// and tests: the handlers run the same serve loop a remote stworker
-// would, so every shard attempt still crosses a real TCP connection,
-// handshake and framing included — only process isolation is mocked
-// out, and the failure-matrix tests cover that separately with spawned
-// worker processes.
+// function that closes the transport's idle connections, shuts the
+// listeners down and drains in-flight handlers. It powers the
+// self-hosted tcp sweeps of the experiments and tests: the handlers
+// run the same serve loop a remote stworker would, so every shard
+// attempt still crosses a real TCP connection, handshake and framing
+// included — only process isolation is mocked out, and the
+// failure-matrix tests cover that separately with spawned worker
+// processes.
 func LocalWorkers(n int) (*TCP, func(), error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var (
@@ -195,9 +224,11 @@ func LocalWorkers(n int) (*TCP, func(), error) {
 			Serve(ctx, ln, io.Discard)
 		}()
 	}
+	tr := &TCP{Workers: addrs}
 	stop := func() {
+		tr.closeIdle()
 		cancel()
 		wg.Wait()
 	}
-	return &TCP{Workers: addrs}, stop, nil
+	return tr, stop, nil
 }

@@ -2,15 +2,16 @@ package transport
 
 // tcp.go is the multi-host shard transport: the same length-prefixed
 // header and data frames the pipe transport speaks, dialed over TCP to
-// workers that may live on other machines. One connection carries one
-// job — handshake, job, reply stream — so connection lifetime equals
-// attempt lifetime and every network failure mode (refused dial, peer
-// reset mid-frame, a stall past the attempt deadline) maps onto
-// exactly one failed attempt. Network death is process death: the
-// coordinator cannot tell a crashed remote worker from a cut cable,
-// and it does not need to — both surface as a *WorkerError, both take
-// the retry → backoff → chaos-free coordinator-fallback path, and
-// neither can move an output byte.
+// workers that may live on other machines. A connection carries a
+// handshake and then one job at a time, each with its reply stream,
+// and goes back to its worker's idle set only after a clean Done
+// frame: every network failure mode (refused dial, peer reset
+// mid-frame, a stall past the attempt deadline) still maps onto
+// exactly one failed attempt, and kills its connection. Network death
+// is process death: the coordinator cannot tell a crashed remote
+// worker from a cut cable, and it does not need to — both surface as
+// a *WorkerError, both take the retry → backoff → chaos-free
+// coordinator-fallback path, and neither can move an output byte.
 
 import (
 	"bufio"
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"extmem/internal/relalg"
@@ -26,14 +28,16 @@ import (
 	"extmem/internal/trials"
 )
 
-// TCP is the multi-host shard transport: every shard attempt dials one
-// worker address, performs the handshake, ships the job frame and
-// streams the replies back over the connection. Attempts are assigned
-// to workers round-robin by shard index, and a retry moves to the next
-// worker in the ring — a shard struck by one dead worker heals through
-// its neighbours before the coordinator absorbs the range itself. A
-// TCP value carries no per-run state — one value can serve any number
-// of concurrent fleets, sorts and scans.
+// TCP is the multi-host shard transport: every shard attempt takes a
+// connection to one worker address — an idle one it kept, or a new
+// one it dials and shakes hands on — ships the job frame and streams
+// the replies back over it. Attempts are assigned to workers
+// round-robin by shard index, and a retry moves to the next worker in
+// the ring — a shard struck by one dead worker heals through its
+// neighbours before the coordinator absorbs the range itself. The only
+// state a TCP value keeps across attempts is its idle connections, so
+// one value can serve any number of concurrent fleets, sorts and
+// scans; it must not be copied once used.
 type TCP struct {
 	// Workers are the worker addresses (host:port) the transport dials.
 	// Empty means every attempt fails — and therefore every shard falls
@@ -41,11 +45,12 @@ type TCP struct {
 	// CLIs reject an empty or malformed list with exit 2).
 	Workers []string
 
-	// Deadline bounds one attempt's wall clock — dial completion to
-	// Done frame — as an absolute read/write deadline on the
-	// connection; 0 means unbounded. A stalled worker or a black-holed
-	// route surfaces as a timeout error on the next read or write, and
-	// the attempt fails like any other worker death.
+	// Deadline bounds one attempt's wall clock — from taking or
+	// dialing its connection to the Done frame — as an absolute
+	// read/write deadline on the connection, cleared before the
+	// connection goes idle; 0 means unbounded. A stalled worker or a
+	// black-holed route surfaces as a timeout error on the next read
+	// or write, and the attempt fails like any other worker death.
 	Deadline time.Duration
 
 	// DialTimeout bounds the dial alone; 0 means the dialer's default.
@@ -59,6 +64,18 @@ type TCP struct {
 	// handlers execute Exit (and Kill) as connection death and Stall as
 	// a wait on the job's context (see WorkerFault).
 	Fault func(shard, attempt int) *WorkerFault
+
+	mu   sync.Mutex
+	idle map[string][]*link // per worker address, connections between attempts
+}
+
+// link is one connection to a worker with the two gob streams that
+// live as long as it does.
+type link struct {
+	conn net.Conn
+	br   *bufio.Reader
+	in   *frameReader
+	out  *frameWriter
 }
 
 // ParseWorkers validates a -workers flag value: a non-empty
@@ -125,11 +142,15 @@ func (p *TCP) worker(sh, attempt int) string {
 	return p.Workers[i]
 }
 
-// run executes one job over one connection: dial, handshake, job
-// frame, reply stream. Every failure — refused or timed-out dial,
-// handshake mismatch, peer reset mid-frame, deadline exceeded — is
-// returned as a plain error for the shared seam layer (seams.go) to
-// wrap in a WorkerError.
+// run executes one job over one connection: take an idle connection
+// to the assigned worker or dial one and shake hands, send the job
+// frame, read the reply stream. Every failure — refused or timed-out
+// dial, handshake mismatch, peer reset mid-frame, deadline exceeded,
+// cancellation — closes the connection and is returned as a plain
+// error for the shared seam layer (seams.go) to wrap in a
+// WorkerError. Only a connection whose attempt read a clean Done
+// frame, and whose context was not cancelled, goes back to the idle
+// set.
 func (p *TCP) run(ctx context.Context, sh, attempt int, job Job, onRow func(trials.Result) error) (*Done, error) {
 	if len(p.Workers) == 0 {
 		return nil, errors.New("no workers configured")
@@ -138,41 +159,99 @@ func (p *TCP) run(ctx context.Context, sh, attempt int, job Job, onRow func(tria
 		ctx = context.Background()
 	}
 	addr := p.worker(sh, attempt)
-	d := net.Dialer{Timeout: p.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dialing worker %s: %w", addr, err)
+	l, fresh := p.take(addr), false
+	if l == nil {
+		d := net.Dialer{Timeout: p.DialTimeout}
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, fmt.Errorf("dialing worker %s: %w", addr, err)
+		}
+		br := bufio.NewReader(conn)
+		l, fresh = &link{conn: conn, br: br, in: newFrameReader(br), out: newFrameWriter(conn)}, true
 	}
-	defer conn.Close()
 	// Cancellation must interrupt a blocked read or write; closing the
 	// connection is the portable way to do that.
-	stopWatch := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stopWatch()
+	stopWatch := context.AfterFunc(ctx, func() { l.conn.Close() })
+	done, err := p.exchange(l, addr, fresh, job, onRow)
+	if !stopWatch() || err != nil {
+		l.conn.Close()
+		return done, err
+	}
+	if p.Deadline > 0 && l.conn.SetDeadline(time.Time{}) != nil {
+		l.conn.Close()
+		return done, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.idle == nil {
+		p.idle = map[string][]*link{}
+	}
+	p.idle[addr] = append(p.idle[addr], l)
+	return done, nil
+}
+
+// exchange runs one attempt on l: the handshake when the connection
+// is fresh, the job frame, the reply stream, all under the attempt's
+// deadline.
+func (p *TCP) exchange(l *link, addr string, fresh bool, job Job, onRow func(trials.Result) error) (*Done, error) {
 	if p.Deadline > 0 {
-		if err := conn.SetDeadline(time.Now().Add(p.Deadline)); err != nil {
+		if err := l.conn.SetDeadline(time.Now().Add(p.Deadline)); err != nil {
 			return nil, fmt.Errorf("setting deadline for %s: %w", addr, err)
 		}
 	}
-	out := newFrameWriter(conn)
-	if err := out.send(&Hello{Version: ProtocolVersion, Fingerprint: trials.RegistryFingerprint()}); err != nil {
-		return nil, fmt.Errorf("sending handshake to %s: %w", addr, err)
+	if fresh {
+		if err := l.out.send(&Hello{Version: ProtocolVersion, Fingerprint: trials.RegistryFingerprint()}); err != nil {
+			return nil, fmt.Errorf("sending handshake to %s: %w", addr, err)
+		}
+		hello, err := l.in.hello()
+		if err != nil {
+			return nil, fmt.Errorf("reading handshake from %s: %w", addr, err)
+		}
+		if err := checkHello(hello); err != nil {
+			return nil, fmt.Errorf("worker %s: %w", addr, err)
+		}
 	}
-	in := newFrameReader(bufio.NewReader(conn))
-	hello, err := in.hello()
-	if err != nil {
-		return nil, fmt.Errorf("reading handshake from %s: %w", addr, err)
-	}
-	if err := checkHello(hello); err != nil {
-		return nil, fmt.Errorf("worker %s: %w", addr, err)
-	}
-	if err := out.send(&job); err != nil {
+	if err := l.out.send(&job); err != nil {
 		return nil, fmt.Errorf("sending job to %s: %w", addr, err)
 	}
-	done, err := readReplies(in, onRow)
+	done, err := readReplies(l.in, onRow)
 	if err != nil {
 		return nil, fmt.Errorf("worker %s: %w", addr, err)
 	}
 	return done, nil
+}
+
+// take returns an idle connection to addr that is still open, or nil.
+// An idle connection the worker closed, reset or wrote to while it sat
+// idle is closed here and costs no attempt. Connections are dialed
+// only when none is idle, so a worker never has more of them — idle or
+// in use — than attempts that ran on it at once.
+func (p *TCP) take(addr string) *link {
+	for {
+		p.mu.Lock()
+		ls := p.idle[addr]
+		var l *link
+		if n := len(ls); n > 0 {
+			l, p.idle[addr] = ls[n-1], ls[:n-1]
+		}
+		p.mu.Unlock()
+		if l == nil || l.br.Buffered() == 0 && idleOpen(l.conn) {
+			return l
+		}
+		l.conn.Close()
+	}
+}
+
+// closeIdle closes every idle connection.
+func (p *TCP) closeIdle() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for addr, ls := range p.idle {
+		for _, l := range ls {
+			l.conn.Close()
+		}
+		delete(p.idle, addr)
+	}
 }
 
 func (p *TCP) fault(sh, attempt int) *WorkerFault {

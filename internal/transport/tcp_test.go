@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -273,9 +274,10 @@ func TestTCPConnectionDeathRecovers(t *testing.T) {
 	}
 }
 
-// A stalled job ends with its connection: the attempt still fails over
-// at the coordinator's deadline, and the serve loop's stop returns at
-// once instead of waiting out the stall of the job nobody reads.
+// A stalled job ends with its connection, fresh or kept from an
+// earlier attempt: the attempt still fails over at the coordinator's
+// deadline, and the serve loop's stop returns at once instead of
+// waiting out the stall of the job nobody reads.
 func TestTCPStallEndsWithItsConnection(t *testing.T) {
 	const n = 8
 	w, fn := algorithms.FingerprintValueWorkload(4, 10)
@@ -286,35 +288,46 @@ func TestTCPStallEndsWithItsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline fleet: %v", err)
 	}
-	tr, stop, err := transport.LocalWorkers(1)
-	if err != nil {
-		t.Fatalf("LocalWorkers: %v", err)
-	}
-	tr.Deadline = 100 * time.Millisecond
-	tr.Fault = func(sh, attempt int) *transport.WorkerFault {
-		if attempt == 1 {
-			return &transport.WorkerFault{Stall: 10 * time.Second}
-		}
-		return nil
-	}
-	got, sum, err := shard.Fleet{
-		Plan: shard.Plan{Shards: 1, Trials: n}, Parallel: 1, Seed: 3,
-		Retry:   shard.RetryPolicy{MaxAttempts: 2},
-		Attempt: tr.Attempt(),
-	}.Run(ctx, fn)
-	start := time.Now()
-	stop()
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("stopping the workers took %v: the stalled job outlived its connection", d)
-	}
-	if err != nil {
-		t.Fatalf("fleet: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("recovered rows differ from the baseline")
-	}
-	if sum.Retries != 1 || sum.Fallbacks != 0 || sum.Recovered != 1 {
-		t.Errorf("census (retries=%d falls=%d rec=%d), want (1 0 1)", sum.Retries, sum.Fallbacks, sum.Recovered)
+	for _, reused := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reused=%v", reused), func(t *testing.T) {
+			tr, stop, err := transport.LocalWorkers(1)
+			if err != nil {
+				t.Fatalf("LocalWorkers: %v", err)
+			}
+			fleet := shard.Fleet{
+				Plan: shard.Plan{Shards: 1, Trials: n}, Parallel: 1, Seed: 3,
+				Retry:   shard.RetryPolicy{MaxAttempts: 2},
+				Attempt: tr.Attempt(),
+			}
+			if reused {
+				// A clean fleet leaves its connection idle for the next.
+				if _, _, err := fleet.Run(ctx, fn); err != nil {
+					t.Fatalf("warm-up fleet: %v", err)
+				}
+			}
+			tr.Deadline = 100 * time.Millisecond
+			tr.Fault = func(sh, attempt int) *transport.WorkerFault {
+				if attempt == 1 {
+					return &transport.WorkerFault{Stall: 10 * time.Second}
+				}
+				return nil
+			}
+			got, sum, err := fleet.Run(ctx, fn)
+			start := time.Now()
+			stop()
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("stopping the workers took %v: the stalled job outlived its connection", d)
+			}
+			if err != nil {
+				t.Fatalf("fleet: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("recovered rows differ from the baseline")
+			}
+			if sum.Retries != 1 || sum.Fallbacks != 0 || sum.Recovered != 1 {
+				t.Errorf("census (retries=%d falls=%d rec=%d), want (1 0 1)", sum.Retries, sum.Fallbacks, sum.Recovered)
+			}
+		})
 	}
 }
 
@@ -432,9 +445,12 @@ func TestTCPHandshakeMismatch(t *testing.T) {
 			Fingerprint: trials.RegistryFingerprint()}, "protocol version"},
 		{"workload registry", transport.Hello{Version: transport.ProtocolVersion,
 			Fingerprint: trials.RegistryFingerprint() + 1}, "workload registry"},
-		// A worker of the previous build opens its reply stream with a
-		// fresh-stream gob Hello, as every protocol 3 frame was.
+		// A worker of an earlier build opens its reply stream with a
+		// fresh-stream gob Hello, as every protocol 3 frame was; one of
+		// protocol 4 serves a single job per connection.
 		{"protocol 3 peer", transport.Hello{Version: 3,
+			Fingerprint: trials.RegistryFingerprint()}, "protocol version"},
+		{"protocol 4 peer", transport.Hello{Version: 4,
 			Fingerprint: trials.RegistryFingerprint()}, "protocol version"},
 	}
 	for _, c := range cases {
@@ -798,8 +814,7 @@ func TestTCPNoGoroutineLeak(t *testing.T) {
 	}
 	w, fn := algorithms.FingerprintValueWorkload(4, 10)
 	ctx := trials.WithWorkload(context.Background(), w)
-	drop := *tr
-	drop.Fault = func(sh, attempt int) *transport.WorkerFault {
+	tr.Fault = func(sh, attempt int) *transport.WorkerFault {
 		if sh == 0 && attempt == 1 {
 			return &transport.WorkerFault{Exit: true, ExitAfter: 1}
 		}
@@ -808,7 +823,7 @@ func TestTCPNoGoroutineLeak(t *testing.T) {
 	if _, _, err := (shard.Fleet{
 		Plan: shard.Plan{Shards: 2, Trials: 12}, Parallel: 1, Seed: 2,
 		Retry:   shard.RetryPolicy{MaxAttempts: 2},
-		Attempt: drop.Attempt(),
+		Attempt: tr.Attempt(),
 	}).Run(ctx, fn); err != nil {
 		t.Fatalf("fleet: %v", err)
 	}
